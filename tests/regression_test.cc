@@ -7,9 +7,11 @@
 
 #include "core/pipeline.h"
 #include "dataset/corpus.h"
+#include "imaging/codec.h"
 #include "imaging/ssim.h"
 #include "imaging/synth.h"
 #include "net/compress.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace aw4a {
@@ -83,6 +85,48 @@ TEST_F(GoldenValues, PipelineResultIsRunToRunIdentical) {
                            result.served.images.size(), result.served.scripts.size());
   };
   EXPECT_EQ(run(), run());
+}
+
+std::uint64_t digest(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = hash_mix(0, static_cast<std::uint64_t>(bytes.size()));
+  for (const std::uint8_t b : bytes) h = hash_mix(h, std::uint64_t{b});
+  return h;
+}
+
+std::uint64_t digest(const imaging::Raster& img) {
+  std::uint64_t h = hash_mix(hash_mix(0, static_cast<std::uint64_t>(img.width())),
+                             static_cast<std::uint64_t>(img.height()));
+  for (const imaging::Pixel& p : img.pixels()) {
+    h = hash_mix(h, std::uint64_t{p.r} | std::uint64_t{p.g} << 8 | std::uint64_t{p.b} << 16 |
+                        std::uint64_t{p.a} << 24);
+  }
+  return h;
+}
+
+TEST_F(GoldenValues, RansLadderBlobsAndDecodedPixelsAreFrozen) {
+  // The rANS coder's behavioural guard: blob bytes and decoded pixels of a
+  // full 7-rung JPEG ladder, pinned per rung. Any encoder, table-format or
+  // decoder change that moves a single bit fails here, whatever code path
+  // produced it.
+  Rng rng(109);
+  const imaging::Raster img = imaging::synth_image(rng, imaging::ImageClass::kPhoto, 93, 61);
+  const int qualities[] = {92, 85, 75, 65, 55, 45, 35};
+  const std::uint64_t kBlob[] = {
+      3949327602682609860ull,  1485902762657300197ull,  15422431590275258179ull,
+      16690759433601067170ull, 4831992642610113582ull,  2152208857444615914ull,
+      13637352341013496549ull};
+  const std::uint64_t kPixels[] = {
+      6248505863233932495ull,  12634197033270935894ull, 18228705902510376062ull,
+      15147453469229470598ull, 5579780512208112106ull,  10019017943764615049ull,
+      16462232513090733857ull};
+  for (std::size_t i = 0; i < std::size(qualities); ++i) {
+    const imaging::Encoded enc =
+        imaging::jpeg_encode(img, qualities[i], imaging::EntropyBackend::kRans);
+    const imaging::Raster decoded = imaging::lossy_decode(enc.payload);
+    EXPECT_EQ(digest(enc.payload), kBlob[i]) << "q" << qualities[i];
+    EXPECT_EQ(digest(decoded), kPixels[i]) << "q" << qualities[i];
+    EXPECT_TRUE(decoded.pixels() == enc.decoded.pixels()) << "q" << qualities[i];
+  }
 }
 
 TEST_F(GoldenValues, CountryTableIsFrozen) {
