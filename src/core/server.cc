@@ -1,6 +1,5 @@
 #include "core/server.h"
 
-#include "util/error.h"
 #include "util/table.h"
 
 namespace aw4a::core {
@@ -107,39 +106,6 @@ ServeOutcome answer_page_request(const web::WebPage& page, std::span<const Tier>
     outcome.response = degraded_original(page, page_response_skeleton(), e.what());
     return outcome;
   }
-}
-
-TranscodingServer::TranscodingServer(const web::WebPage& page, DeveloperConfig config,
-                                     net::PlanType plan)
-    : page_(&page), plan_(plan) {
-  try {
-    tiers_ = Aw4aPipeline(std::move(config)).build_tiers(page);
-  } catch (const Error& e) {
-    // Zero usable tiers: stay up and serve the original page (§5.2's origin
-    // must answer even when its optimizer cannot), flagged via AW4A-Degraded.
-    tiers_.clear();
-    degraded_reason_ = e.what();
-  }
-  if (tiers_.empty() && degraded_reason_.empty()) {
-    degraded_reason_ = "no tiers configured";
-  }
-}
-
-net::HttpResponse TranscodingServer::handle(const net::HttpRequest& request) const {
-  net::HttpResponse response = page_response_skeleton();
-  if (request.method != "GET") {
-    response.status = 405;
-    response.reason = "Method Not Allowed";
-    response.headers.push_back({"Allow", "GET"});
-    return response;
-  }
-  if (!known_page_path(request.path)) {
-    response.status = 404;
-    response.reason = "Not Found";
-    response.content_length = 0;
-    return response;
-  }
-  return answer_page_request(*page_, tiers_, degraded_reason_, plan_, request).response;
 }
 
 }  // namespace aw4a::core

@@ -1,21 +1,21 @@
-// TranscodingServer: the AW4A origin-server façade (paper §5.2's key privacy
-// property — transcoding happens at the *server*, not at a TLS-breaking
-// proxy).
+// The AW4A page-serving core (paper §5.2's key privacy property —
+// transcoding happens at the *server*, not at a TLS-breaking proxy).
 //
-// The server pre-builds the configured tiers of a page once, then answers
-// requests by mapping HTTP hints to the Fig. 6 control flow:
+// Given a page and its pre-built tier ladder, answer_page_request maps HTTP
+// hints to the Fig. 6 control flow:
 //   Save-Data absent/off              -> the original page
 //   Save-Data: on + X-Geo-Country     -> the PAW tier for that country
 //   Save-Data: on + AW4A-Savings: P   -> the tier closest to P% savings
 // Responses carry Content-Length (the served bytes), Vary (caching
 // correctness for the hint-dependent body), and AW4A-Tier diagnostics.
+// serving::OriginServer routes requests to sites, builds and caches their
+// ladders, and calls this core for every page answer.
 //
-// Failure contract: construction and handle() never throw. If the tier
-// build fails outright (codec faults, infeasible targets) the server comes
-// up degraded — data-saving requests get the original page with an
-// `AW4A-Degraded` header and `AW4A-Tier: none`, so clients can tell "the
-// user did not ask for savings" (AW4A-Tier: original) apart from "the
-// server could not honor the ask".
+// Failure contract: answering never throws. With no usable tiers (codec
+// faults, infeasible targets, a shed build) data-saving requests get the
+// original page with an `AW4A-Degraded` header and `AW4A-Tier: none`, so
+// clients can tell "the user did not ask for savings" (AW4A-Tier: original)
+// apart from "the server could not honor the ask".
 #pragma once
 
 #include "core/api.h"
@@ -42,48 +42,16 @@ struct ServeOutcome {
 net::HttpResponse page_response_skeleton();
 
 /// True for the modeled page addresses ("/" and "/index.html") — the
-/// simulation hosts one page per origin. Shared with serving::OriginServer
-/// so single-site and multi-site routing cannot drift apart.
+/// simulation hosts one page per site.
 bool known_page_path(const std::string& path);
 
-/// The Fig. 6 control flow over a pre-built tier ladder — the one serving
-/// core shared by the single-page TranscodingServer and the multi-site
-/// serving::OriginServer. Routing (method, path, host) must already have
-/// happened. Never throws: any internal failure serves the original page
-/// with an AW4A-Degraded header. When `tiers` is empty, data-saving
-/// requests get the degraded original carrying `degraded_reason`.
+/// The Fig. 6 control flow over a pre-built tier ladder. Routing (method,
+/// path, host) must already have happened. Never throws: any internal
+/// failure serves the original page with an AW4A-Degraded header. When
+/// `tiers` is empty, data-saving requests get the degraded original
+/// carrying `degraded_reason`.
 ServeOutcome answer_page_request(const web::WebPage& page, std::span<const Tier> tiers,
                                  const std::string& degraded_reason, net::PlanType plan,
                                  const net::HttpRequest& request);
-
-class TranscodingServer {
- public:
-  /// Builds the tier ladder for `page` up front (the expensive part; serving
-  /// is then a table lookup, as §5.3's "generated to be served whenever
-  /// requested" requires). Never throws on tier-build failure: the server
-  /// starts degraded instead (see degraded()).
-  TranscodingServer(const web::WebPage& page, DeveloperConfig config = {},
-                    net::PlanType plan = net::PlanType::kDataOnly);
-
-  /// Answers one request. Only GETs for the page's paths ("/" and
-  /// "/index.html") are modeled; other paths get 404, other methods 405.
-  /// Never throws: internal failures serve the original page with an
-  /// AW4A-Degraded header.
-  net::HttpResponse handle(const net::HttpRequest& request) const;
-
-  std::span<const Tier> tiers() const { return tiers_; }
-  const web::WebPage& page() const { return *page_; }
-
-  /// True when no usable tier could be built and every data-saving request
-  /// is served the original page.
-  bool degraded() const { return tiers_.empty(); }
-  const std::string& degraded_reason() const { return degraded_reason_; }
-
- private:
-  const web::WebPage* page_;
-  net::PlanType plan_;
-  std::vector<Tier> tiers_;
-  std::string degraded_reason_;
-};
 
 }  // namespace aw4a::core

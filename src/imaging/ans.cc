@@ -1,13 +1,10 @@
 #include "imaging/ans.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstddef>
-#include <cstdlib>
 #include <cstring>
 
-#include "imaging/ans_simd.h"
 #include "util/error.h"
 
 namespace aw4a::imaging::ans {
@@ -134,20 +131,12 @@ void FreqTable::finalize() {
   AW4A_EXPECTS(!symbols.empty() && symbols.size() == freqs.size());
   cum.resize(symbols.size());
   entry_of.assign(kEscapeSymbol + 1, 0);
-  packed.resize(kScaleTotal);
-  recip.resize(symbols.size());
-  esc_start = kScaleTotal;
   std::uint32_t c = 0;
   for (std::size_t i = 0; i < symbols.size(); ++i) {
     AW4A_EXPECTS(symbols[i] <= kEscapeSymbol && freqs[i] >= 1);
     AW4A_EXPECTS(i == 0 || symbols[i] > symbols[i - 1]);
     cum[i] = static_cast<std::uint16_t>(c);
     entry_of[symbols[i]] = static_cast<std::uint16_t>(i + 1);
-    if (symbols[i] == kEscapeSymbol) esc_start = c;
-    for (std::uint32_t s = 0; s < freqs[i]; ++s)
-      packed[c + s] = pack_slot(freqs[i], s, symbols[i]);
-    // ceil(2^44 / f); exact floor division for all x < 2^32 (see kRecipShift).
-    recip[i] = ((std::uint64_t{1} << kRecipShift) + freqs[i] - 1) / freqs[i];
     c += freqs[i];
   }
   AW4A_EXPECTS(c == kScaleTotal);
@@ -181,30 +170,6 @@ void serialize_table(const FreqTable& table, std::vector<std::uint8_t>& out) {
     if (i + 1 < nibbles.size()) byte |= static_cast<std::uint8_t>(nibbles[i + 1] << 4);
     out.push_back(byte);
   }
-}
-
-FreqTable deserialize_table(ByteReader& in) {
-  const std::uint16_t n = in.read_u16();
-  if (n == 0 || n > kEscapeSymbol + 1) throw Error("ans: bad table entry count");
-  FreqTable t;
-  t.symbols.resize(n);
-  t.freqs.resize(n);
-  NibbleReader nr(in);
-  int prev = -1;
-  std::uint32_t total = 0;
-  for (std::uint16_t i = 0; i < n; ++i) {
-    const std::uint32_t id = static_cast<std::uint32_t>(prev + 1) + nr.read_varint();
-    if (id > kEscapeSymbol) throw Error("ans: table symbol id out of range");
-    const std::uint32_t freq = nr.read_varint() + 1;
-    total += freq;
-    if (total > kScaleTotal) throw Error("ans: table frequencies exceed total");
-    t.symbols[i] = static_cast<std::uint16_t>(id);
-    t.freqs[i] = static_cast<std::uint16_t>(freq);
-    prev = static_cast<int>(id);
-  }
-  if (total != kScaleTotal) throw Error("ans: table frequencies do not sum to total");
-  t.finalize();
-  return t;
 }
 
 double table_stream_bits(const FreqTable& table, const std::uint64_t* counts, int n_symbols) {
@@ -322,11 +287,8 @@ std::vector<std::uint8_t> BitWriter::finish() {
 void throw_truncated_bits() { throw Error("ans: truncated bit stream"); }
 void throw_truncated_stream() { throw Error("ans: truncated buffer"); }
 
-namespace {
-
-template <bool kReciprocal>
-EncodedStreams encode_interleaved_impl(const std::vector<SymbolRef>& ops,
-                                       const std::vector<FreqTable>& tables) {
+EncodedStreams encode_interleaved(const std::vector<SymbolRef>& ops,
+                                  const std::vector<FreqTable>& tables) {
   EncodedStreams out;
   out.states.fill(kStateMin);
   std::vector<std::uint16_t> emitted;
@@ -348,16 +310,7 @@ EncodedStreams encode_interleaved_impl(const std::vector<SymbolRef>& ops,
       emitted.push_back(static_cast<std::uint16_t>(x));
       x >>= 16;
     }
-    if constexpr (kReciprocal) {
-      // q = floor(x / f) via the precomputed ceil(2^44 / f) multiplier —
-      // exact for every x < 2^32 (see kRecipShift), so the emitted states
-      // are bit-identical to the division reference below.
-      const std::uint32_t q = static_cast<std::uint32_t>(
-          (static_cast<unsigned __int128>(x) * t.recip[e]) >> kRecipShift);
-      x = (q << kScaleBits) + (x - q * f) + t.cum[e];
-    } else {
-      x = ((x / f) << kScaleBits) + (x % f) + t.cum[e];
-    }
+    x = ((x / f) << kScaleBits) + (x % f) + t.cum[e];
   }
   out.stream.reserve(emitted.size() * 2);
   for (std::size_t k = emitted.size(); k-- > 0;) {
@@ -367,88 +320,6 @@ EncodedStreams encode_interleaved_impl(const std::vector<SymbolRef>& ops,
   return out;
 }
 
-}  // namespace
-
-EncodedStreams encode_interleaved(const std::vector<SymbolRef>& ops,
-                                  const std::vector<FreqTable>& tables) {
-  return encode_interleaved_impl<true>(ops, tables);
-}
-
-EncodedStreams encode_interleaved_reference(const std::vector<SymbolRef>& ops,
-                                            const std::vector<FreqTable>& tables) {
-  return encode_interleaved_impl<false>(ops, tables);
-}
-
-InterleavedDecoder::InterleavedDecoder(const std::array<std::uint32_t, kNumStreams>& states,
-                                       const std::uint8_t* stream, std::size_t size)
-    : states_(states), in_(stream, size) {
-  for (const std::uint32_t x : states_) {
-    if (x < kStateMin) throw Error("ans: initial state below renormalization bound");
-  }
-}
-
-int InterleavedDecoder::get(const FreqTable& table) {
-  std::uint32_t& x = states_[count_ % kNumStreams];
-  ++count_;
-  const std::uint32_t slot = x & (kScaleTotal - 1);
-  const std::uint32_t p = table.packed[slot];
-  x = packed_freq(p) * (x >> kScaleBits) + packed_bias(p);
-  while (x < kStateMin) x = (x << 16) | in_.read_u16();
-  return slot >= table.esc_start ? kEscapeSymbol : static_cast<int>(packed_symbol(p));
-}
-
-void InterleavedDecoder::expect_exhausted() const {
-  if (in_.remaining() != 0) throw Error("ans: trailing bytes after final symbol");
-  for (const std::uint32_t x : states_) {
-    if (x != kStateMin) throw Error("ans: stream integrity check failed");
-  }
-}
-
-// --- SIMD dispatch ----------------------------------------------------------
-
-namespace {
-
-bool cpu_has_avx2() {
-#if defined(__x86_64__) || defined(_M_X64)
-  static const bool ok = __builtin_cpu_supports("avx2");
-  return ok;
-#else
-  return false;
-#endif
-}
-
-SimdMode env_simd_mode() {
-  static const SimdMode mode = [] {
-    const char* v = std::getenv("AW4A_ANS_SIMD");
-    if (v != nullptr) {
-      if (std::strcmp(v, "scalar") == 0) return SimdMode::kScalar;
-      if (std::strcmp(v, "simd") == 0) return SimdMode::kSimd;
-    }
-    return SimdMode::kAuto;
-  }();
-  return mode;
-}
-
-// kAuto here means "defer to the environment variable"; the setter stores
-// an explicit override. Relaxed atomics: decoders sample the mode once at
-// construction and tests only flip it between decodes.
-std::atomic<SimdMode> g_mode_override{SimdMode::kAuto};
-
-}  // namespace
-
-bool simd_available() { return simd::kernel_compiled() && cpu_has_avx2(); }
-
-void set_simd_mode(SimdMode mode) {
-  g_mode_override.store(mode, std::memory_order_relaxed);
-}
-
-SimdMode simd_mode() {
-  const SimdMode forced = g_mode_override.load(std::memory_order_relaxed);
-  return forced != SimdMode::kAuto ? forced : env_simd_mode();
-}
-
-bool simd_active() { return simd_mode() != SimdMode::kScalar && simd_available(); }
-
 PackedSet deserialize_packed_set(ByteReader& in, int n_tables) {
   AW4A_EXPECTS(n_tables >= 1);
   PackedSet set;
@@ -456,8 +327,6 @@ PackedSet deserialize_packed_set(ByteReader& in, int n_tables) {
   set.esc_start.assign(static_cast<std::size_t>(n_tables), kScaleTotal);
   for (int t = 0; t < n_tables; ++t) {
     std::uint32_t* slots = set.slots.data() + static_cast<std::size_t>(t) * kScaleTotal;
-    // Mirrors deserialize_table's reads and checks exactly (same error
-    // strings, same acceptance set) — keep the two in sync.
     const std::uint16_t n = in.read_u16();
     if (n == 0 || n > kEscapeSymbol + 1) throw Error("ans: bad table entry count");
     NibbleReader nr(in);
@@ -479,18 +348,6 @@ PackedSet deserialize_packed_set(ByteReader& in, int n_tables) {
   return set;
 }
 
-PackedSet::PackedSet(const std::vector<FreqTable>& tables) {
-  AW4A_EXPECTS(!tables.empty());
-  slots.resize(tables.size() * static_cast<std::size_t>(kScaleTotal));
-  esc_start.reserve(tables.size());
-  for (std::size_t t = 0; t < tables.size(); ++t) {
-    AW4A_EXPECTS(tables[t].packed.size() == kScaleTotal);
-    std::memcpy(slots.data() + t * kScaleTotal, tables[t].packed.data(),
-                kScaleTotal * sizeof(std::uint32_t));
-    esc_start.push_back(tables[t].esc_start);
-  }
-}
-
 PackedDecoder::PackedDecoder(const std::array<std::uint32_t, kNumStreams>& states,
                              const std::uint8_t* stream, std::size_t size,
                              const PackedSet& set)
@@ -498,15 +355,13 @@ PackedDecoder::PackedDecoder(const std::array<std::uint32_t, kNumStreams>& state
       slots_(set.slots.data()),
       esc_start_(set.esc_start.data()),
       stream_(stream),
-      size_(size),
-      simd_(simd_active()) {
+      size_(size) {
   for (const std::uint32_t x : states_) {
     if (x < kStateMin) throw Error("ans: initial state below renormalization bound");
   }
 }
 
-void PackedDecoder::expect_exhausted() {
-  if (simd_) flush_group();
+void PackedDecoder::expect_exhausted() const {
   if (pos_ != size_) throw Error("ans: trailing bytes after final symbol");
   for (const std::uint32_t x : states_) {
     if (x != kStateMin) throw Error("ans: stream integrity check failed");

@@ -13,18 +13,10 @@
 // shape auto-vectorizers (and out-of-order cores) exploit — no state ever
 // waits on another.
 //
-// Two decoder flavors share the format bit for bit:
-//   - InterleavedDecoder: the pinned scalar reference (one table lookup +
-//     state update per get()).
-//   - PackedDecoder: the production decoder over a PackedSet (all tables'
-//     per-slot metadata concatenated into one u32 array). On AVX2 hardware
-//     it defers the 8 state updates of a lane group and flushes them with
-//     one vector state update + branchless renorm over the packed entries
-//     the symbol fetches already loaded (src/imaging/ans_simd.h); elsewhere — or
-//     when forced via set_simd_mode()/AW4A_ANS_SIMD=scalar — it runs the
-//     same packed lookup scalar-ly. Both orders consume renormalization
-//     words identically, so symbols, final states, and accept/reject
-//     decisions match the reference by construction.
+// One path per job: encode_interleaved writes the streams, serialize_table
+// writes the tables, and decoding always goes serialized bytes ->
+// deserialize_packed_set -> PackedDecoder (all tables' per-slot metadata
+// concatenated into one u32 array, one lookup + state update per symbol).
 //
 // Robustness contract: decoding never reads out of bounds and never
 // allocates from attacker-controlled sizes without validation; a truncated
@@ -40,8 +32,6 @@
 #include <cstring>
 #include <vector>
 
-#include "imaging/ans_simd.h"
-
 namespace aw4a::imaging::ans {
 
 /// log2 of the normalized frequency total. 12 keeps the quantization loss
@@ -51,9 +41,8 @@ inline constexpr int kScaleBits = 12;
 inline constexpr std::uint32_t kScaleTotal = 1u << kScaleBits;
 
 /// Interleaved stream count. Eight independent chains saturate the issue
-/// width of current cores (and exactly fill one AVX2 register of 32-bit
-/// states); the stream a symbol belongs to is its position in the sequence
-/// mod kNumStreams.
+/// width of current cores; the stream a symbol belongs to is its position
+/// in the sequence mod kNumStreams.
 inline constexpr int kNumStreams = 8;
 
 /// Lower bound of the 32-bit rANS state (16-bit renormalization): states
@@ -63,14 +52,6 @@ inline constexpr std::uint32_t kStateMin = 1u << 16;
 /// Symbol id of the ESCAPE pseudo-symbol. Tables span ids [0, 256]; real
 /// alphabets are byte-valued, so 256 can never collide.
 inline constexpr int kEscapeSymbol = 256;
-
-/// Fixed shift of the division-free encoder reciprocals. For f in
-/// [1, kScaleTotal] and x < 2^32, floor(x * ceil(2^44 / f) / 2^44) ==
-/// floor(x / f) exactly: the error term is x * ((-2^44) mod f) / (f * 2^44)
-/// < 2^-12 <= 1/f, too small to carry floor(x/f)'s fractional part
-/// (<= 1 - 1/f) across an integer — and it vanishes entirely when f is a
-/// power of two. The product needs 76 bits, one widening multiply.
-inline constexpr int kRecipShift = 44;
 
 /// Packed per-slot decode metadata: (freq - 1) in bits [20, 32), the slot
 /// bias (slot - cum, i.e. the remainder the state update adds back) in bits
@@ -97,20 +78,11 @@ struct FreqTable {
   /// symbol id -> entry index + 1, 0 when the symbol is not in the table
   /// (the encoder then codes ESCAPE + a literal). Size 257.
   std::vector<std::uint16_t> entry_of;
-  /// slot -> packed (freq, bias, symbol) decode metadata, kScaleTotal
-  /// entries — the ONLY per-symbol decoder lookup (see pack_slot above).
-  std::vector<std::uint32_t> packed;
-  /// First slot owned by ESCAPE; kScaleTotal when the table has none.
-  std::uint32_t esc_start = kScaleTotal;
-  /// Per-entry encoder reciprocals: ceil(2^kRecipShift / freq), replacing
-  /// the per-op division/modulo in the encode hot loop (exact — see
-  /// kRecipShift).
-  std::vector<std::uint64_t> recip;
 
   bool has(int symbol) const { return entry_of[static_cast<std::size_t>(symbol)] != 0; }
   bool has_escape() const { return !symbols.empty() && symbols.back() == kEscapeSymbol; }
 
-  /// Rebuilds cum/entry_of/packed/esc_start/recip from symbols/freqs.
+  /// Rebuilds cum/entry_of from symbols/freqs.
   /// Throws LogicError if the invariants above are violated.
   void finalize();
 };
@@ -158,10 +130,6 @@ class ByteReader {
   std::size_t size_;
   std::size_t pos_ = 0;
 };
-
-/// Parses one serialized table. Validates monotone ids <= 256, freqs >= 1
-/// summing to exactly kScaleTotal; throws aw4a::Error otherwise.
-FreqTable deserialize_table(ByteReader& in);
 
 /// MSB-first raw bit stream (escape literals + JPEG-style magnitude bits).
 class BitWriter {
@@ -250,114 +218,37 @@ struct EncodedStreams {
 };
 
 /// Encodes `ops` (forward order; ops[i] belongs to stream i % kNumStreams)
-/// against `tables`. Every op's symbol must be present in its table. The
-/// hot loop is division-free (per-entry reciprocals, see kRecipShift).
+/// against `tables`. Every op's symbol must be present in its table.
 EncodedStreams encode_interleaved(const std::vector<SymbolRef>& ops,
                                   const std::vector<FreqTable>& tables);
 
-/// The pinned division/modulo encoder the reciprocal hot path must match
-/// byte for byte — kept for equivalence tests and the bench's
-/// rans_encode_speedup A/B, not called on any production path.
-EncodedStreams encode_interleaved_reference(const std::vector<SymbolRef>& ops,
-                                            const std::vector<FreqTable>& tables);
-
-/// Forward decoder over an EncodedStreams buffer — the pinned scalar
-/// reference implementation. The caller drives it with the same table
-/// sequence the encoder used (which it reconstructs from the decoded data
-/// itself — symbol contexts are deterministic in scan order).
-class InterleavedDecoder {
- public:
-  InterleavedDecoder(const std::array<std::uint32_t, kNumStreams>& states,
-                     const std::uint8_t* stream, std::size_t size);
-
-  /// Decodes the next symbol in sequence order from `table`.
-  int get(const FreqTable& table);
-
-  /// Throws aw4a::Error unless the stream is fully consumed and every state
-  /// has returned to kStateMin — the end-of-payload integrity check.
-  void expect_exhausted() const;
-
- private:
-  std::array<std::uint32_t, kNumStreams> states_;
-  ByteReader in_;
-  std::uint64_t count_ = 0;
-};
-
-// --- SIMD dispatch ----------------------------------------------------------
-
-enum class SimdMode {
-  kAuto,    ///< use the AVX2 kernel when compiled in and the CPU has AVX2
-  kScalar,  ///< force the scalar packed path (tests, A/B benches)
-  kSimd,    ///< request the kernel explicitly (still requires availability)
-};
-
-/// True when the AVX2 group-decode kernel is compiled into this binary AND
-/// the running CPU reports AVX2.
-bool simd_available();
-
-/// Programmatic dispatch override, taking precedence over the AW4A_ANS_SIMD
-/// environment variable (values: "scalar", "simd", "auto"; read once per
-/// process). kAuto restores the environment/default behavior. Safe to call
-/// concurrently with decoders on other threads: each PackedDecoder samples
-/// the mode once at construction.
-void set_simd_mode(SimdMode mode);
-SimdMode simd_mode();
-
-/// Resolved dispatch decision a PackedDecoder constructed right now would
-/// take (mode + availability).
-bool simd_active();
-
-/// All tables of one payload concatenated for the gather kernel: table t's
-/// packed metadata lives at slots[t * kScaleTotal + slot], so a single
-/// (table, slot) pair flattens to one gather index off one base pointer.
+/// All tables of one payload concatenated: table t's packed metadata lives
+/// at slots[t * kScaleTotal + slot], so a (table, slot) pair flattens to one
+/// index off one base pointer.
 struct PackedSet {
   std::vector<std::uint32_t> slots;      ///< n_tables * kScaleTotal
-  std::vector<std::uint32_t> esc_start;  ///< per table
-
-  PackedSet() = default;
-  explicit PackedSet(const std::vector<FreqTable>& tables);
-  int n_tables() const { return static_cast<int>(esc_start.size()); }
+  std::vector<std::uint32_t> esc_start;  ///< per table: first ESCAPE slot, or kScaleTotal
 };
 
 /// Parses `n_tables` consecutive serialized tables straight into a
-/// PackedSet — the decode-only fast path. Performs byte-for-byte the same
-/// reads and validation (same aw4a::Error messages) as n_tables calls to
-/// deserialize_table, but writes pack_slot runs directly into the
-/// concatenated slot array, skipping the FreqTable's encoder-side fields
-/// (cum / entry_of / reciprocals) and their allocations. Decoding needs
-/// only slots + esc_start, so this is what the codec's payload decode
-/// uses; encoders and tests that inspect table structure keep
-/// deserialize_table.
+/// PackedSet — the only table parser. Validates monotone ids <= 256 and
+/// freqs >= 1 summing to exactly kScaleTotal per table; throws aw4a::Error
+/// otherwise. Decoding needs only slots + esc_start, so no FreqTable is
+/// built.
 PackedSet deserialize_packed_set(ByteReader& in, int n_tables);
 
-/// Forward decoder over a PackedSet — the production path. Symbols are
-/// identical to InterleavedDecoder's for the same stream; on the SIMD path
-/// state updates are deferred per 8-op lane group and flushed with one AVX2
-/// vector state update + branchless renormalization. A deferred flush can surface a
-/// truncation error up to 7 symbols later than the scalar reference, but
-/// always before expect_exhausted() can succeed — accept/reject of any blob
-/// is mode-independent.
+/// Forward decoder over a PackedSet. The caller drives it with the same
+/// table sequence the encoder used (which it reconstructs from the decoded
+/// data itself — symbol contexts are deterministic in scan order).
 class PackedDecoder {
  public:
   PackedDecoder(const std::array<std::uint32_t, kNumStreams>& states,
                 const std::uint8_t* stream, std::size_t size, const PackedSet& set);
 
   /// Decodes the next symbol in sequence order from table `table_id`.
+  /// Inline: it sits under the codec's symbol walk (one call per DC/AC
+  /// symbol), where an out-of-line call costs as much as the lookup itself.
   int get(std::uint32_t table_id) {
-    return simd_ ? get_deferred(table_id) : get_scalar(table_id);
-  }
-
-  /// Flushes any deferred lane group, then throws aw4a::Error unless the
-  /// stream is fully consumed and every state has returned to kStateMin.
-  void expect_exhausted();
-
- private:
-  // All three hot paths are inline: the per-symbol gets sit under the
-  // codec's symbol walk (one call per DC/AC symbol), where an out-of-line
-  // call per symbol costs as much as the table lookup itself, and the
-  // once-per-8-ops flush_group inlines its AVX2 kernel (a header-inline
-  // target("avx2") function, see ans_simd.h) straight into the walk.
-  int get_scalar(std::uint32_t table_id) {
     std::uint32_t& x = states_[lane_];
     lane_ = (lane_ + 1) & (kNumStreams - 1);
     const std::uint32_t slot = x & (kScaleTotal - 1);
@@ -366,7 +257,7 @@ class PackedDecoder {
     x = packed_freq(p) * (x >> kScaleBits) + packed_bias(p);
     // At most one refill per symbol: the pre-update state is >= kStateMin,
     // so freq * (x >> 12) >= 16, and one 16-bit word lifts any x >= 1 past
-    // kStateMin. An `if` is therefore exactly the reference's `while`.
+    // kStateMin.
     if (x < kStateMin) {
       if (size_ - pos_ < 2) throw_truncated_stream();
       std::uint16_t w;
@@ -378,62 +269,18 @@ class PackedDecoder {
                                         : static_cast<int>(packed_symbol(p));
   }
 
-  int get_deferred(std::uint32_t table_id) {
-    // Lane i's state only changes on lane i's own ops and each lane appears
-    // exactly once per 8-op group, so every slot in the group can be read
-    // from the group-start states — the whole group's updates then flush as
-    // one vector state update + renorm over the packed entries saved here
-    // (the symbol fetch loads them anyway; see decode_group8_avx2). Symbols
-    // come out identical to the scalar order; a truncation is surfaced at
-    // the flush instead of mid-group, but always before expect_exhausted()
-    // can pass.
-    const std::uint32_t slot = states_[pending_] & (kScaleTotal - 1);
-    const std::uint32_t p =
-        slots_[static_cast<std::size_t>(table_id) * kScaleTotal + slot];
-    pending_p_[pending_] = p;
-    // Flush eagerly on the 8th deferral rather than lazily on the 9th get:
-    // the vector update's latency chain then overlaps the caller's
-    // between-symbol work (side-stream bits, block stores) instead of
-    // stalling the next symbol's state read.
-    if (++pending_ == kNumStreams) flush_group();
-    return slot >= esc_start_[table_id] ? kEscapeSymbol
-                                        : static_cast<int>(packed_symbol(p));
-  }
+  /// Throws aw4a::Error unless the stream is fully consumed and every state
+  /// has returned to kStateMin — the end-of-payload integrity check.
+  void expect_exhausted() const;
 
-  void flush_group() {
-    if (pending_ == kNumStreams && size_ - pos_ >= simd::kGroupStreamBytes) {
-      pos_ += simd::decode_group8_avx2(states_.data(), pending_p_.data(), stream_ + pos_);
-      pending_ = 0;
-      return;
-    }
-    // Partial group (sequence tail) or fewer than 16 stream bytes left: the
-    // scalar flush consumes words in the same lane order with per-word
-    // bounds checks, which is also where truncation errors are thrown.
-    for (int i = 0; i < pending_; ++i) {
-      std::uint32_t& x = states_[i];
-      const std::uint32_t p = pending_p_[i];
-      x = packed_freq(p) * (x >> kScaleBits) + packed_bias(p);
-      if (x < kStateMin) {
-        if (size_ - pos_ < 2) throw_truncated_stream();
-        std::uint16_t w;
-        std::memcpy(&w, stream_ + pos_, 2);
-        pos_ += 2;
-        x = (x << 16) | w;
-      }
-    }
-    pending_ = 0;
-  }
-
-  alignas(32) std::array<std::uint32_t, kNumStreams> states_;
-  alignas(32) std::array<std::uint32_t, kNumStreams> pending_p_{};
-  int pending_ = 0;            ///< deferred ops in the current lane group
-  std::uint32_t lane_ = 0;     ///< next lane on the scalar path
+ private:
+  std::array<std::uint32_t, kNumStreams> states_;
+  std::uint32_t lane_ = 0;          ///< next lane in the round-robin
   const std::uint32_t* slots_;      ///< PackedSet::slots.data()
   const std::uint32_t* esc_start_;  ///< PackedSet::esc_start.data()
   const std::uint8_t* stream_;
   std::size_t size_;
   std::size_t pos_ = 0;
-  bool simd_;
 };
 
 }  // namespace aw4a::imaging::ans

@@ -782,9 +782,6 @@ RansContainer parse_rans_container(const std::uint8_t* data, std::size_t size) {
       static_cast<std::int64_t>(out.width) * out.height > (1 << 22)) {
     throw Error("ans: payload dimensions out of range");
   }
-  // Decode-only table parse: same bytes and validation as deserialize_table
-  // per table, but lands straight in the packed slot array the decoder
-  // indexes — no FreqTable, no encoder reciprocals, no per-table copies.
   out.tables = ans::deserialize_packed_set(in, 2 * kCtxPerGroup);
   for (std::uint32_t& s : out.states) s = in.read_u32();
   out.stream_len = in.read_u32();
@@ -797,11 +794,10 @@ RansContainer parse_rans_container(const std::uint8_t* data, std::size_t size) {
 
 /// Decodes one plane's blocks from the interleaved streams, mirroring
 /// RansCollector::add_plane symbol for symbol, through the packed-table
-/// production decoder (scalar or AVX2 by runtime dispatch). `table_base` is
-/// the index of the plane's group of kCtxPerGroup tables in the PackedSet
-/// (3 DC-context, then 3 AC-context); the prediction and context state is
-/// plane-local, so cb and cr each get a fresh call even though they share
-/// the chroma tables.
+/// decoder. `table_base` is the index of the plane's group of kCtxPerGroup
+/// tables in the PackedSet (3 DC-context, then 3 AC-context); the
+/// prediction and context state is plane-local, so cb and cr each get a
+/// fresh call even though they share the chroma tables.
 void decode_plane_levels(ans::PackedDecoder& dec, ans::BitReader& side, int table_base,
                          std::int16_t* levels, int blocks_w, int blocks_h) {
   auto resolve = [&side, &dec, table_base](int t) {

@@ -116,11 +116,10 @@ DecodedLossy rans_parse_payload(const std::uint8_t* data, std::size_t size);
 /// The production decode of a kRans payload blob: entropy decode, sparse
 /// dequantization, and masked inverse DCT fused into one pass per plane —
 /// no levels buffer is materialized, DC-only blocks go straight to the
-/// DC-only IDCT, and the entropy kernel is the packed-table decoder
-/// (AVX2 lane-group flush when available, scalar otherwise; see
-/// ans.h SimdMode). Bit-identical to
-/// reconstruct_lossy(rans_parse_payload(...)) by construction — pinned by
-/// ImagingAnsTest — with the same accept/reject behavior on corrupt blobs.
+/// DC-only IDCT, and the entropy kernel is ans::PackedDecoder.
+/// Bit-identical to reconstruct_lossy(rans_parse_payload(...)) by
+/// construction — pinned by ImagingAnsTest — with the same accept/reject
+/// behavior on corrupt blobs.
 /// lossy_decode() is this function.
 Raster rans_decode_fused(const std::uint8_t* data, std::size_t size);
 

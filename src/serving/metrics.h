@@ -107,9 +107,6 @@ struct MetricsSnapshot {
   // Tier-ladder builds.
   std::uint64_t builds_started = 0;
   std::uint64_t builds_failed = 0;
-  /// Builds whose result was already cached by a concurrent builder when
-  /// they tried to admit it — stays 0 with single-flight on.
-  std::uint64_t duplicate_builds = 0;
   /// Requests that served around the cache after a shard fault.
   std::uint64_t cache_bypasses = 0;
   // Stale-while-revalidate refresh plane.
@@ -147,7 +144,6 @@ struct ServingMetrics {
   std::atomic<std::uint64_t> internal_errors{0};
   std::atomic<std::uint64_t> builds_started{0};
   std::atomic<std::uint64_t> builds_failed{0};
-  std::atomic<std::uint64_t> duplicate_builds{0};
   std::atomic<std::uint64_t> cache_bypasses{0};
   std::atomic<std::uint64_t> stale_refreshes_queued{0};
   std::atomic<std::uint64_t> stale_refresh_sheds{0};

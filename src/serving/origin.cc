@@ -115,7 +115,6 @@ const char* served_label(core::ServeOutcome::Served served) {
 
 OriginServer::OriginServer(std::vector<OriginSite> sites, OriginOptions options)
     : cache_enabled_(options.cache_enabled),
-      single_flight_(options.single_flight),
       prewarm_workers_(options.prewarm_workers),
       retry_after_seconds_(options.retry_after_seconds),
       clock_(options.clock ? std::move(options.clock) : std::function<double()>(steady_seconds)),
@@ -317,10 +316,9 @@ LadderPtr OriginServer::ladder_for(const Site& site, const obs::RequestContext& 
     return run_build(site, ctx);
   }
   const auto build_and_admit = [&](const obs::RequestContext& build_ctx) -> LadderPtr {
-    // Double-check on entry: between our miss and winning the flight (or,
-    // with single-flight off, losing the race), another build may have
-    // landed. This is what makes "one build per key" exact under
-    // single-flight instead of merely likely.
+    // Double-check on entry: between our miss and winning the flight,
+    // another build may have landed. This is what makes "one build per key"
+    // exact instead of merely likely.
     try {
       if (LadderPtr resident = cache_.fetch(key, clock_(), build_ctx)) return resident;
     } catch (const TransientError&) {
@@ -329,26 +327,23 @@ LadderPtr OriginServer::ladder_for(const Site& site, const obs::RequestContext& 
     }
     LadderPtr built = run_build(site, build_ctx);
     try {
-      if (!cache_.insert(key, built, clock_(), build_ctx)) bump(metrics_.duplicate_builds);
+      cache_.insert(key, built, clock_(), build_ctx);
     } catch (const TransientError&) {
       bump(metrics_.cache_bypasses);
     }
     return built;
   };
-  if (single_flight_) {
-    // The leader builds under the flight's live deadline union (joiners
-    // CAS-max their own deadlines in), not just its own budget. Admission
-    // happens inside the flight: joiners of an already-admitted build
-    // piggyback on it, and a shed fails the whole flight to the degraded
-    // path at once (Overloaded propagates to every member).
-    return flight_.run(
-        key,
-        [&](const std::atomic<double>& shared_deadline) {
-          return build_and_admit(ctx.with_shared_deadline(&shared_deadline));
-        },
-        ctx.deadline_at());
-  }
-  return build_and_admit(ctx);
+  // The leader builds under the flight's live deadline union (joiners
+  // CAS-max their own deadlines in), not just its own budget. Admission
+  // happens inside the flight: joiners of an already-admitted build
+  // piggyback on it, and a shed fails the whole flight to the degraded path
+  // at once (Overloaded propagates to every member).
+  return flight_.run(
+      key,
+      [&](const std::atomic<double>& shared_deadline) {
+        return build_and_admit(ctx.with_shared_deadline(&shared_deadline));
+      },
+      ctx.deadline_at());
 }
 
 LadderPtr OriginServer::run_build(const Site& site, const obs::RequestContext& ctx) const {
@@ -525,8 +520,6 @@ std::string OriginServer::stats_json() const {
   json.begin("builds");
   json.field("started", m.builds_started);
   json.field("failed", m.builds_failed);
-  json.field("duplicates", m.duplicate_builds);
-  json.field("single_flight", single_flight_);
   json.field("leads", f.leads);
   json.field("joins", f.joins);
   histogram_json(json, "latency_seconds", m.build_seconds);

@@ -1,7 +1,6 @@
 // OriginServer: a multi-site AW4A origin in front of the single-page
 // serving core (core/server.h).
 //
-// Where TranscodingServer models one page with its ladder built up front,
 // OriginServer hosts a corpus of sites behind Host-header routing and builds
 // each site's ladder lazily — on the first data-saving request — through a
 // sharded TierCache and a SingleFlight group, so a popular site is built
@@ -75,9 +74,6 @@ struct OriginOptions {
   TierCacheOptions cache;
   /// Off: every data-saving request builds (the bench's baseline mode).
   bool cache_enabled = true;
-  /// Off: concurrent misses on one key all build (duplicate_builds > 0
-  /// under load — the bench quantifies the waste).
-  bool single_flight = true;
   /// Monotonic seconds for TTL and build timing; null = steady_clock.
   /// Injectable so TTL tests don't sleep.
   std::function<double()> clock;
@@ -192,7 +188,6 @@ class OriginServer {
   std::vector<Site> sites_;
   std::unordered_map<std::string, std::size_t> by_host_;
   bool cache_enabled_;
-  bool single_flight_;
   int prewarm_workers_;
   int retry_after_seconds_;
   std::function<double()> clock_;

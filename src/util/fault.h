@@ -12,7 +12,7 @@
 // test, the CLI's --faults flag, or the AW4A_FAULTS environment variable) a
 // hit may throw fault::InjectedFault, a TransientError the serving path must
 // absorb: retried by retry_transient(), degraded by the pipeline's fallback
-// ladder, and never surfaced as a crashed TranscodingServer.
+// ladder, and never surfaced as a crashed OriginServer.
 //
 // Triggering is deterministic: the decision for hit #n of a point is a pure
 // hash of (global seed, point name, n), so a sweep that forces each point in

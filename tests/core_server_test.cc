@@ -1,14 +1,19 @@
+// The Fig. 6 page answers (core/server.h) as a one-site origin serves them.
 #include "core/server.h"
 
 #include <gtest/gtest.h>
 
 #include "dataset/corpus.h"
+#include "serving/origin.h"
 #include "util/rng.h"
 
 namespace aw4a::core {
 namespace {
 
-// Building the tier ladder is the slow part; share one server.
+constexpr const char* kHost = "example.org";
+
+// Building the tier ladder is the slow part; share one server (the first
+// data-saving request builds it, every later one is a cache hit).
 class ServerTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -18,7 +23,10 @@ class ServerTest : public ::testing::Test {
     DeveloperConfig config;
     config.tier_reductions = {1.5, 3.0};
     config.measure_qfs = false;
-    server_ = new TranscodingServer(*page_, config, net::PlanType::kDataVoiceLowUsage);
+    server_ = new serving::OriginServer({{.host = kHost,
+                                          .page = *page_,
+                                          .config = config,
+                                          .plan = net::PlanType::kDataVoiceLowUsage}});
   }
   static void TearDownTestSuite() {
     delete server_;
@@ -28,15 +36,16 @@ class ServerTest : public ::testing::Test {
   }
   static net::HttpRequest get(std::initializer_list<net::HttpHeader> headers) {
     net::HttpRequest request;
-    request.headers = headers;
+    request.headers = {{"Host", kHost}};
+    request.headers.insert(request.headers.end(), headers);
     return request;
   }
   static web::WebPage* page_;
-  static TranscodingServer* server_;
+  static serving::OriginServer* server_;
 };
 
 web::WebPage* ServerTest::page_ = nullptr;
-TranscodingServer* ServerTest::server_ = nullptr;
+serving::OriginServer* ServerTest::server_ = nullptr;
 
 TEST_F(ServerTest, PlainGetServesOriginal) {
   const auto response = server_->handle(get({}));
@@ -92,7 +101,7 @@ TEST_F(ServerTest, VaryHeaderCoversAllHints) {
 }
 
 TEST_F(ServerTest, NonGetRejected) {
-  net::HttpRequest request;
+  net::HttpRequest request = get({});
   request.method = "POST";
   const auto response = server_->handle(request);
   EXPECT_EQ(response.status, 405);
@@ -100,16 +109,15 @@ TEST_F(ServerTest, NonGetRejected) {
 }
 
 TEST_F(ServerTest, UnknownPathGets404) {
-  net::HttpRequest request;
+  net::HttpRequest request = get({{"Save-Data", "on"}, {"X-Geo-Country", "ET"}});
   request.path = "/news";
-  request.headers = {{"Save-Data", "on"}, {"X-Geo-Country", "ET"}};
   const auto response = server_->handle(request);
   EXPECT_EQ(response.status, 404);
   EXPECT_EQ(response.content_length, 0u);
 }
 
 TEST_F(ServerTest, IndexAliasServesThePage) {
-  net::HttpRequest request;
+  net::HttpRequest request = get({});
   request.path = "/index.html";
   const auto response = server_->handle(request);
   EXPECT_EQ(response.status, 200);
@@ -119,9 +127,7 @@ TEST_F(ServerTest, IndexAliasServesThePage) {
 TEST_F(ServerTest, EndToEndOverTheWire) {
   // Full loop: serialize a browser request, parse it server-side (as a
   // proxyless origin would), serialize the response, parse it client-side.
-  net::HttpRequest browser;
-  browser.path = "/";
-  browser.headers = {{"Save-Data", "on"}, {"X-Geo-Country", "ET"}};
+  const net::HttpRequest browser = get({{"Save-Data", "on"}, {"X-Geo-Country", "ET"}});
   const auto server_side = net::parse_request(net::serialize(browser));
   ASSERT_TRUE(server_side.has_value());
   const auto response = server_->handle(*server_side);

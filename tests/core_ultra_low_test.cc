@@ -5,9 +5,9 @@
 #include "core/api.h"
 #include "core/knapsack.h"
 #include "core/rbr.h"
-#include "core/server.h"
 #include "dataset/corpus.h"
 #include "imaging/fingerprint.h"
+#include "serving/origin.h"
 #include "util/rng.h"
 #include "util/table.h"
 #include "web/markup.h"
@@ -128,10 +128,10 @@ TEST_F(UltraLowTest, PawTierReachesUltraRungsForUnaffordableCountries) {
 }
 
 TEST_F(UltraLowTest, ServerNamesUltraTiersInTheHeader) {
-  TranscodingServer server(*page_, ultra_config());
+  const serving::OriginServer server(
+      {{.host = "ultra.example", .page = *page_, .config = ultra_config()}});
   net::HttpRequest request;
-  request.method = "GET";
-  request.path = "/";
+  request.headers.push_back({"Host", "ultra.example"});
   request.headers.push_back({"Save-Data", "on"});
   // Savings just under the markup tier's: lands on an ultra tier by gap.
   request.headers.push_back(

@@ -40,6 +40,17 @@ std::vector<std::uint64_t> skewed_counts(Rng& rng, int n, double decay) {
   return counts;
 }
 
+// The production decode path for tables: serialize, then parse straight
+// into the decoder's packed slot array.
+ans::PackedSet packed(const std::vector<ans::FreqTable>& tables) {
+  std::vector<std::uint8_t> bytes;
+  for (const ans::FreqTable& t : tables) ans::serialize_table(t, bytes);
+  ans::ByteReader in(bytes.data(), bytes.size());
+  ans::PackedSet set = ans::deserialize_packed_set(in, static_cast<int>(tables.size()));
+  EXPECT_EQ(in.remaining(), 0u);
+  return set;
+}
+
 void expect_table_invariants(const ans::FreqTable& table) {
   ASSERT_FALSE(table.symbols.empty());
   ASSERT_EQ(table.symbols.size(), table.freqs.size());
@@ -55,25 +66,21 @@ void expect_table_invariants(const ans::FreqTable& table) {
     total += table.freqs[e];
   }
   EXPECT_EQ(total, ans::kScaleTotal);
-  // Every slot carries the packed (freq, bias, symbol) of the entry covering
-  // it, so arbitrary decoder states always resolve to *some* symbol (no
-  // out-of-bounds lookups ever). ESCAPE is recognized by slot position.
-  ASSERT_EQ(table.packed.size(), ans::kScaleTotal);
-  EXPECT_EQ(table.esc_start,
-            table.has_escape() ? table.cum.back() : ans::kScaleTotal);
+  // After the serialize -> parse round trip, every slot carries the packed
+  // (freq, bias, symbol) of the entry covering it, so arbitrary decoder
+  // states always resolve to *some* symbol (no out-of-bounds lookups ever).
+  // ESCAPE is recognized by slot position.
+  const ans::PackedSet set = packed({table});
+  ASSERT_EQ(set.esc_start.size(), 1u);
+  ASSERT_EQ(set.slots.size(), ans::kScaleTotal);
+  EXPECT_EQ(set.esc_start[0], table.has_escape() ? table.cum.back() : ans::kScaleTotal);
   for (std::size_t e = 0; e < table.symbols.size(); ++e) {
     for (std::uint32_t slot = table.cum[e];
          slot < static_cast<std::uint32_t>(table.cum[e]) + table.freqs[e]; ++slot) {
-      EXPECT_EQ(table.packed[slot],
+      EXPECT_EQ(set.slots[slot],
                 ans::pack_slot(table.freqs[e], slot - table.cum[e], table.symbols[e]))
           << "slot=" << slot;
     }
-  }
-  // Encoder reciprocals are exact stand-ins for division by freq.
-  ASSERT_EQ(table.recip.size(), table.freqs.size());
-  for (std::size_t e = 0; e < table.freqs.size(); ++e) {
-    const std::uint64_t f = table.freqs[e];
-    EXPECT_EQ(table.recip[e], ((std::uint64_t{1} << ans::kRecipShift) + f - 1) / f);
   }
   for (int s = 0; s <= 256; ++s) {
     const bool present =
@@ -123,12 +130,8 @@ TEST(AnsTable, SerializationRoundTrip) {
       std::vector<std::uint8_t> blob;
       ans::serialize_table(table, blob);
       EXPECT_EQ(blob.size(), ans::serialized_table_bytes(table));
-      ans::ByteReader in(blob.data(), blob.size());
-      const ans::FreqTable back = ans::deserialize_table(in);
-      EXPECT_EQ(in.remaining(), 0u);
-      EXPECT_EQ(back.symbols, table.symbols);
-      EXPECT_EQ(back.freqs, table.freqs);
-      expect_table_invariants(back);
+      // The parse lands every entry's slots exactly where the table puts them.
+      expect_table_invariants(table);
     }
   }
 }
@@ -142,7 +145,7 @@ TEST(AnsTable, DeserializeRejectsTruncatedAndCorrupt) {
   // Every truncation point fails cleanly.
   for (std::size_t cut = 0; cut < blob.size(); ++cut) {
     ans::ByteReader in(blob.data(), cut);
-    EXPECT_THROW((void)ans::deserialize_table(in), Error) << "cut=" << cut;
+    EXPECT_THROW((void)ans::deserialize_packed_set(in, 1), Error) << "cut=" << cut;
   }
   // A tampered entry count either overruns the buffer or breaks the
   // frequency-sum invariant; either way it must throw, not misparse.
@@ -152,7 +155,7 @@ TEST(AnsTable, DeserializeRejectsTruncatedAndCorrupt) {
     tampered[0] = static_cast<std::uint8_t>(bad_count & 0xff);
     tampered[1] = static_cast<std::uint8_t>(bad_count >> 8);
     ans::ByteReader in(tampered.data(), tampered.size());
-    EXPECT_THROW((void)ans::deserialize_table(in), Error);
+    EXPECT_THROW((void)ans::deserialize_packed_set(in, 1), Error);
   }
 }
 
@@ -182,10 +185,11 @@ void round_trip(const std::vector<int>& symbols, int n_alphabet) {
   const ans::EncodedStreams enc = ans::encode_interleaved(ops, tables);
   const std::vector<std::uint8_t> side_bytes = side.finish();
 
-  ans::InterleavedDecoder dec(enc.states, enc.stream.data(), enc.stream.size());
+  const ans::PackedSet set = packed(tables);
+  ans::PackedDecoder dec(enc.states, enc.stream.data(), enc.stream.size(), set);
   ans::BitReader side_in(side_bytes.data(), side_bytes.size());
   for (std::size_t i = 0; i < symbols.size(); ++i) {
-    int s = dec.get(table);
+    int s = dec.get(0);
     if (s == ans::kEscapeSymbol && !table.has(symbols[i])) {
       s = static_cast<int>(side_in.get(8));
     }
@@ -246,9 +250,10 @@ TEST(AnsStream, MultiTableRoundTrip) {
                    static_cast<std::uint16_t>(symbols[i])});
   }
   const ans::EncodedStreams enc = ans::encode_interleaved(ops, tables);
-  ans::InterleavedDecoder dec(enc.states, enc.stream.data(), enc.stream.size());
+  const ans::PackedSet set = packed(tables);
+  ans::PackedDecoder dec(enc.states, enc.stream.data(), enc.stream.size(), set);
   for (std::size_t i = 0; i < symbols.size(); ++i) {
-    ASSERT_EQ(dec.get(tables[i % 2]), symbols[i]);
+    ASSERT_EQ(dec.get(static_cast<std::uint32_t>(i % 2)), symbols[i]);
   }
   dec.expect_exhausted();
 }
@@ -285,14 +290,15 @@ TEST(AnsStream, TruncatedStreamFailsCleanly) {
   for (const int s : symbols) ops.push_back({0, static_cast<std::uint16_t>(s)});
   const ans::EncodedStreams enc = ans::encode_interleaved(ops, tables);
   ASSERT_FALSE(enc.stream.empty());
+  const ans::PackedSet set = packed(tables);
 
   // A full decode consumes every stream byte, so ANY truncation is caught:
   // either a renormalization read throws, or the final exhaustion check does.
   for (std::size_t cut = 0; cut < enc.stream.size();
        cut += std::max<std::size_t>(1, enc.stream.size() / 97)) {
     auto decode_all = [&] {
-      ans::InterleavedDecoder dec(enc.states, enc.stream.data(), cut);
-      for (std::size_t i = 0; i < symbols.size(); ++i) (void)dec.get(table);
+      ans::PackedDecoder dec(enc.states, enc.stream.data(), cut, set);
+      for (std::size_t i = 0; i < symbols.size(); ++i) (void)dec.get(0);
       dec.expect_exhausted();
     };
     EXPECT_THROW(decode_all(), Error) << "cut=" << cut;
@@ -304,7 +310,7 @@ TEST(AnsStream, GarbageInputNeverReadsOutOfBounds) {
   // sanitizer legs of tier1.sh are the real assertion here.
   Rng rng(41);
   std::vector<std::uint64_t> counts(16, 1);
-  const ans::FreqTable table = ans::build_table(counts.data(), 16);
+  const ans::PackedSet set = packed({ans::build_table(counts.data(), 16)});
   for (int trial = 0; trial < 50; ++trial) {
     std::array<std::uint32_t, ans::kNumStreams> states;
     for (auto& s : states) s = static_cast<std::uint32_t>(rng.uniform_int(0, (1ll << 32) - 1));
@@ -312,9 +318,9 @@ TEST(AnsStream, GarbageInputNeverReadsOutOfBounds) {
         static_cast<std::size_t>(rng.uniform_int(0, 63)));
     for (auto& b : garbage) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
     try {
-      ans::InterleavedDecoder dec(states, garbage.data(), garbage.size());
+      ans::PackedDecoder dec(states, garbage.data(), garbage.size(), set);
       for (int i = 0; i < 200; ++i) {
-        const int s = dec.get(table);
+        const int s = dec.get(0);
         ASSERT_GE(s, 0);
         ASSERT_LE(s, 256);
       }
@@ -534,227 +540,6 @@ TEST(ImagingAnsCodec, BitFlippedBodyNeverCrashes) {
         // Clean rejection.
       }
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// SIMD dispatch: the AVX2 path must be indistinguishable from scalar
-// ---------------------------------------------------------------------------
-
-/// Forces a dispatch mode for one test body and restores kAuto on exit, so
-/// test order can't leak a forced mode into unrelated codec tests.
-class ScopedSimdMode {
- public:
-  explicit ScopedSimdMode(ans::SimdMode mode) { ans::set_simd_mode(mode); }
-  ~ScopedSimdMode() { ans::set_simd_mode(ans::SimdMode::kAuto); }
-};
-
-/// Multi-table op sequence with a tunable escape share, mirroring the
-/// codec's DC/AC context alternation. Returns the expected symbol per op.
-struct SimdFixtureStreams {
-  std::vector<ans::FreqTable> tables;
-  std::vector<ans::SymbolRef> ops;
-  std::vector<int> expected;
-  ans::EncodedStreams enc;
-};
-
-SimdFixtureStreams make_simd_fixture(std::uint64_t seed, int n_ops, double escape_share) {
-  Rng rng(seed);
-  std::vector<std::uint64_t> c0(16, 0), c1(256, 0);
-  std::vector<int> symbols(static_cast<std::size_t>(n_ops));
-  for (std::size_t i = 0; i < symbols.size(); ++i) {
-    const bool small = i % 2 == 0;
-    if (!small && rng.uniform(0.0, 1.0) < escape_share) {
-      symbols[i] = 255;  // left out of the histogram below -> escapes
-      continue;
-    }
-    int s = 0;
-    while (s < (small ? 14 : 200) && rng.uniform(0.0, 1.0) < 0.55) ++s;
-    symbols[i] = s;
-    (small ? c0 : c1)[static_cast<std::size_t>(s)]++;
-  }
-  SimdFixtureStreams fx;
-  fx.tables = {ans::build_table(c0.data(), 16), ans::build_table(c1.data(), 256)};
-  for (std::size_t i = 0; i < symbols.size(); ++i) {
-    const auto table = static_cast<std::uint16_t>(i % 2);
-    const ans::FreqTable& t = fx.tables[table];
-    int s = symbols[i];
-    if (!t.has(s)) {
-      // Out-of-table symbols ride the escape entry when the sweep kept one;
-      // a table without ESCAPE codes every histogram symbol, so substitute
-      // one of those (the fixture only needs a decodable op sequence).
-      s = t.has_escape() ? ans::kEscapeSymbol : t.symbols[0];
-    }
-    fx.ops.push_back({table, static_cast<std::uint16_t>(s)});
-    fx.expected.push_back(s);
-  }
-  fx.enc = ans::encode_interleaved(fx.ops, fx.tables);
-  return fx;
-}
-
-std::vector<int> decode_all_packed(const SimdFixtureStreams& fx, ans::SimdMode mode) {
-  ScopedSimdMode guard(mode);
-  const ans::PackedSet set(fx.tables);
-  ans::PackedDecoder dec(fx.enc.states, fx.enc.stream.data(), fx.enc.stream.size(), set);
-  std::vector<int> out;
-  out.reserve(fx.expected.size());
-  for (const ans::SymbolRef& op : fx.ops) out.push_back(dec.get(op.table));
-  dec.expect_exhausted();
-  return out;
-}
-
-TEST(AnsSimd, PackedScalarMatchesPinnedReference) {
-  // The packed production decoder forced scalar == the pinned
-  // InterleavedDecoder, symbol for symbol, escapes included.
-  for (const double esc : {0.0, 0.35}) {
-    const SimdFixtureStreams fx = make_simd_fixture(107 + static_cast<int>(esc * 100),
-                                                    6000, esc);
-    ScopedSimdMode guard(ans::SimdMode::kScalar);
-    const ans::PackedSet set(fx.tables);
-    ans::PackedDecoder dec(fx.enc.states, fx.enc.stream.data(), fx.enc.stream.size(), set);
-    ans::InterleavedDecoder ref(fx.enc.states, fx.enc.stream.data(), fx.enc.stream.size());
-    for (std::size_t i = 0; i < fx.ops.size(); ++i) {
-      const int table = fx.ops[i].table;
-      ASSERT_EQ(dec.get(static_cast<std::uint32_t>(table)),
-                ref.get(fx.tables[static_cast<std::size_t>(table)]))
-          << "op " << i;
-    }
-    dec.expect_exhausted();
-    ref.expect_exhausted();
-  }
-}
-
-TEST(AnsSimd, SimdMatchesScalarSymbolForSymbol) {
-  if (!ans::simd_available()) GTEST_SKIP() << "no AVX2 kernel on this host";
-  // Escape-light, escape-heavy, and tail lengths that leave partial groups.
-  for (const int n_ops : {0, 1, 7, 8, 9, 4096, 6001}) {
-    for (const double esc : {0.0, 0.5}) {
-      const SimdFixtureStreams fx =
-          make_simd_fixture(113 + static_cast<std::uint64_t>(n_ops), n_ops, esc);
-      EXPECT_EQ(decode_all_packed(fx, ans::SimdMode::kSimd),
-                decode_all_packed(fx, ans::SimdMode::kScalar))
-          << "n_ops=" << n_ops << " esc=" << esc;
-    }
-  }
-}
-
-TEST(AnsSimd, LadderBitIdenticalAcrossModes) {
-  if (!ans::simd_available()) GTEST_SKIP() << "no AVX2 kernel on this host";
-  // End to end: every rung's parsed levels and decoded raster are
-  // bit-identical between forced-scalar and forced-SIMD decodes.
-  const Raster img = synth_raster(109, ImageClass::kPhoto, 93, 61);
-  for (const int q : ladder_qualities()) {
-    const Encoded enc = jpeg_encode(img, q, EntropyBackend::kRans);
-    detail::DecodedLossy scalar_levels, simd_levels;
-    Raster scalar_px(1, 1), simd_px(1, 1);
-    {
-      ScopedSimdMode guard(ans::SimdMode::kScalar);
-      scalar_levels = detail::rans_parse_payload(enc.payload.data(), enc.payload.size());
-      scalar_px = lossy_decode(enc.payload);
-    }
-    {
-      ScopedSimdMode guard(ans::SimdMode::kSimd);
-      simd_levels = detail::rans_parse_payload(enc.payload.data(), enc.payload.size());
-      simd_px = lossy_decode(enc.payload);
-    }
-    EXPECT_EQ(scalar_levels.luma, simd_levels.luma) << "q" << q;
-    EXPECT_EQ(scalar_levels.cb, simd_levels.cb) << "q" << q;
-    EXPECT_EQ(scalar_levels.cr, simd_levels.cr) << "q" << q;
-    EXPECT_TRUE(scalar_px.pixels() == simd_px.pixels()) << "q" << q;
-    EXPECT_TRUE(scalar_px.pixels() == enc.decoded.pixels()) << "q" << q;
-  }
-}
-
-TEST(AnsSimd, TruncationRejectedInBothModes) {
-  // Accept/reject of any blob is mode-independent: a deferred SIMD flush
-  // may surface truncation later than scalar, but never lets
-  // expect_exhausted() pass on a short stream.
-  const SimdFixtureStreams fx = make_simd_fixture(127, 3000, 0.2);
-  const std::vector<ans::SimdMode> modes =
-      ans::simd_available()
-          ? std::vector<ans::SimdMode>{ans::SimdMode::kScalar, ans::SimdMode::kSimd}
-          : std::vector<ans::SimdMode>{ans::SimdMode::kScalar};
-  for (std::size_t cut = 0; cut < fx.enc.stream.size();
-       cut += std::max<std::size_t>(1, fx.enc.stream.size() / 61)) {
-    for (const ans::SimdMode mode : modes) {
-      ScopedSimdMode guard(mode);
-      auto decode_truncated = [&] {
-        const ans::PackedSet set(fx.tables);
-        ans::PackedDecoder dec(fx.enc.states, fx.enc.stream.data(), cut, set);
-        for (const ans::SymbolRef& op : fx.ops) (void)dec.get(op.table);
-        dec.expect_exhausted();
-      };
-      EXPECT_THROW(decode_truncated(), Error) << "cut=" << cut;
-    }
-  }
-}
-
-TEST(AnsEncode, ReciprocalEncoderMatchesReferenceByteForByte) {
-  // The division-free hot path must emit the exact bytes and final states
-  // of the pinned division/modulo encoder.
-  for (const std::uint64_t seed : {131ull, 137ull, 139ull}) {
-    const SimdFixtureStreams fx = make_simd_fixture(seed, 5000, 0.25);
-    const ans::EncodedStreams ref = ans::encode_interleaved_reference(fx.ops, fx.tables);
-    EXPECT_TRUE(fx.enc.stream == ref.stream);
-    EXPECT_EQ(fx.enc.states, ref.states);
-  }
-}
-
-TEST(AnsTable, DeserializePackedSetMatchesDeserializeTable) {
-  // The decode-only parser must accept exactly what deserialize_table
-  // accepts and produce the same packed slots — and reject exactly what it
-  // rejects, byte mutation by byte mutation.
-  Rng rng(149);
-  std::vector<ans::FreqTable> tables;
-  std::vector<std::uint8_t> bytes;
-  for (int t = 0; t < 4; ++t) {
-    const std::vector<std::uint64_t> counts = skewed_counts(rng, 256, 0.96);
-    tables.push_back(ans::build_table(counts.data(), 256));
-    ans::serialize_table(tables.back(), bytes);
-  }
-  {
-    ans::ByteReader in(bytes.data(), bytes.size());
-    const ans::PackedSet direct =
-        ans::deserialize_packed_set(in, static_cast<int>(tables.size()));
-    EXPECT_EQ(in.remaining(), 0u);
-    const ans::PackedSet via_tables(tables);
-    EXPECT_TRUE(direct.slots == via_tables.slots);
-    EXPECT_TRUE(direct.esc_start == via_tables.esc_start);
-  }
-  // Throw parity under single-byte corruption and truncation.
-  for (std::size_t off = 0; off < bytes.size();
-       off += std::max<std::size_t>(1, bytes.size() / 97)) {
-    std::vector<std::uint8_t> bad = bytes;
-    bad[off] = static_cast<std::uint8_t>(bad[off] ^ 0x2D);
-    bool table_threw = false, packed_threw = false;
-    std::vector<ans::FreqTable> reparsed;
-    try {
-      ans::ByteReader in(bad.data(), bad.size());
-      for (std::size_t t = 0; t < tables.size(); ++t)
-        reparsed.push_back(ans::deserialize_table(in));
-    } catch (const Error&) {
-      table_threw = true;
-    }
-    try {
-      ans::ByteReader in(bad.data(), bad.size());
-      const ans::PackedSet direct =
-          ans::deserialize_packed_set(in, static_cast<int>(tables.size()));
-      if (!table_threw) {
-        const ans::PackedSet via_tables(reparsed);
-        EXPECT_TRUE(direct.slots == via_tables.slots) << "off=" << off;
-        EXPECT_TRUE(direct.esc_start == via_tables.esc_start) << "off=" << off;
-      }
-    } catch (const Error&) {
-      packed_threw = true;
-    }
-    EXPECT_EQ(table_threw, packed_threw) << "off=" << off;
-    EXPECT_THROW(
-        [&] {
-          ans::ByteReader in(bytes.data(), off);
-          (void)ans::deserialize_packed_set(in, static_cast<int>(tables.size()));
-        }(),
-        Error)
-        << "truncation at " << off;
   }
 }
 

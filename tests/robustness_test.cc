@@ -6,7 +6,7 @@
 //   - parallel_for failure aggregation,
 //   - the pipeline's deadline/fallback ladder,
 //   - a sweep forcing every registered fault point to fire 100% of the time
-//     while the TranscodingServer answers the four transcoding_server.cpp
+//     while a one-site OriginServer answers the four transcoding_server.cpp
 //     scenarios — construction and handle() must never throw, responses must
 //     stay well-formed on the wire, and the degradation path must be
 //     byte-identical across two runs with the same seed.
@@ -17,7 +17,6 @@
 #include <thread>
 
 #include "core/knapsack.h"
-#include "core/server.h"
 #include "dataset/corpus.h"
 #include "obs/context.h"
 #include "serving/origin.h"
@@ -472,186 +471,112 @@ TEST_F(DegradationTest, FailedTierBorrowsNearestBuiltTier) {
   EXPECT_NE(tiers[0].note.find("fell back to tier"), std::string::npos) << tiers[0].note;
 }
 
+// A one-site origin serving `page_` at kHost — the server front every
+// degradation test below drives.
+constexpr const char* kHost = "paper.example";
+
+serving::OriginServer one_site_origin(const web::WebPage& page, core::DeveloperConfig config,
+                                      int prewarm_workers = 0) {
+  serving::OriginOptions options;
+  options.prewarm_workers = prewarm_workers;
+  return serving::OriginServer({{.host = kHost,
+                                 .page = page,
+                                 .config = std::move(config),
+                                 .plan = net::PlanType::kDataVoiceLowUsage}},
+                               std::move(options));
+}
+
 TEST_F(DegradationTest, ZeroTiersServerServesDegradedOriginal) {
   // Stage-1 needs webp for the transcode rule on every tier: 100% codec
   // failure means no tier can ever build.
   fault::configure("codec.webp.encode", {.probability = 1.0});
-  const core::TranscodingServer server(*page_, config(), net::PlanType::kDataVoiceLowUsage);
-  EXPECT_TRUE(server.degraded());
-  EXPECT_TRUE(server.tiers().empty());
-  EXPECT_NE(server.degraded_reason().find("tiers failed"), std::string::npos)
-      << server.degraded_reason();
+  const serving::OriginServer origin = one_site_origin(*page_, config());
 
   net::HttpRequest saver;
-  saver.headers = {{"Save-Data", "on"}, {"X-Geo-Country", "ET"}};
-  const auto degraded = server.handle(saver);
+  saver.headers = {{"Host", kHost}, {"Save-Data", "on"}, {"X-Geo-Country", "ET"}};
+  const auto degraded = origin.handle(saver);
   EXPECT_EQ(degraded.status, 200);
   EXPECT_EQ(degraded.content_length, page_->transfer_size());
   ASSERT_NE(degraded.header("AW4A-Tier"), nullptr);
   EXPECT_EQ(*degraded.header("AW4A-Tier"), "none");
-  EXPECT_NE(degraded.header("AW4A-Degraded"), nullptr);
+  ASSERT_NE(degraded.header("AW4A-Degraded"), nullptr);
+  EXPECT_NE(degraded.header("AW4A-Degraded")->find("tiers failed"), std::string::npos)
+      << *degraded.header("AW4A-Degraded");
+  EXPECT_EQ(origin.metrics().builds_failed, 1u);
 
   // An unconstrained user sees a normal original-page response.
-  const auto plain = server.handle(net::HttpRequest{});
+  net::HttpRequest plain_request;
+  plain_request.headers = {{"Host", kHost}};
+  const auto plain = origin.handle(plain_request);
   EXPECT_EQ(plain.status, 200);
   ASSERT_NE(plain.header("AW4A-Tier"), nullptr);
   EXPECT_EQ(*plain.header("AW4A-Tier"), "original");
   EXPECT_EQ(plain.header("AW4A-Degraded"), nullptr);
 }
 
-TEST_F(DegradationTest, SweepEveryFaultPointServerNeverThrows) {
+TEST_F(DegradationTest, SweepEveryFaultPointOriginServerNeverThrows) {
   // The headline guarantee: with ANY single registered fault point firing
-  // 100% of the time, server construction + all four scenarios answer with
-  // well-formed responses, deterministically for a fixed seed.
-  auto run_scenarios = [&]() -> std::vector<std::string> {
-    const core::TranscodingServer server(*page_, config(),
-                                         net::PlanType::kDataVoiceLowUsage);
-    std::vector<std::string> wires;
-    for (const auto& request : scenarios()) {
-      const auto parsed = net::parse_request(net::serialize(request));
-      EXPECT_TRUE(parsed.has_value());
-      wires.push_back(net::serialize(server.handle(*parsed)));
-    }
-    return wires;
-  };
-
-  for (const std::string& point : fault::known_points()) {
-    if (point.rfind("test.", 0) == 0) continue;  // unit-test scratch points
-    SCOPED_TRACE("fault point: " + point);
-
-    fault::reset();
-    fault::set_seed(11);
-    fault::configure(point, {.probability = 1.0});
-    std::vector<std::string> first;
-    ASSERT_NO_THROW(first = run_scenarios());
-
-    fault::reset();
-    fault::set_seed(11);
-    fault::configure(point, {.probability = 1.0});
-    std::vector<std::string> second;
-    ASSERT_NO_THROW(second = run_scenarios());
-
-    EXPECT_EQ(first, second) << "degradation path must be deterministic";
-
-    ASSERT_EQ(first.size(), 4u);
-    for (const std::string& wire : first) {
-      const auto response = net::parse_response(wire);
-      ASSERT_TRUE(response.has_value()) << "unparsable wire response:\n" << wire;
-      EXPECT_EQ(response->status, 200) << wire;
-      // Either a real tier/original, or an explicitly degraded original.
-      ASSERT_NE(response->header("AW4A-Tier"), nullptr) << wire;
-      if (*response->header("AW4A-Tier") == "none") {
-        EXPECT_NE(response->header("AW4A-Degraded"), nullptr) << wire;
-      }
-      EXPECT_GT(response->content_length, 0u) << wire;
-    }
-  }
-}
-
-TEST_F(DegradationTest, SweepEveryFaultPointServerNeverThrowsWithPrewarm) {
-  // The fault sweep with the parallel ladder prewarm enabled. Thread
+  // 100% of the time — including the origin's own serving.* family — the
+  // four scenarios answer with well-formed responses, deterministically for
+  // a fixed seed. The cache means a point that fires during the one build
+  // poisons at most that build; the per-request degradation path covers the
+  // rest. The second configuration runs the parallel ladder prewarm: thread
   // interleavings reorder per-point hit numbers, but a probability-1.0 rule
   // fires on every hit regardless of its number, and a prewarm-time failure
   // memoizes nothing (the serial path re-attempts it) — so responses must
   // still be byte-identical across runs.
-  core::DeveloperConfig prewarm_config = config();
-  prewarm_config.prewarm_workers = 4;
-  auto run_scenarios = [&]() -> std::vector<std::string> {
-    const core::TranscodingServer server(*page_, prewarm_config,
-                                         net::PlanType::kDataVoiceLowUsage);
-    std::vector<std::string> wires;
-    for (const auto& request : scenarios()) {
-      wires.push_back(net::serialize(server.handle(request)));
-    }
-    return wires;
-  };
-
-  for (const std::string& point : fault::known_points()) {
-    if (point.rfind("test.", 0) == 0) continue;
-    SCOPED_TRACE("fault point: " + point);
-
-    fault::reset();
-    fault::set_seed(11);
-    fault::configure(point, {.probability = 1.0});
-    std::vector<std::string> first;
-    ASSERT_NO_THROW(first = run_scenarios());
-
-    fault::reset();
-    fault::set_seed(11);
-    fault::configure(point, {.probability = 1.0});
-    std::vector<std::string> second;
-    ASSERT_NO_THROW(second = run_scenarios());
-
-    EXPECT_EQ(first, second) << "prewarm must not break degradation determinism";
-  }
-
-  // And without faults: the prewarmed server answers identically to the
-  // serial one.
-  fault::reset();
-  const core::TranscodingServer serial(*page_, config(), net::PlanType::kDataVoiceLowUsage);
-  const core::TranscodingServer prewarmed(*page_, prewarm_config,
-                                          net::PlanType::kDataVoiceLowUsage);
-  for (const auto& request : scenarios()) {
-    EXPECT_EQ(net::serialize(prewarmed.handle(request)), net::serialize(serial.handle(request)));
-  }
-}
-
-TEST_F(DegradationTest, SweepEveryFaultPointOriginServerNeverThrows) {
-  // Same guarantee one layer up: the multi-site origin (lazy builds, tier
-  // cache, single flight) absorbs every fault point — including its own
-  // serving.* family — and degrades instead of erroring. The cache means a
-  // point that fires during the one build poisons at most that build; the
-  // per-request degradation path covers the rest.
-  auto run_scenarios = [&]() -> std::vector<std::string> {
-    std::vector<serving::OriginSite> sites;
-    sites.push_back(serving::OriginSite{"paper.example", *page_, config(),
-                                        net::PlanType::kDataVoiceLowUsage});
-    const serving::OriginServer origin(std::move(sites));
-    std::vector<std::string> wires;
-    for (auto& request : scenarios()) {
-      request.headers.push_back({"Host", "paper.example"});
-      const auto parsed = net::parse_request(net::serialize(request));
-      EXPECT_TRUE(parsed.has_value());
-      wires.push_back(net::serialize(origin.handle(*parsed)));
-    }
-    // The stats endpoint must stay reachable under any fault; its body is
-    // timing-dependent, so only its status joins the determinism check.
-    net::HttpRequest stats;
-    stats.path = "/aw4a/stats";
-    const auto stats_response = origin.handle(stats);
-    EXPECT_EQ(stats_response.status, 200);
-    EXPECT_EQ(origin.metrics().internal_errors, 0u);
-    return wires;
-  };
-
-  for (const std::string& point : fault::known_points()) {
-    if (point.rfind("test.", 0) == 0) continue;  // unit-test scratch points
-    SCOPED_TRACE("fault point: " + point);
-
-    fault::reset();
-    fault::set_seed(11);
-    fault::configure(point, {.probability = 1.0});
-    std::vector<std::string> first;
-    ASSERT_NO_THROW(first = run_scenarios());
-
-    fault::reset();
-    fault::set_seed(11);
-    fault::configure(point, {.probability = 1.0});
-    std::vector<std::string> second;
-    ASSERT_NO_THROW(second = run_scenarios());
-
-    EXPECT_EQ(first, second) << "degradation path must be deterministic";
-
-    ASSERT_EQ(first.size(), 4u);
-    for (const std::string& wire : first) {
-      const auto response = net::parse_response(wire);
-      ASSERT_TRUE(response.has_value()) << "unparsable wire response:\n" << wire;
-      EXPECT_EQ(response->status, 200) << wire;
-      ASSERT_NE(response->header("AW4A-Tier"), nullptr) << wire;
-      if (*response->header("AW4A-Tier") == "none") {
-        EXPECT_NE(response->header("AW4A-Degraded"), nullptr) << wire;
+  for (const int prewarm_workers : {0, 4}) {
+    SCOPED_TRACE("prewarm_workers " + std::to_string(prewarm_workers));
+    auto run_scenarios = [&]() -> std::vector<std::string> {
+      const serving::OriginServer origin =
+          one_site_origin(*page_, config(), prewarm_workers);
+      std::vector<std::string> wires;
+      for (auto& request : scenarios()) {
+        request.headers.push_back({"Host", kHost});
+        const auto parsed = net::parse_request(net::serialize(request));
+        EXPECT_TRUE(parsed.has_value());
+        wires.push_back(net::serialize(origin.handle(*parsed)));
       }
-      EXPECT_GT(response->content_length, 0u) << wire;
+      // The stats endpoint must stay reachable under any fault; its body is
+      // timing-dependent, so only its status joins the determinism check.
+      net::HttpRequest stats;
+      stats.path = "/aw4a/stats";
+      const auto stats_response = origin.handle(stats);
+      EXPECT_EQ(stats_response.status, 200);
+      EXPECT_EQ(origin.metrics().internal_errors, 0u);
+      return wires;
+    };
+
+    for (const std::string& point : fault::known_points()) {
+      if (point.rfind("test.", 0) == 0) continue;  // unit-test scratch points
+      SCOPED_TRACE("fault point: " + point);
+
+      fault::reset();
+      fault::set_seed(11);
+      fault::configure(point, {.probability = 1.0});
+      std::vector<std::string> first;
+      ASSERT_NO_THROW(first = run_scenarios());
+
+      fault::reset();
+      fault::set_seed(11);
+      fault::configure(point, {.probability = 1.0});
+      std::vector<std::string> second;
+      ASSERT_NO_THROW(second = run_scenarios());
+
+      EXPECT_EQ(first, second) << "degradation path must be deterministic";
+
+      ASSERT_EQ(first.size(), 4u);
+      for (const std::string& wire : first) {
+        const auto response = net::parse_response(wire);
+        ASSERT_TRUE(response.has_value()) << "unparsable wire response:\n" << wire;
+        EXPECT_EQ(response->status, 200) << wire;
+        // Either a real tier/original, or an explicitly degraded original.
+        ASSERT_NE(response->header("AW4A-Tier"), nullptr) << wire;
+        if (*response->header("AW4A-Tier") == "none") {
+          EXPECT_NE(response->header("AW4A-Degraded"), nullptr) << wire;
+        }
+        EXPECT_GT(response->content_length, 0u) << wire;
+      }
     }
   }
 }

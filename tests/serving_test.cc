@@ -528,7 +528,6 @@ TEST_F(OriginServerTest, FirstSavingRequestBuildsThenCacheServes) {
   const MetricsSnapshot m = origin.metrics();
   EXPECT_EQ(m.builds_started, 1u) << "the second request must be a cache hit";
   EXPECT_EQ(m.served_paw_tier, 2u);
-  EXPECT_EQ(m.duplicate_builds, 0u);
   const TierCacheStats c = origin.cache_stats();
   // Two misses for one build: the routing lookup and the leader's
   // double-check inside the flight both count.
@@ -675,7 +674,7 @@ TEST_F(OriginServerTest, StatsEndpointSpeaksJsonOverTheWire) {
   EXPECT_EQ(stats.content_length, stats.body.size());
   for (const char* needle :
        {"\"sites\":2", "\"requests\":", "\"cache\":", "\"hit_rate\":", "\"builds\":",
-        "\"latency_seconds\":", "\"served_page_bytes\":", "\"duplicates\":0",
+        "\"latency_seconds\":", "\"served_page_bytes\":", "\"leads\":1",
         "\"asset_store\":", "\"exact_hits\":", "\"semantic_hits\":", "\"probes\":"}) {
     EXPECT_NE(stats.body.find(needle), std::string::npos) << needle << " missing in\n"
                                                           << stats.body;
