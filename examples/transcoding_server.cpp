@@ -2,9 +2,10 @@
 //
 // Hosts one page on a one-site serving::OriginServer, which builds the tier
 // ladder on the first data-saving request and serves every later one from
-// its cache. Answers a series of HTTP requests — shown on the wire, exactly as a browser and a proxyless origin would
-// exchange them. The `Save-Data` client hint (RFC 8674), a CDN geo hint, and
-// the AW4A savings-preference header drive the Fig. 6 control flow.
+// its cache. Answers a series of HTTP requests — shown on the wire, exactly
+// as a browser and a proxyless origin would exchange them. The `Save-Data`
+// client hint (RFC 8674), a CDN geo hint, and the AW4A savings-preference
+// header drive the Fig. 6 control flow.
 // Fault drills: set AW4A_FAULTS (e.g. AW4A_FAULTS=codec.jpeg.encode:0.1 or
 // solver.hbs:1.0) to inject deterministic failures and watch the server
 // degrade — fall back to Stage-1 tiers, borrow coarser tiers, or serve the
