@@ -129,6 +129,53 @@ TEST_F(GoldenValues, RansLadderBlobsAndDecodedPixelsAreFrozen) {
   }
 }
 
+TEST_F(GoldenValues, TierQualityIsFrozen) {
+  // The quality layer's behavioural guard: every tier's QSS/QFS/quality bit
+  // patterns, bytes and algorithm, over a seeded rich corpus with QFS on,
+  // under each solver path that scores quality — HBS with Muzeel and with
+  // adjustable JS (both approaches scored and compared), Grid Search, and
+  // the two ultra-low tiers. Any change to how or how often QFS is computed
+  // that moves a single bit of any tier fails here.
+  dataset::CorpusGenerator gen(dataset::CorpusOptions{.seed = 1313, .rich = true});
+  Rng rng(1313);
+  std::vector<web::WebPage> pages;
+  for (int i = 0; i < 12; ++i) {
+    pages.push_back(gen.make_page(rng, from_kb(200.0 + 10.0 * i), gen.global_profile()));
+  }
+
+  core::DeveloperConfig muzeel;
+  core::DeveloperConfig adjustable;
+  adjustable.js_strategy = core::HbsOptions::JsStrategy::kAdjustable;
+  core::DeveloperConfig grid;
+  grid.stage2 = core::DeveloperConfig::Stage2::kGridSearch;
+  core::DeveloperConfig ultra;
+  ultra.tier_reductions = {1.5, 3.0};
+  ultra.ultra_low.text_only = true;
+  ultra.ultra_low.markup_rewrite = true;
+  const std::pair<const char*, core::DeveloperConfig> configs[] = {
+      {"hbs/muzeel", muzeel}, {"hbs/adjustable", adjustable}, {"grid", grid}, {"ultra", ultra}};
+  const std::uint64_t kDigest[] = {7256769464104921039ull, 12708745178222667714ull,
+                                   10430937087715406325ull, 4448383752278084357ull};
+
+  for (std::size_t c = 0; c < std::size(configs); ++c) {
+    const core::Aw4aPipeline pipeline(configs[c].second);
+    std::uint64_t h = 0;
+    for (const web::WebPage& p : pages) {
+      for (const core::Tier& tier : pipeline.build_tiers(p)) {
+        const core::TranscodeResult& r = tier.result;
+        // A timed-out grid search is wall-clock dependent, not a golden.
+        ASSERT_EQ(r.algorithm.find("timeout"), std::string::npos) << r.algorithm;
+        h = hash_mix(h, r.quality.qss);
+        h = hash_mix(h, r.quality.qfs);
+        h = hash_mix(h, r.quality.quality);
+        h = hash_mix(h, static_cast<std::uint64_t>(r.result_bytes));
+        for (const char ch : r.algorithm) h = hash_mix(h, static_cast<std::uint64_t>(ch));
+      }
+    }
+    EXPECT_EQ(h, kDigest[c]) << configs[c].first;
+  }
+}
+
 TEST_F(GoldenValues, CountryTableIsFrozen) {
   // The calibrated table is a build artifact (tools/gen_countries.py): any
   // regeneration must be deliberate. Pin a few entries exactly.
