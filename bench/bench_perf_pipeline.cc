@@ -9,6 +9,8 @@
 //   dense SSIM   integral-image ssim() vs. the retained ssim_reference()
 //                at stride 1 and the default stride 4
 //   breakdown    prewarm stage vs. solver stage of the shared build
+//   QFS build    the shared serial build with QFS on (the default config),
+//                every tier's memoized QFS checked against a one-shot score
 //   encode-once  a full JPEG quality ladder encoded single-shot per rung vs.
 //                one prepare() + per-rung encode_prepared() (PR 5), with the
 //                rungs checked bit-identical
@@ -220,6 +222,24 @@ int main(int argc, char** argv) {
   entries.push_back({"cold_build_speedup", "x", build_speedup});
   entries.push_back({"cold_build_prewarm_stage", "ms", prewarm_stage_ms});
   entries.push_back({"cold_build_solver_stage", "ms", solver_stage_ms});
+
+  // --- The same serial shared-cache build with QFS on (the default config):
+  // every tier and both HBS approaches score QFS through the build's memo.
+  // Each tier's memoized QFS must equal a fresh one-shot compute_qfs. ---
+  const core::Aw4aPipeline qfs_pipeline{core::DeveloperConfig{}};
+  std::vector<core::Tier> qfs_tiers;
+  const double qfs_build_ms =
+      time_best_ms(options.repeat, [&] { qfs_tiers = qfs_pipeline.build_tiers(page); });
+  for (std::size_t i = 0; i < qfs_tiers.size(); ++i) {
+    const double memoized = qfs_tiers[i].result.quality.qfs;
+    const double fresh = core::compute_qfs(qfs_tiers[i].result.served);
+    if (memoized != fresh) {
+      std::fprintf(stderr, "FAIL: tier %zu memoized QFS %.17g vs one-shot %.17g\n", i,
+                   memoized, fresh);
+      ok = false;
+    }
+  }
+  entries.push_back({"cold_build_tiers_qfs", "ms", qfs_build_ms});
 
   // --- SSIM: integral-image vs. the retained reference, dense and strided,
   // on a JPEG-roundtripped photo (realistic correlated distortion). ---

@@ -43,8 +43,8 @@ TranscodeResult hbs_transcode(const web::WebPage& page, web::ServedPage base,
     result.result_bytes = result.served.transfer_size();
     result.target_bytes = target_bytes;
     result.met_target = result.result_bytes <= target_bytes;
-    result.quality =
-        evaluate_quality(result.served, options.quality_weights, options.measure_qfs);
+    result.quality = evaluate_quality(result.served, options.quality_weights,
+                                      options.measure_qfs, &ladders.qfs(page));
     result.algorithm = algorithm;
     result.elapsed_seconds = ctx.now() - started;
     return result;

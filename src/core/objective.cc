@@ -94,6 +94,12 @@ void LadderCache::prewarm(const web::WebPage& page, const obs::RequestContext& c
   }
 }
 
+QfsCache& LadderCache::qfs(const web::WebPage& page) {
+  if (!qfs_) qfs_.emplace(page);
+  AW4A_EXPECTS(&qfs_->page() == &page);
+  return *qfs_;
+}
+
 std::optional<imaging::ImageVariant> LadderCache::placeholder_rung(
     const web::WebObject& object) const {
   if (!options_.placeholder_rung) return std::nullopt;

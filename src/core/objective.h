@@ -5,6 +5,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 
@@ -97,6 +98,13 @@ class LadderCache {
 
   const imaging::LadderOptions& options() const { return options_; }
 
+  /// The build's QFS memo (DESIGN.md §8), created on first use. It lives
+  /// here because a ladder cache already spans exactly one build of one
+  /// page: every tier and both HBS approaches score through it, so each
+  /// distinct functional view renders once. Asking with a second page is a
+  /// LogicError.
+  QfsCache& qfs(const web::WebPage& page);
+
  private:
   struct Slot {
     explicit Slot(imaging::VariantLadder l) : ladder(std::move(l)) {}
@@ -111,6 +119,7 @@ class LadderCache {
   imaging::LadderOptions options_;
   imaging::AssetLadderSource* assets_ = nullptr;
   std::map<std::uint64_t, Slot> ladders_;
+  std::optional<QfsCache> qfs_;
 };
 
 /// Rich image objects of a page (those carrying rasters), in page order.

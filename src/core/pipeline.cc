@@ -97,7 +97,7 @@ TranscodeResult Aw4aPipeline::transcode_to_target(const web::WebPage& page, Byte
     result.target_bytes = target_bytes;
     result.met_target = result.result_bytes <= target_bytes;
     result.quality = evaluate_quality(result.served, config_.quality_weights,
-                                      config_.measure_qfs);
+                                      config_.measure_qfs, &ladders.qfs(page));
     result.algorithm = algorithm;
     result.elapsed_seconds = elapsed();
     return result;
@@ -137,7 +137,7 @@ TranscodeResult Aw4aPipeline::transcode_to_target(const web::WebPage& page, Byte
       result.target_bytes = target_bytes;
       result.met_target = outcome.met_target;
       result.quality = evaluate_quality(result.served, config_.quality_weights,
-                                        config_.measure_qfs);
+                                        config_.measure_qfs, &ladders.qfs(page));
       result.algorithm =
           outcome.timed_out ? "stage1+grid-search(timeout)" : "stage1+grid-search";
       result.elapsed_seconds = elapsed();

@@ -1,5 +1,7 @@
 #include "core/quality.h"
 
+#include <algorithm>
+
 #include "imaging/ssim.h"
 #include "util/error.h"
 
@@ -30,33 +32,65 @@ double compute_qss(const web::ServedPage& served) {
   return weighted / total_area;
 }
 
-double compute_qfs(const web::ServedPage& served, const web::RenderOptions& render) {
-  AW4A_EXPECTS(served.page != nullptr);
-  const web::ServedPage original = web::serve_original(*served.page);
+namespace {
 
+/// The decisions the bot and renderer read off a functional view: a
+/// script's served bytes are invisible to them, its liveness is not.
+bool same_view(const web::ServedPage& view, const web::ServedPage& served) {
+  return view.dropped == served.dropped &&
+         std::equal(view.scripts.begin(), view.scripts.end(), served.scripts.begin(),
+                    served.scripts.end(), [](const auto& a, const auto& b) {
+                      return a.first == b.first && a.second.dropped == b.second.dropped &&
+                             a.second.live == b.second.live;
+                    });
+}
+
+}  // namespace
+
+QfsCache::QfsCache(const web::WebPage& page, web::RenderOptions render)
+    : page_(&page), render_(render), events_(web::enumerate_events(page)) {}
+
+double QfsCache::score(const web::ServedPage& served) {
+  AW4A_EXPECTS(served.page == page_);
   // QFS isolates *functionality*: compare post-event screenshots with image
   // decisions pinned to the originals, so static image degradation (QSS's
   // territory) never leaks in. This is why image-only reductions score QFS
   // exactly 1 (paper §7.2). Script/CSS/font damage — dead widgets, missing
   // repaints, collapsed styling — does show, both statically and per event.
-  web::ServedPage functional_view = served;
-  functional_view.images.clear();
-  const bool page_untouched = functional_view.scripts.empty() &&
-                              functional_view.dropped.empty();
-  if (page_untouched) return 1.0;
+  const bool page_untouched = served.scripts.empty() && served.dropped.empty();
+  if (page_untouched || events_.empty()) return 1.0;
 
-  const auto events = web::enumerate_events(*served.page);
-  if (events.empty()) return 1.0;
-
-  double total = 0.0;
-  for (const auto& event : events) {
-    const web::RenderState state_orig = web::state_after_event(original, event);
-    const web::RenderState state_served = web::state_after_event(functional_view, event);
-    const imaging::Raster shot_orig = web::render_page(original, state_orig, render);
-    const imaging::Raster shot_served = web::render_page(functional_view, state_served, render);
-    total += imaging::ssim(shot_orig, shot_served);
+  for (const Entry& entry : memo_) {
+    if (same_view(entry.view, served)) return entry.qfs;
   }
-  return total / static_cast<double>(events.size());
+  web::ServedPage view = web::serve_original(*page_);
+  view.scripts = served.scripts;
+  view.dropped = served.dropped;
+  const double qfs = render_and_score(view);
+  memo_.push_back(Entry{std::move(view), qfs});
+  return qfs;
+}
+
+double QfsCache::render_and_score(const web::ServedPage& view) const {
+  const web::ServedPage original = web::serve_original(*page_);
+  double total = 0.0;
+  for (const auto& event : events_) {
+    const web::RenderState state_orig = web::state_after_event(original, event);
+    const web::RenderState state_served = web::state_after_event(view, event);
+    const imaging::Raster shot_orig = web::render_page(original, state_orig, render_);
+    const imaging::Raster shot_served = web::render_page(view, state_served, render_);
+    // Most events leave the two screenshots pixel-identical, and ssim()
+    // scores identical inputs exactly 1.0 (pinned by a test), so comparing
+    // bytes first changes no score — it only skips two luma extractions.
+    total += shot_orig.pixels() == shot_served.pixels() ? 1.0
+                                                        : imaging::ssim(shot_orig, shot_served);
+  }
+  return total / static_cast<double>(events_.size());
+}
+
+double compute_qfs(const web::ServedPage& served, const web::RenderOptions& render) {
+  AW4A_EXPECTS(served.page != nullptr);
+  return QfsCache(*served.page, render).score(served);
 }
 
 double overall_quality(double qss, double qfs, const QualityWeights& weights) {
@@ -66,10 +100,10 @@ double overall_quality(double qss, double qfs, const QualityWeights& weights) {
 }
 
 QualityReport evaluate_quality(const web::ServedPage& served, const QualityWeights& weights,
-                               bool measure_qfs) {
+                               bool measure_qfs, QfsCache* qfs) {
   QualityReport report;
   report.qss = compute_qss(served);
-  report.qfs = measure_qfs ? compute_qfs(served) : 1.0;
+  if (measure_qfs) report.qfs = qfs != nullptr ? qfs->score(served) : compute_qfs(served);
   report.quality = overall_quality(report.qss, report.qfs, weights);
   return report;
 }

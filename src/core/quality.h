@@ -25,21 +25,57 @@ struct QualityWeights {
 /// Pages with no images score 1.
 double compute_qss(const web::ServedPage& served);
 
-/// Bot-driven functionality similarity. For each event on the *original*
-/// page, render post-event screenshots of original and served page and take
-/// SSIM; QFS is the mean over events (pages without events score 1).
+/// QFS of one page, memoized per functional view (DESIGN.md §8). QFS reads
+/// only the decisions that change what the bot sees — the dropped-object set
+/// and each script's {dropped, live} — so every serving decision that agrees
+/// on those scores identically, whatever its images. A build scores many
+/// decisions (every tier, both HBS approaches) but few distinct views, so
+/// one cache per build scores each view once. Views are compared by
+/// equality, never by hash: a collision would silently serve a wrong score.
+/// Not thread-safe; one build owns one cache.
+class QfsCache {
+ public:
+  explicit QfsCache(const web::WebPage& page, web::RenderOptions render = {});
+
+  /// QFS of `served`, which must be a decision over page(). For each event
+  /// on the *original* page, render post-event screenshots of original and
+  /// served page and take SSIM; QFS is the mean over events (pages without
+  /// events, or decisions that touch no script or object, score 1).
+  double score(const web::ServedPage& served);
+
+  const web::WebPage& page() const { return *page_; }
+  /// Distinct views scored so far (each rendered exactly once).
+  std::size_t views() const { return memo_.size(); }
+
+ private:
+  struct Entry {
+    web::ServedPage view;  ///< page, scripts and dropped only
+    double qfs = 1.0;
+  };
+
+  double render_and_score(const web::ServedPage& view) const;
+
+  const web::WebPage* page_;
+  web::RenderOptions render_;
+  std::vector<web::BotEvent> events_;
+  std::vector<Entry> memo_;
+};
+
+/// One-shot QFS: a fresh QfsCache, scored once.
 double compute_qfs(const web::ServedPage& served, const web::RenderOptions& render = {});
 
 /// Weighted combination, normalized by the weight sum.
 double overall_quality(double qss, double qfs, const QualityWeights& weights = {});
 
-/// Convenience: full quality evaluation of a serving decision.
+/// Convenience: full quality evaluation of a serving decision. With a
+/// `qfs` cache (one per page per build), QFS comes from its memo; without
+/// one it is scored one-shot. Either way the numbers are identical.
 struct QualityReport {
   double qss = 1.0;
   double qfs = 1.0;
   double quality = 1.0;
 };
 QualityReport evaluate_quality(const web::ServedPage& served, const QualityWeights& weights = {},
-                               bool measure_qfs = true);
+                               bool measure_qfs = true, QfsCache* qfs = nullptr);
 
 }  // namespace aw4a::core

@@ -7,8 +7,8 @@ namespace aw4a::core {
 namespace {
 
 TranscodeResult finish(web::ServedPage served, Bytes original_bytes,
-                       const QualityWeights& weights, bool measure_qfs, const char* algorithm,
-                       double elapsed) {
+                       const QualityWeights& weights, bool measure_qfs, QfsCache* qfs,
+                       const char* algorithm, double elapsed) {
   TranscodeResult result;
   result.served = std::move(served);
   result.result_bytes = result.served.transfer_size();
@@ -16,7 +16,7 @@ TranscodeResult finish(web::ServedPage served, Bytes original_bytes,
   // is its target, and it is met by definition.
   result.target_bytes = result.result_bytes;
   result.met_target = result.result_bytes <= original_bytes;
-  result.quality = evaluate_quality(result.served, weights, measure_qfs);
+  result.quality = evaluate_quality(result.served, weights, measure_qfs, qfs);
   result.algorithm = algorithm;
   result.elapsed_seconds = elapsed;
   return result;
@@ -63,7 +63,7 @@ TranscodeResult build_text_only(const web::WebPage& page, LadderCache& ladders,
   }
 
   return finish(std::move(served), page.transfer_size(), weights, measure_qfs,
-                "ultra/text-only", ctx.now() - started);
+                &ladders.qfs(page), "ultra/text-only", ctx.now() - started);
 }
 
 TranscodeResult build_markup_rewrite(const web::WebPage& page,
@@ -77,7 +77,9 @@ TranscodeResult build_markup_rewrite(const web::WebPage& page,
   web::ServedPage served = web::serve_original(page);
   web::apply_markup_rewrite(served, options);
 
-  return finish(std::move(served), page.transfer_size(), weights, measure_qfs,
+  // Scored one-shot: with every script dropped, the rewrite's functional
+  // view never matches another tier's, so a memo could only add a copy.
+  return finish(std::move(served), page.transfer_size(), weights, measure_qfs, nullptr,
                 "ultra/markup-rewrite", ctx.now() - started);
 }
 

@@ -68,15 +68,19 @@ void draw_image_block(Canvas& canvas, const ServedPage& served, const LayoutBloc
     canvas.rect(block.rect, Pixel{tint, static_cast<std::uint8_t>(tint / 2 + 60), 120, 255});
     return;
   }
-  Raster shown = object->image->original;
+  // Point at the original instead of copying it: only a degraded variant
+  // needs a raster of its own.
+  const Raster* shown = &object->image->original;
+  Raster variant;
   if (const auto it = served.images.find(block.object_id); it != served.images.end()) {
     if (it->second.variant && !it->second.variant->is_original) {
-      shown = imaging::render_variant(*object->image, *it->second.variant);
+      variant = imaging::render_variant(*object->image, *it->second.variant);
+      shown = &variant;
     }
   }
   const int w = std::max(1, canvas.sx(block.rect.w));
   const int h = std::max(1, canvas.sx(block.rect.h));
-  Raster scaled = imaging::resize_bilinear(shown, w, h);
+  Raster scaled = imaging::resize_bilinear(*shown, w, h);
   canvas.img.composite(scaled, canvas.sx(block.rect.x), canvas.sx(block.rect.y));
 }
 

@@ -94,6 +94,74 @@ TEST(Qfs, DroppingAllScriptsHurts) {
   FAIL() << "no seed produced a page with widgets";
 }
 
+TEST(QfsCache, MemoMatchesOneShotAndKeysOnTheFunctionalView) {
+  // One build's sequence of decisions on one cache: every score must equal a
+  // fresh one-shot compute_qfs bit for bit, and only a repeated functional
+  // view may be answered from the memo.
+  const web::WebPage page = rich_page(6);
+  ASSERT_FALSE(web::enumerate_events(page).empty());
+  const web::ServedPage original = web::serve_original(page);
+  web::ServedPage muzeel = original;
+  apply_muzeel(muzeel);
+  ASSERT_FALSE(muzeel.scripts.empty());
+  web::ServedPage no_scripts = original;
+  web::ServedPage text_only = original;
+  for (const auto& o : page.objects) {
+    if (o.type == web::ObjectType::kJs) no_scripts.dropped.insert(o.id);
+    if (o.type == web::ObjectType::kMedia || o.type == web::ObjectType::kIframe) {
+      text_only.dropped.insert(o.id);
+    }
+    if (o.type == web::ObjectType::kImage && o.is_ad) {
+      text_only.images[o.id] = web::ServedImage{.variant = std::nullopt, .dropped = true};
+    }
+  }
+  ASSERT_FALSE(text_only.dropped.empty());
+  // Muzeel's view again, reached with different image decisions and script
+  // byte counts: neither is visible to the bot, so it is the same view.
+  web::ServedPage muzeel_again = muzeel;
+  for (const auto* img : rich_images(page)) {
+    imaging::ImageVariant v;
+    v.ssim = 0.5;
+    v.bytes = 10;
+    muzeel_again.images[img->id] = web::ServedImage{.variant = v, .dropped = false};
+  }
+  for (auto& [id, script] : muzeel_again.scripts) script.transfer_bytes += 1;
+
+  const std::pair<const web::ServedPage*, std::size_t> sequence[] = {
+      {&original, 0}, {&muzeel, 1}, {&no_scripts, 2}, {&muzeel_again, 2}, {&text_only, 3}};
+  QfsCache cache(page);
+  for (const auto& [served, views_after] : sequence) {
+    EXPECT_EQ(cache.score(*served), compute_qfs(*served));
+    EXPECT_EQ(cache.views(), views_after);
+  }
+  EXPECT_LT(cache.score(no_scripts), cache.score(muzeel));
+
+  // One more live function is a different view, never a memo hit.
+  web::ServedPage one_more_live = muzeel;
+  bool widened = false;
+  for (const auto& o : page.objects) {
+    if (widened || o.type != web::ObjectType::kJs || o.script == nullptr) continue;
+    auto& live = one_more_live.scripts.at(o.id).live;
+    for (const auto& f : o.script->functions) {
+      if (live.insert(f.id).second) {
+        widened = true;
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(widened);
+  EXPECT_EQ(cache.score(one_more_live), compute_qfs(one_more_live));
+  EXPECT_EQ(cache.views(), 4u);
+
+  // A cache belongs to one page.
+  const web::WebPage other = rich_page(7);
+  EXPECT_THROW((void)cache.score(web::serve_original(other)), LogicError);
+  LadderCache ladders;
+  QfsCache& memo = ladders.qfs(page);
+  EXPECT_EQ(&ladders.qfs(page), &memo);
+  EXPECT_THROW((void)ladders.qfs(other), LogicError);
+}
+
 TEST(Quality, OverallWeightsNormalize) {
   EXPECT_DOUBLE_EQ(overall_quality(0.8, 0.6, {.qss = 1.0, .qfs = 1.0}), 0.7);
   EXPECT_DOUBLE_EQ(overall_quality(0.8, 0.6, {.qss = 1.0, .qfs = 0.0}), 0.8);

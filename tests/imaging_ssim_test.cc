@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
+#include <vector>
 
+#include "dataset/corpus.h"
 #include "imaging/synth.h"
 #include "util/rng.h"
+#include "web/render.h"
 
 namespace aw4a::imaging {
 namespace {
@@ -90,6 +94,47 @@ TEST(Ssim, StrideApproximatesDense) {
   const double dense = ssim(a, b, {.window = 8, .stride = 1});
   const double strided = ssim(a, b, {.window = 8, .stride = 4});
   EXPECT_NEAR(dense, strided, 0.03);
+}
+
+TEST(Ssim, IdenticalInputsScoreExactlyOne) {
+  // QFS scores a pixel-identical screenshot pair 1.0 without calling ssim();
+  // that is exact only if ssim(x, x) is exactly 1.0 on every dispatch side
+  // (integral tables, the direct path, and its AVX2 lanes where the CPU has
+  // them) — not merely within rounding. Inputs: noise, flat black/white/gray
+  // (the zero-variance windows whose raw variance can round negative), and a
+  // rendered page (the inputs QFS actually compares).
+  std::vector<std::pair<const char*, Raster>> inputs;
+  Rng rng(2029);
+  Raster noise(180, 600);
+  for (Pixel& p : noise.pixels()) {
+    p = Pixel{static_cast<std::uint8_t>(rng.uniform_int(0, 255)),
+              static_cast<std::uint8_t>(rng.uniform_int(0, 255)),
+              static_cast<std::uint8_t>(rng.uniform_int(0, 255)), 255};
+  }
+  inputs.emplace_back("noise", std::move(noise));
+  inputs.emplace_back("black", Raster(180, 600, Pixel{0, 0, 0, 255}));
+  inputs.emplace_back("white", Raster(180, 600, Pixel{255, 255, 255, 255}));
+  inputs.emplace_back("gray", Raster(180, 600, Pixel{128, 128, 128, 255}));
+  dataset::CorpusGenerator gen(dataset::CorpusOptions{.seed = 5, .rich = true});
+  Rng page_rng(5);
+  const web::WebPage page = gen.make_page(page_rng, from_kb(250), gen.global_profile());
+  inputs.emplace_back("page", web::render_page(web::serve_original(page)));
+
+  for (const auto& [name, x] : inputs) {
+    const Raster copy = x;
+    const PlaneF luma = luma_plane(x);
+    for (const SsimOptions opts : {SsimOptions{.window = 8, .stride = 1},
+                                   SsimOptions{.window = 8, .stride = 4}}) {
+      SCOPED_TRACE(std::string(name) + " stride " + std::to_string(opts.stride));
+      EXPECT_EQ(ssim_uses_integral(x.width(), x.height(), opts), opts.stride == 1);
+      EXPECT_EQ(ssim(x, x, opts), 1.0);
+      EXPECT_EQ(ssim(x, copy, opts), 1.0);
+      // The window arithmetic itself, with no identical-input shortcut: the
+      // direct path (and the AVX2 lanes, bit-identical to it) also lands
+      // on exactly 1.0.
+      EXPECT_EQ(ssim_reference(luma, luma, opts), 1.0);
+    }
+  }
 }
 
 class SsimWindowTest : public ::testing::TestWithParam<int> {};

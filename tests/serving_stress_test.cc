@@ -265,5 +265,65 @@ TEST(ServingStress, PrewarmedColdBuildsUnderConcurrentLoad) {
   }
 }
 
+TEST(ServingStress, QfsScoredColdBuildsUnderConcurrentLoad) {
+  // Every other serving test turns QFS off; this one scores it, so the
+  // per-build QFS memo runs under TSan. Concurrent builds of different sites
+  // must each own their memo (one per build, never shared): the served
+  // lengths must match a serial origin's exactly.
+  dataset::CorpusGenerator gen(dataset::CorpusOptions{.seed = 29, .rich = true});
+  Rng rng(29);
+  core::DeveloperConfig config;
+  config.tier_reductions = {1.5, 3.0};
+  config.min_image_ssim = 0.8;
+  std::vector<OriginSite> sites;
+  std::vector<std::string> hosts;
+  for (int i = 0; i < 3; ++i) {
+    hosts.push_back("qfs-" + std::to_string(i) + ".example");
+    sites.push_back(OriginSite{hosts.back(), gen.make_page(rng, 200 * kKB, gen.global_profile()),
+                               config, net::PlanType::kDataVoiceLowUsage});
+  }
+  OriginOptions prewarm_options;
+  prewarm_options.prewarm_workers = 4;
+  const OriginServer concurrent(sites, std::move(prewarm_options));
+
+  auto request_for = [](const std::string& host) {
+    net::HttpRequest request;
+    request.headers = {{"Host", host}, {"Save-Data", "on"}, {"X-Geo-Country", "ET"}};
+    return request;
+  };
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRequests = 3;
+  std::atomic<std::uint64_t> bad_responses{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kRequests; ++i) {
+        const auto response = concurrent.handle(request_for(hosts[(t + i) % hosts.size()]));
+        if (response.status != 200 || response.header("AW4A-Tier") == nullptr) {
+          bad_responses.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(bad_responses.load(), 0u);
+  const MetricsSnapshot m = concurrent.metrics();
+  EXPECT_EQ(m.builds_started, hosts.size());
+  EXPECT_EQ(m.internal_errors, 0u);
+  EXPECT_EQ(m.served_degraded, 0u);
+
+  const OriginServer serial(sites);
+  for (const std::string& host : hosts) {
+    const auto a = concurrent.handle(request_for(host));
+    const auto b = serial.handle(request_for(host));
+    ASSERT_NE(a.header("AW4A-Tier"), nullptr) << host;
+    ASSERT_NE(b.header("AW4A-Tier"), nullptr) << host;
+    EXPECT_GT(a.content_length, 0u) << host;
+    EXPECT_EQ(a.content_length, b.content_length) << host;
+    EXPECT_EQ(*a.header("AW4A-Tier"), *b.header("AW4A-Tier")) << host;
+  }
+}
+
 }  // namespace
 }  // namespace aw4a::serving

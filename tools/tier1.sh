@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the full test suite in the standard configuration, plus the
-# robustness, asset-store, rANS-coder, and markup suites under ASan+UBSan
-# (fault injection, eviction churn, attacker-controlled entropy-coded
-# payloads, and the length-prefixed AWML parser on truncated/tampered blobs
-# exercise the error paths — exactly where lifetime and UB bugs hide), plus
-# the full suite under UBSan alone (cheap enough to run everything), plus
-# the serving suite and the rANS coder under TSan (the tier cache,
-# single-flight, and the content-addressed asset store are the concurrent
-# core; the coder's thread-local scratch must stay race-free under the
-# ladder's worker pool). Every ctest run carries a per-test timeout so a
+# robustness, asset-store, rANS-coder, markup and quality suites under
+# ASan+UBSan (fault injection, eviction churn, attacker-controlled
+# entropy-coded payloads, the length-prefixed AWML parser on truncated or
+# tampered blobs, and the per-build QFS memo's stored views exercise the
+# paths where lifetime and UB bugs hide), plus the full suite under UBSan
+# alone (cheap enough to run everything), plus the serving suite and the
+# rANS coder under TSan (the tier cache, single-flight, and the
+# content-addressed asset store are the concurrent core; the coder's
+# thread-local scratch must stay race-free under the ladder's worker
+# pool). Every ctest run carries a per-test timeout so a
 # deadline-propagation bug hangs the suite loudly instead of forever.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -18,8 +19,8 @@ cmake --build build -j >/dev/null
 (cd build && ctest --output-on-failure --timeout 300 -j "$(nproc)")
 
 cmake -B build-asan -S . -DAW4A_SANITIZE=ON >/dev/null
-cmake --build build-asan -j --target robustness_test serving_asset_store_test imaging_ans_test web_markup_test >/dev/null
-(cd build-asan && ctest --output-on-failure --timeout 300 -R '^(robustness_test|serving_asset_store_test|imaging_ans_test|web_markup_test)$')
+cmake --build build-asan -j --target robustness_test serving_asset_store_test imaging_ans_test web_markup_test core_quality_test >/dev/null
+(cd build-asan && ctest --output-on-failure --timeout 300 -R '^(robustness_test|serving_asset_store_test|imaging_ans_test|web_markup_test|core_quality_test)$')
 
 cmake -B build-ubsan -S . -DAW4A_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j >/dev/null
@@ -30,12 +31,13 @@ cmake --build build-tsan -j --target serving_test serving_stress_test serving_ov
 (cd build-tsan && ctest --output-on-failure --timeout 300 -R '^(serving_(test|stress_test|overload_test|asset_store_test)|imaging_ans_test)$')
 
 # Release-mode perf smoke: the cold-build fast path must keep its speedups
-# (bench_perf_pipeline exits nonzero if any build mode, the integral SSIM, or
-# the factored encode ladder diverges from its reference) and the serving
-# build plane must keep its overload contract (bench_serve_overload exits
-# nonzero when 4x overload produces any non-200 answer, drops goodput below
-# 80% of 1x, or blows the shed fast-path bound). Fresh numbers are measured
-# into a scratch file first and gated against the committed trajectory by
+# (bench_perf_pipeline exits nonzero if any build mode, the integral SSIM,
+# the factored encode ladder, or a tier's memoized QFS diverges from its
+# reference) and the serving build plane must keep its overload contract
+# (bench_serve_overload exits nonzero when 4x overload produces any non-200
+# answer, drops goodput below 80% of 1x, or blows the shed fast-path
+# bound). Fresh numbers are measured into a scratch file first and gated
+# against the committed trajectory by
 # bench_guard (>25% regression on a guarded metric fails the gate); only
 # then do they overwrite the repo-root JSONs.
 cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
@@ -58,7 +60,8 @@ trap 'rm -rf "$fresh_dir"' EXIT
 ./build-perf/bench/bench_ext04_ultra_low_tiers --json="$fresh_dir/BENCH_ultra.json"
 python3 tools/bench_guard.py \
   --committed BENCH_pipeline.json --fresh "$fresh_dir/BENCH_pipeline.json" \
-  --metric cold_build_tiers_shared_cache --metric ssim_dense_integral \
+  --metric cold_build_tiers_shared_cache --metric cold_build_tiers_qfs \
+  --metric ssim_dense_integral \
   --metric encode_ladder_rans --metric decode_ladder_huffman \
   --metric decode_ladder_rans --metric rans_payload_reduction \
   --metric 'rans_decode_mb_per_s:higher'
