@@ -804,6 +804,75 @@ TEST_F(OriginServerTest, MirroredSitesShareBuiltAssetsByContent) {
       << "adopted families are bit-identical, so the served tiers match";
 }
 
+TEST_F(OriginServerTest, AnswersMatchTheUncachedReference) {
+  // The reference answer is the page's ladder built with nothing cached
+  // (Aw4aPipeline::build_tiers) and answered by core::answer_page_request.
+  // Everything the origin puts in front of that — tier cache, single-flight,
+  // build queue, the content-addressed asset store, stale-while-revalidate —
+  // may only save work: status, Content-Length and AW4A-Tier must match the
+  // reference cold, cached, and after a content push.
+  dataset::CorpusGenerator gen(dataset::CorpusOptions{
+      .seed = 37, .rich = true, .cross_site_duplication_rate = 0.3});
+  Rng rng(37);
+  std::vector<OriginSite> corpus;
+  std::vector<std::vector<core::Tier>> reference;
+  for (std::size_t i = 0; i < 6; ++i) {
+    corpus.push_back(OriginSite{"ref-" + std::to_string(i) + ".example",
+                                gen.make_page(rng, 300 * kKB, gen.global_profile()), config(),
+                                net::kAllPlans[i % net::kAllPlans.size()]});
+  }
+  for (const OriginSite& site : corpus) {
+    reference.push_back(core::Aw4aPipeline(site.config).build_tiers(site.page));
+  }
+  OriginServer origin(corpus);
+
+  const auto check_pass = [&](const char* pass) {
+    SCOPED_TRACE(pass);
+    for (std::size_t s = 0; s < corpus.size(); ++s) {
+      const OriginSite& site = corpus[s];
+      for (const auto& extra : std::vector<std::vector<net::HttpHeader>>{
+               {{"Save-Data", "on"}, {"X-Geo-Country", "ET"}},
+               {{"Save-Data", "on"}, {"X-Geo-Country", "PK"}},
+               {{"Save-Data", "on"}, {"AW4A-Savings", "50"}},
+               {}}) {
+        net::HttpRequest request = get(site.host);
+        request.headers.insert(request.headers.end(), extra.begin(), extra.end());
+        const auto served = origin.handle(request);
+        const auto expected =
+            core::answer_page_request(site.page, reference[s], "", site.plan, request).response;
+        const std::string what = site.host + " with " + std::to_string(extra.size()) +
+                                 " extra headers" +
+                                 (extra.size() == 2 ? " (" + extra[1].value + ")" : "");
+        EXPECT_EQ(served.status, expected.status) << what;
+        EXPECT_EQ(served.content_length, expected.content_length) << what;
+        ASSERT_NE(served.header("AW4A-Tier"), nullptr) << what;
+        ASSERT_NE(expected.header("AW4A-Tier"), nullptr) << what;
+        EXPECT_EQ(*served.header("AW4A-Tier"), *expected.header("AW4A-Tier")) << what;
+      }
+    }
+  };
+
+  check_pass("cold");
+  EXPECT_EQ(origin.metrics().builds_started, corpus.size());
+  EXPECT_GT(origin.asset_store_stats().exact_hits, 0u)
+      << "shared assets must take the store's adoption path";
+  check_pass("cached");
+  EXPECT_EQ(origin.metrics().builds_started, corpus.size()) << "the second pass is all hits";
+
+  ASSERT_EQ(origin.invalidate_host(corpus[0].host), 1u);
+  check_pass("stale");
+  // The pushed site's refresh rebuilds in the background; once it has
+  // landed, the renewed ladder must answer like the reference too.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (origin.cache_stats().inserts < corpus.size() + 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(origin.cache_stats().inserts, corpus.size() + 1) << "the refresh landed";
+  check_pass("refreshed");
+  EXPECT_EQ(origin.metrics().builds_started, corpus.size() + 1);
+}
+
 TEST_F(OriginServerTest, AssetStoreCanBeDisabledWithoutChangingResults) {
   OriginOptions off;
   off.asset_store_enabled = false;
