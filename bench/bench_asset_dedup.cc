@@ -5,23 +5,26 @@
 // asset *content*; this bench measures what that buys at realistic cross-site
 // duplication rates. For each duplication rate in {0%, 10%, 30%} it generates
 // a corpus with the dataset layer's shared-asset pool, then cold-builds every
-// site twice — once with the store enabled, once disabled — and reports:
+// site twice — once through a default OriginServer (store ON), once as the
+// reference build with nothing shared (store OFF: Aw4aPipeline::build_tiers
+// without an asset source, answered by core::answer_page_request) — and
+// reports:
 //
 //   dedup_<pct>/bytes_built        encoder output bytes with the store ON
-//   dedup_<pct>/bytes_built_off    the same with the store OFF (baseline)
+//   dedup_<pct>/bytes_built_off    the same for the reference (baseline)
 //   dedup_<pct>/bytes_saved_ratio  1 - on/off (higher is better)
 //   dedup_<pct>/cold_build_ms      serial cold pass wall time, store ON
 //                                  (min over --repeat fresh origins)
-//   dedup_<pct>/cold_build_ms_off  the same, store OFF
+//   dedup_<pct>/cold_build_ms_off  the same for the reference
 //   dedup_<pct>/exact_hits         content-identical reuse during the pass
 //   dedup_<pct>/semantic_hits      near-duplicate reuse during the pass
 //   dedup_<pct>/footprint_bytes    resident store bytes after the pass
 //   dedup_<pct>/realized_dup_rate  duplicate fraction actually generated
 //
 // Bytes built come from imaging::build_work_stats() (process-wide encoder
-// counters), so the pass runs strictly serially: one request per site, no
-// queue, prewarm pinned to one worker — the numbers are a deterministic
-// function of the corpus. Prewarm is ON in both modes on purpose: a store
+// counters), so the pass runs strictly serially: one request per site, one
+// build at a time, prewarm pinned to one worker — the numbers are a
+// deterministic function of the corpus. Prewarm is ON in both modes on purpose: a store
 // miss warms the *full* family set (that is what a later hit adopts), so the
 // fair baseline is the prewarmed cold build that enumerates the same set.
 // Without prewarm the lazy path builds only the families the solvers happen
@@ -30,8 +33,8 @@
 //
 // Exit status is the acceptance check (run by tier1.sh): non-zero when the
 // 30% row saves less than 20% of bytes built or of cold-build time, or when
-// any site's served content length differs between store ON and store OFF
-// at any rate (the store must never change outcomes, only costs).
+// any site's served content length differs between the origin and the
+// reference at any rate (the store must never change outcomes, only costs).
 //
 //   build/bench/bench_asset_dedup [--sites=24] [--repeat=3]
 //       [--json=BENCH_dedup.json]
@@ -40,11 +43,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "core/server.h"
 #include "dataset/corpus.h"
 #include "imaging/variants.h"
 #include "serving/origin.h"
@@ -91,6 +96,7 @@ std::vector<serving::OriginSite> make_corpus(double duplication_rate,
   config.tier_reductions = {2.0};
   config.min_image_ssim = 0.8;
   config.measure_qfs = false;
+  config.prewarm_workers = 1;  // full family set in both modes, serially
   std::vector<serving::OriginSite> sites;
   sites.reserve(options.sites);
   for (std::size_t i = 0; i < options.sites; ++i) {
@@ -142,26 +148,37 @@ struct ColdPassResult {
   int errors = 0;
 };
 
-/// Serial cold pass over every site against a fresh origin per repeat.
-/// Inline builds (no queue), no prewarm threads: the encoder counters and
-/// the on/off byte delta are deterministic; only wall time is sampled.
+/// The store-OFF answer: the site's ladder built with nothing shared, one
+/// prewarm worker, answered like the origin would answer it.
+net::HttpResponse reference_answer(const serving::OriginSite& site,
+                                   const net::HttpRequest& request) {
+  const std::vector<core::Tier> tiers = core::Aw4aPipeline(site.config)
+                                            .build_tiers(site.page,
+                                                         obs::RequestContext().with_workers(1),
+                                                         /*assets=*/nullptr);
+  return core::answer_page_request(site.page, tiers, "", site.plan, request).response;
+}
+
+/// Serial cold pass over every site, repeated: against a fresh default origin
+/// per repeat (dedup) or as reference builds (no dedup). One build at a time,
+/// one prewarm worker: the encoder counters and the on/off byte delta are
+/// deterministic; only wall time is sampled.
 ColdPassResult run_cold_pass(const std::vector<serving::OriginSite>& sites, bool dedup,
                              const BenchOptions& options) {
   ColdPassResult result;
   std::vector<double> site_min_ms(sites.size(), std::numeric_limits<double>::max());
   for (int repeat = 0; repeat < options.repeat; ++repeat) {
-    serving::OriginOptions origin_options;
-    origin_options.build_queue_enabled = false;
-    origin_options.prewarm_workers = 1;  // full family set in both modes, serially
-    origin_options.asset_store_enabled = dedup;
-    const serving::OriginServer origin(sites, std::move(origin_options));
+    std::optional<serving::OriginServer> origin;
+    if (dedup) origin.emplace(sites);
 
     imaging::reset_build_work_stats();
     std::vector<Bytes> lengths;
     lengths.reserve(sites.size());
     for (std::size_t i = 0; i < sites.size(); ++i) {
+      const net::HttpRequest request = make_request(sites[i].host);
       const auto start = Clock::now();
-      const auto response = origin.handle(make_request(sites[i].host));
+      const auto response =
+          origin ? origin->handle(request) : reference_answer(sites[i], request);
       const double ms = std::chrono::duration<double, std::milli>(Clock::now() - start).count();
       site_min_ms[i] = std::min(site_min_ms[i], ms);
       if (response.status != 200) ++result.errors;
@@ -173,7 +190,7 @@ ColdPassResult run_cold_pass(const std::vector<serving::OriginSite>& sites, bool
       result.bytes_built = work.encoded_bytes;
       result.encodes = work.encodes;
       result.content_lengths = std::move(lengths);
-      result.store = origin.asset_store_stats();
+      if (origin) result.store = origin->asset_store_stats();
     }
   }
   for (const double ms : site_min_ms) result.wall_ms += ms;
@@ -251,7 +268,8 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < sites.size(); ++i) {
       if (on.content_lengths[i] != off.content_lengths[i]) {
         std::fprintf(stderr,
-                     "FAIL dedup_%d: site %zu served %llu bytes with the store, %llu without\n",
+                     "FAIL dedup_%d: site %zu served %llu bytes with the store, %llu in the "
+                     "reference\n",
                      pct, i, static_cast<unsigned long long>(on.content_lengths[i]),
                      static_cast<unsigned long long>(off.content_lengths[i]));
         accept = false;

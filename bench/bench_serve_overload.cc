@@ -11,15 +11,18 @@
 // bound.
 //
 // Phases:
-//   A  capacity    closed-loop cold builds (cache off, one thread per build
-//                  worker, distinct sites) -> build-plane capacity in req/s.
+//   A  capacity    closed-loop cold builds (a cache that admits nothing, one
+//                  thread per build worker, distinct sites) -> build-plane
+//                  capacity in req/s.
 //   B  shed floor  a capacity-0 origin sheds every request; its service-time
 //                  p99.9 x margin is the *shed fast-path bound* that
 //                  overloaded shed answers must stay under.
 //   C  sweep       open-loop arrivals at {0.5,1,2,4,10}x capacity against a
-//                  fresh origin per rate (cache off so every data-saving
-//                  request demands a build). Sojourn is measured from the
-//                  *scheduled* arrival time, so backlog shows up as latency.
+//                  fresh origin per rate (a cache that admits nothing, so
+//                  every data-saving request demands a build; concurrent
+//                  arrivals for one site join one flight, as in production).
+//                  Sojourn is measured from the *scheduled* arrival time, so
+//                  backlog shows up as latency.
 //   D  storm       a warm cached origin at 4x build capacity takes a mid-run
 //                  invalidate_host burst across every site: goodput must hold
 //                  (stale-while-revalidate) while rebuilds re-admit at a
@@ -134,15 +137,28 @@ net::HttpRequest make_request(const std::string& host, int variant) {
   return request;
 }
 
+/// A tier cache or asset store this small admits nothing: every entry costs
+/// more than the whole one-byte shard.
+constexpr serving::TierCacheOptions kAdmitNothingCache{.capacity_bytes = 1, .shards = 1};
+constexpr serving::AssetStoreOptions kAdmitNothingStore{.capacity_bytes = 1, .shards = 1};
+
 serving::OriginOptions plane_options() {
   serving::OriginOptions options;
   options.build_queue.capacity = kQueueCapacity;
   options.build_queue.workers = kQueueWorkers;
   // This bench measures the *build plane* under load, so every build must
-  // cost real encode work: with the content-addressed asset store on,
+  // cost real encode work: with a working content-addressed asset store,
   // repeated cold builds of one site collapse into memo adoptions and the
   // measured "capacity" becomes store throughput, not build throughput.
-  options.asset_store_enabled = false;
+  options.asset_store = kAdmitNothingStore;
+  return options;
+}
+
+/// plane_options() with a tier cache that admits nothing: every data-saving
+/// request demands a build.
+serving::OriginOptions uncached_plane_options() {
+  serving::OriginOptions options = plane_options();
+  options.cache = kAdmitNothingCache;
   return options;
 }
 
@@ -151,9 +167,7 @@ serving::OriginOptions plane_options() {
 // --------------------------------------------------------------------------
 double measure_capacity(const std::vector<serving::OriginSite>& sites,
                         const BenchOptions& options) {
-  serving::OriginOptions origin_options = plane_options();
-  origin_options.cache_enabled = false;  // every request is a build
-  const serving::OriginServer origin(sites, std::move(origin_options));
+  const serving::OriginServer origin(sites, uncached_plane_options());
 
   std::atomic<std::uint64_t> completed{0};
   std::atomic<bool> stop{false};
@@ -368,14 +382,13 @@ int main(int argc, char** argv) {
               shed_floor_p999_ms, shed_bound_ms);
 
   // Phase C: the open-loop sweep. Fresh origin per rate so each point starts
-  // from the same cold state; cache off so every data-saving request demands
-  // a build and the arrival multiple is a true build-plane multiple.
+  // from the same cold state; the cache admits nothing, so every data-saving
+  // request demands a build and the arrival multiple is a true build-plane
+  // multiple.
   const std::vector<double> multipliers = {0.5, 1.0, 2.0, 4.0, 10.0};
   std::vector<OpenLoopResult> sweep;
   for (const double m : multipliers) {
-    serving::OriginOptions origin_options = plane_options();
-    origin_options.cache_enabled = false;
-    serving::OriginServer origin(sites, std::move(origin_options));
+    serving::OriginServer origin(sites, uncached_plane_options());
     OpenLoopResult r =
         run_open_loop(origin, sites, m * capacity_rps, options.seconds, options);
     r.multiplier = m;

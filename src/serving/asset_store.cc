@@ -116,11 +116,10 @@ AssetStore::MemoPtr AssetStore::acquire(
     // Exact probe missed. The semantic probe needs this asset's thumbprint;
     // compute it outside the lock (it is a resize + luma extraction), then
     // re-check exact first — a concurrent warm may have landed meanwhile.
-    // The thumbprint doubles as the stored signature of a fresh entry, so it
-    // is computed even when semantic matching is off.
+    // The thumbprint doubles as the stored signature of a fresh entry.
     imaging::PlaneF thumbprint =
         imaging::luma_thumbprint(asset->original, options_.thumbprint_dim);
-    if (options_.semantic_enabled) {
+    {
       AW4A_SPAN(ctx, "serving.asset.probe");
       const std::lock_guard lock(shard.mutex);
       if (Entry* entry = shard.lru.touch(key)) {
@@ -149,9 +148,6 @@ AssetStore::MemoPtr AssetStore::acquire(
           }
         }
       }
-      ++shard.counters.misses;
-    } else {
-      const std::lock_guard lock(shard.mutex);
       ++shard.counters.misses;
     }
 

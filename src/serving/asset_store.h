@@ -85,8 +85,6 @@ struct AssetStoreOptions {
   Bytes capacity_bytes = 16 * kMB;
   /// Rounded up to a power of two. 1 is valid (a single mutexed store).
   std::size_t shards = 8;
-  /// Off: only exact fingerprint hits are served (near-dups each build).
-  bool semantic_enabled = true;
   /// Thumbprint SSIM at or above which a same-bucket, same-shape candidate
   /// counts as the same asset. High on purpose: a false share substitutes
   /// one asset's measured curve for another's.

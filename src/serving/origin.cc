@@ -28,6 +28,16 @@ void bump(std::atomic<std::uint64_t>& counter) {
   counter.fetch_add(1, std::memory_order_relaxed);
 }
 
+/// The Retry-After hint (seconds) attached to shed responses.
+constexpr int kRetryAfterSeconds = 1;
+
+/// One timeline for TTLs, deadlines and queue expiry: the queue runs on the
+/// origin's clock unless it was given its own.
+BuildQueueOptions on_clock(BuildQueueOptions options, const std::function<double()>& clock) {
+  if (!options.clock) options.clock = clock;
+  return options;
+}
+
 /// Append-only JSON emitter — objects and scalar fields, nothing else.
 /// Exactly what /aw4a/stats needs, without a JSON dependency.
 class JsonWriter {
@@ -114,13 +124,10 @@ const char* served_label(core::ServeOutcome::Served served) {
 }  // namespace
 
 OriginServer::OriginServer(std::vector<OriginSite> sites, OriginOptions options)
-    : cache_enabled_(options.cache_enabled),
-      prewarm_workers_(options.prewarm_workers),
-      retry_after_seconds_(options.retry_after_seconds),
-      clock_(options.clock ? std::move(options.clock) : std::function<double()>(steady_seconds)),
-      cache_(options.cache) {
-  AW4A_EXPECTS(prewarm_workers_ >= 0);
-  AW4A_EXPECTS(retry_after_seconds_ >= 0);
+    : clock_(options.clock ? std::move(options.clock) : std::function<double()>(steady_seconds)),
+      cache_(options.cache),
+      asset_store_(std::move(options.asset_store)),
+      queue_(on_clock(std::move(options.build_queue), clock_)) {
   sites_.reserve(sites.size());
   for (OriginSite& origin : sites) {
     origin.host = lower(origin.host);
@@ -134,14 +141,6 @@ OriginServer::OriginServer(std::vector<OriginSite> sites, OriginOptions options)
     sites_.push_back(std::move(site));
   }
   popularity_ = std::make_unique<std::atomic<std::uint64_t>[]>(sites_.size());
-  if (options.asset_store_enabled) {
-    asset_store_ = std::make_unique<AssetStore>(options.asset_store);
-  }
-  if (options.build_queue_enabled) {
-    // One timeline for TTLs, deadlines and queue expiry.
-    if (!options.build_queue.clock) options.build_queue.clock = clock_;
-    queue_ = std::make_unique<BuildQueue>(options.build_queue);
-  }
 }
 
 net::HttpResponse OriginServer::handle(const net::HttpRequest& request) const {
@@ -245,10 +244,9 @@ obs::RequestContext OriginServer::request_context(const Site& site) const {
   if (config.stage2_deadline_seconds >= 0.0) {
     ctx = ctx.with_deadline_after(config.stage2_deadline_seconds);
   }
-  // Origin-level prewarm default; a site that set its own count keeps it.
-  const int workers =
-      config.prewarm_workers > 0 ? config.prewarm_workers : prewarm_workers_;
-  if (workers > 0) ctx = ctx.with_workers(static_cast<unsigned>(workers));
+  if (config.prewarm_workers > 0) {
+    ctx = ctx.with_workers(static_cast<unsigned>(config.prewarm_workers));
+  }
   return ctx;
 }
 
@@ -286,7 +284,7 @@ OriginServer::PageAnswer OriginServer::serve_page(const Site& site,
       source, shed};
   if (shed) {
     answer.outcome.response.headers.push_back(
-        {"Retry-After", std::to_string(retry_after_seconds_)});
+        {"Retry-After", std::to_string(kRetryAfterSeconds)});
   }
   return answer;
 }
@@ -295,7 +293,6 @@ LadderPtr OriginServer::ladder_for(const Site& site, const obs::RequestContext& 
                                    LadderSource* source) const {
   const TierKey key{site.id, site.fingerprint, site.origin.plan};
   *source = LadderSource::kBuilt;
-  if (!cache_enabled_) return run_build(site, ctx);
   try {
     bool stale = false;
     if (LadderPtr resident = cache_.fetch(key, clock_(), ctx, &stale)) {
@@ -347,15 +344,13 @@ LadderPtr OriginServer::ladder_for(const Site& site, const obs::RequestContext& 
 }
 
 LadderPtr OriginServer::run_build(const Site& site, const obs::RequestContext& ctx) const {
-  if (queue_ == nullptr) return build_ladder(site, ctx);
   const std::uint64_t popularity = popularity_[site.id].load(std::memory_order_relaxed);
   // Capture by reference is safe: run() blocks this thread until the queued
   // build completed (or throws before it ever runs).
-  return queue_->run(popularity, ctx, [&] { return build_ladder(site, ctx); });
+  return queue_.run(popularity, ctx, [&] { return build_ladder(site, ctx); });
 }
 
 void OriginServer::maybe_queue_refresh(const Site& site, const TierKey& key) const {
-  if (queue_ == nullptr) return;  // stale entries then just serve until TTL
   {
     const std::lock_guard lock(refresh_mutex_);
     if (!refresh_pending_.insert(key).second) return;  // rebuild already queued
@@ -369,12 +364,12 @@ void OriginServer::maybe_queue_refresh(const Site& site, const TierKey& key) con
   // mass invalidation competes with at most half the build plane and cold
   // sites always have headroom. Shed refreshes cost nothing — the stale
   // ladder keeps serving, and the next stale hit retries.
-  if (queue_->depth() * 2 >= queue_->capacity()) {
+  if (queue_.depth() * 2 >= queue_.capacity()) {
     abandon();
     return;
   }
   const obs::RequestContext refresh_ctx = request_context(site);
-  const bool admitted = queue_->submit_detached(
+  const bool admitted = queue_.submit_detached(
       popularity_[site.id].load(std::memory_order_relaxed), refresh_ctx,
       [this, &site, refresh_ctx] { return build_ladder(site, refresh_ctx); },
       [this, key](LadderPtr built) {
@@ -405,7 +400,7 @@ LadderPtr OriginServer::build_ladder(const Site& site, const obs::RequestContext
     // Deadline and prewarm workers ride in on the context (request_context),
     // so the site config is used as-is.
     ladder->tiers = core::Aw4aPipeline(site.origin.config)
-                        .build_tiers(site.origin.page, ctx, asset_store_.get());
+                        .build_tiers(site.origin.page, ctx, &asset_store_);
     for (const core::Tier& tier : ladder->tiers) ladder->cost_bytes += tier.result.result_bytes;
     ladder->build_seconds = clock_() - started;
     metrics_.build_seconds.record(ladder->build_seconds);
@@ -451,12 +446,10 @@ net::HttpResponse OriginServer::trace_response(const net::HttpRequest& request,
 std::size_t OriginServer::invalidate_host(std::string_view host) {
   const auto routed = by_host_.find(lower(host));
   if (routed == by_host_.end()) return 0;
-  const std::uint64_t site_id = sites_[routed->second].id;
-  // With a build plane, a content push must not turn into a cold-cache
-  // stampede: flag the entries stale (they keep serving) and let stale hits
-  // re-admit rebuilds at the queue's bounded refresh rate.
-  if (queue_ != nullptr) return cache_.mark_stale_site(site_id);
-  return cache_.invalidate_site(site_id);
+  // A content push must not turn into a cold-cache stampede: flag the
+  // entries stale (they keep serving) and let stale hits re-admit rebuilds
+  // at the queue's bounded refresh rate.
+  return cache_.mark_stale_site(sites_[routed->second].id);
 }
 
 net::HttpResponse OriginServer::stats_response() const {
@@ -490,7 +483,6 @@ std::string OriginServer::stats_json() const {
   json.field("internal_errors", m.internal_errors);
   json.end();
   json.begin("cache");
-  json.field("enabled", cache_enabled_);
   json.field("shards", static_cast<std::uint64_t>(cache_.shard_count()));
   json.field("capacity_bytes", cache_.capacity_bytes());
   json.field("hits", c.hits);
@@ -499,7 +491,6 @@ std::string OriginServer::stats_json() const {
   json.field("inserts", c.inserts);
   json.field("evictions", c.evictions);
   json.field("expirations", c.expirations);
-  json.field("invalidations", c.invalidations);
   json.field("admission_rejects", c.admission_rejects);
   json.field("stale_marks", c.stale_marks);
   json.field("stale_hits", c.stale_hits);
@@ -525,13 +516,11 @@ std::string OriginServer::stats_json() const {
   histogram_json(json, "latency_seconds", m.build_seconds);
   json.end();
   {
-    // The build plane: admission, shedding, and time-in-queue. All zeros
-    // when the queue is disabled (the enabled flag disambiguates).
-    const BuildQueueStats q = queue_ ? queue_->stats() : BuildQueueStats{};
+    // The build plane: admission, shedding, and time-in-queue.
+    const BuildQueueStats q = queue_.stats();
     json.begin("build_queue");
-    json.field("enabled", queue_ != nullptr);
-    json.field("capacity", static_cast<std::uint64_t>(queue_ ? queue_->capacity() : 0));
-    json.field("workers", static_cast<std::uint64_t>(queue_ ? queue_->workers() : 0));
+    json.field("capacity", static_cast<std::uint64_t>(queue_.capacity()));
+    json.field("workers", static_cast<std::uint64_t>(queue_.workers()));
     json.field("admitted", q.admitted);
     json.field("shed", q.shed);
     json.field("expired", q.expired);
@@ -545,17 +534,13 @@ std::string OriginServer::stats_json() const {
     json.end();
   }
   {
-    // The content-addressed layer under the cache. All zeros when disabled
-    // (the enabled flag disambiguates). Partition invariant mirrored by the
-    // tests: lookups == exact_hits + semantic_hits + misses.
-    const AssetStoreStats a = asset_store_ ? asset_store_->stats() : AssetStoreStats{};
-    const SingleFlightStats af =
-        asset_store_ ? asset_store_->flight_stats() : SingleFlightStats{};
+    // The content-addressed layer under the cache. Partition invariant
+    // mirrored by the tests: lookups == exact_hits + semantic_hits + misses.
+    const AssetStoreStats a = asset_store_.stats();
+    const SingleFlightStats af = asset_store_.flight_stats();
     json.begin("asset_store");
-    json.field("enabled", asset_store_ != nullptr);
-    json.field("shards",
-               static_cast<std::uint64_t>(asset_store_ ? asset_store_->shard_count() : 0));
-    json.field("capacity_bytes", asset_store_ ? asset_store_->capacity_bytes() : 0);
+    json.field("shards", static_cast<std::uint64_t>(asset_store_.shard_count()));
+    json.field("capacity_bytes", asset_store_.capacity_bytes());
     json.field("entries", a.resident_entries);
     json.field("bytes", a.resident_bytes);
     json.field("lookups", a.lookups);

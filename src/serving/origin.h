@@ -32,14 +32,19 @@
 // leader ("serving.build.leader") fails its whole flight once, degraded.
 //
 // Overload safety (the build plane, DESIGN.md §11): ladder builds run
-// through a bounded serving::BuildQueue instead of inline in the request
+// through a bounded serving::BuildQueue, never inline in the request
 // thread. When the queue saturates, the flight is SHED — the request gets
 // the degraded original immediately (200, `AW4A-Tier: none`,
 // `AW4A-Degraded`, plus a `Retry-After` hint), never a 5xx and never an
-// unbounded wait. invalidate_host becomes stale-while-revalidate: resident
+// unbounded wait. invalidate_host is stale-while-revalidate: resident
 // ladders are flagged stale and keep serving at cache speed while detached
 // rebuilds are re-admitted at a bounded rate (at most half the queue), so a
 // mass invalidation cannot stampede the build plane.
+//
+// There is one configuration: cache, single-flight, queue and asset store
+// are always in the path. Each only saves work — a page answer equals the
+// one answer_page_request gives over a fresh Aw4aPipeline::build_tiers
+// ladder, or is a declared degraded/shed answer.
 #pragma once
 
 #include <cstdint>
@@ -72,32 +77,17 @@ struct OriginSite {
 
 struct OriginOptions {
   TierCacheOptions cache;
-  /// Off: every data-saving request builds (the bench's baseline mode).
-  bool cache_enabled = true;
   /// Monotonic seconds for TTL and build timing; null = steady_clock.
   /// Injectable so TTL tests don't sleep.
   std::function<double()> clock;
-  /// Default cold-build ladder prewarm workers applied to sites whose own
-  /// DeveloperConfig leaves prewarm_workers at 0 (a site-level nonzero value
-  /// wins). Purely a build-latency knob: ladder contents are bit-identical
-  /// either way, so it is not part of the cache key fingerprint.
-  int prewarm_workers = 0;
-  /// Off: builds run inline in the flight leader's thread with no admission
-  /// control (the pre-queue behavior), and invalidate_host drops entries
-  /// instead of marking them stale.
-  bool build_queue_enabled = true;
   /// Bounds and concurrency of the build plane. `build_queue.clock` is
   /// filled from `clock` when unset, so injectable-clock tests drive queue
   /// expiry and TTLs off one timeline.
   BuildQueueOptions build_queue;
-  /// The Retry-After hint (seconds) attached to shed responses.
-  int retry_after_seconds = 1;
-  /// Off: ladder builds enumerate every image locally (no cross-site
-  /// content-addressed reuse). On by default — the store can only save
-  /// work, never change a request's outcome (exact hits adopt bit-identical
-  /// families; any store failure falls back to local enumeration).
-  bool asset_store_enabled = true;
-  /// Capacity/sharding/semantic knobs of the content-addressed store.
+  /// Capacity/sharding/semantic knobs of the content-addressed store. The
+  /// store can only save work, never change a request's outcome (exact hits
+  /// adopt bit-identical families; any store failure falls back to local
+  /// enumeration).
   AssetStoreOptions asset_store;
 };
 
@@ -114,29 +104,17 @@ class OriginServer {
   /// Answers one request. Safe to call from many threads; never throws.
   net::HttpResponse handle(const net::HttpRequest& request) const;
 
-  /// Content push for one host. With the build queue on this is
-  /// stale-while-revalidate: cached ladders are flagged stale (still
-  /// served; rebuilds re-admitted at a bounded rate) and the count of
-  /// flagged entries is returned. With the queue off it hard-drops the
-  /// entries, as before. 0 for an unknown host.
+  /// Content push for one host, stale-while-revalidate: cached ladders are
+  /// flagged stale (still served; rebuilds re-admitted at a bounded rate)
+  /// and the count of flagged entries is returned. 0 for an unknown host.
   std::size_t invalidate_host(std::string_view host);
 
   std::size_t site_count() const { return sites_.size(); }
   MetricsSnapshot metrics() const { return metrics_.snapshot(); }
   TierCacheStats cache_stats() const { return cache_.stats(); }
   SingleFlightStats single_flight_stats() const { return flight_.stats(); }
-  /// Zeroed stats when the store is disabled.
-  AssetStoreStats asset_store_stats() const {
-    return asset_store_ ? asset_store_->stats() : AssetStoreStats{};
-  }
-  SingleFlightStats asset_flight_stats() const {
-    return asset_store_ ? asset_store_->flight_stats() : SingleFlightStats{};
-  }
-  const AssetStore* asset_store() const { return asset_store_.get(); }
-  /// Zeroed stats when the queue is disabled.
-  BuildQueueStats build_queue_stats() const {
-    return queue_ ? queue_->stats() : BuildQueueStats{};
-  }
+  AssetStoreStats asset_store_stats() const { return asset_store_.stats(); }
+  BuildQueueStats build_queue_stats() const { return queue_.stats(); }
 
   /// The /aw4a/stats body: one JSON object over metrics(), cache_stats()
   /// and single_flight_stats().
@@ -161,8 +139,8 @@ class OriginServer {
   net::HttpResponse handle_checked(const net::HttpRequest& request) const;
   net::HttpResponse stats_response() const;
   net::HttpResponse trace_response(const net::HttpRequest& request, const Site& site) const;
-  /// The per-request context: origin clock, site deadline and worker budget,
-  /// span sink wired to metrics_.stage_breakdown.
+  /// The per-request context: origin clock, the site config's deadline and
+  /// prewarm workers, span sink wired to metrics_.stage_breakdown.
   obs::RequestContext request_context(const Site& site) const;
   /// The Fig. 6 page answer for one site (original fast path, or ladder via
   /// cache + single-flight + queue). Bumps no served_* counters —
@@ -175,9 +153,8 @@ class OriginServer {
   /// (or its flight leader) failed; the caller degrades per request.
   LadderPtr ladder_for(const Site& site, const obs::RequestContext& ctx,
                        LadderSource* source) const;
-  /// The queue-admission gate in front of build_ladder: with the queue on,
-  /// the build runs on a pool worker under admission control (Overloaded on
-  /// shed); with it off, inline in this thread.
+  /// The queue-admission gate in front of build_ladder: the build runs on a
+  /// pool worker under admission control (Overloaded on shed).
   LadderPtr run_build(const Site& site, const obs::RequestContext& ctx) const;
   /// One real pipeline build, metered. Throws on failure.
   LadderPtr build_ladder(const Site& site, const obs::RequestContext& ctx) const;
@@ -187,14 +164,11 @@ class OriginServer {
 
   std::vector<Site> sites_;
   std::unordered_map<std::string, std::size_t> by_host_;
-  bool cache_enabled_;
-  int prewarm_workers_;
-  int retry_after_seconds_;
   std::function<double()> clock_;
   mutable TierCache cache_;
-  /// The content-addressed layer under the cache (null when disabled).
-  /// Shared by every site's builds: that sharing *is* the feature.
-  mutable std::unique_ptr<AssetStore> asset_store_;
+  /// The content-addressed layer under the cache. Shared by every site's
+  /// builds: that sharing *is* the feature.
+  mutable AssetStore asset_store_;
   mutable SingleFlight<TierKey, TierLadder, TierKeyHash> flight_;
   mutable ServingMetrics metrics_;
   /// Per-site save-data request counts: the queue's popularity ordering.
@@ -204,7 +178,7 @@ class OriginServer {
   mutable std::unordered_set<TierKey, TierKeyHash> refresh_pending_;
   /// Declared last on purpose: destroyed first, so draining queue jobs can
   /// still touch the cache, metrics and sites they reference.
-  mutable std::unique_ptr<BuildQueue> queue_;
+  mutable BuildQueue queue_;
 };
 
 }  // namespace aw4a::serving

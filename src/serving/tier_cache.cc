@@ -66,7 +66,6 @@ TierCacheStats& TierCacheStats::operator+=(const TierCacheStats& other) {
   inserts += other.inserts;
   evictions += other.evictions;
   expirations += other.expirations;
-  invalidations += other.invalidations;
   admission_rejects += other.admission_rejects;
   stale_marks += other.stale_marks;
   stale_hits += other.stale_hits;
@@ -171,18 +170,6 @@ bool TierCache::replace(const TierKey& key, LadderPtr ladder, double now_seconds
   return true;
 }
 
-std::size_t TierCache::invalidate_site(std::uint64_t site_id) {
-  std::size_t dropped = 0;
-  for (Shard& shard : shards_) {
-    const std::lock_guard lock(shard.mutex);
-    const std::size_t n = shard.lru.erase_if(
-        [site_id](const TierKey& key, const Resident&) { return key.site_id == site_id; });
-    shard.counters.invalidations += n;
-    dropped += n;
-  }
-  return dropped;
-}
-
 std::size_t TierCache::mark_stale_site(std::uint64_t site_id) {
   std::size_t marked = 0;
   for (Shard& shard : shards_) {
@@ -198,14 +185,6 @@ std::size_t TierCache::mark_stale_site(std::uint64_t site_id) {
     marked += in_shard;
   }
   return marked;
-}
-
-void TierCache::clear() {
-  for (Shard& shard : shards_) {
-    const std::lock_guard lock(shard.mutex);
-    shard.counters.invalidations += shard.lru.size();
-    shard.lru.clear();
-  }
 }
 
 std::vector<TierCacheStats> TierCache::shard_stats() const {

@@ -68,7 +68,6 @@ struct TierCacheStats {
   std::uint64_t inserts = 0;
   std::uint64_t evictions = 0;          ///< capacity evictions
   std::uint64_t expirations = 0;        ///< TTL drops (each also counts a miss)
-  std::uint64_t invalidations = 0;      ///< explicit invalidate/clear drops
   std::uint64_t admission_rejects = 0;  ///< ladders larger than a whole shard
   std::uint64_t stale_marks = 0;        ///< entries flagged by mark_stale_site
   std::uint64_t stale_hits = 0;         ///< hits on stale entries (also hits)
@@ -130,18 +129,11 @@ class TierCache {
   bool replace(const TierKey& key, LadderPtr ladder, double now_seconds,
                const obs::RequestContext& ctx = obs::RequestContext::none());
 
-  /// Drops every ladder of `site_id`, across configs and plans (a content
-  /// push invalidates them all). Returns the number dropped.
-  std::size_t invalidate_site(std::uint64_t site_id);
-
   /// Stale-while-revalidate invalidation: flags every resident ladder of
   /// `site_id` stale instead of dropping it, so requests keep getting
   /// answers at full cache speed while rebuilds queue behind admission
   /// control. Returns the number newly flagged.
   std::size_t mark_stale_site(std::uint64_t site_id);
-
-  /// Drops everything (counted as invalidations).
-  void clear();
 
   TierCacheStats stats() const;  ///< summed over shards
   std::vector<TierCacheStats> shard_stats() const;

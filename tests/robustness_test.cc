@@ -477,13 +477,11 @@ constexpr const char* kHost = "paper.example";
 
 serving::OriginServer one_site_origin(const web::WebPage& page, core::DeveloperConfig config,
                                       int prewarm_workers = 0) {
-  serving::OriginOptions options;
-  options.prewarm_workers = prewarm_workers;
+  config.prewarm_workers = prewarm_workers;
   return serving::OriginServer({{.host = kHost,
                                  .page = page,
                                  .config = std::move(config),
-                                 .plan = net::PlanType::kDataVoiceLowUsage}},
-                               std::move(options));
+                                 .plan = net::PlanType::kDataVoiceLowUsage}});
 }
 
 TEST_F(DegradationTest, ZeroTiersServerServesDegradedOriginal) {

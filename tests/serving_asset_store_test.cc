@@ -166,24 +166,6 @@ TEST(AssetStore, SemanticHitRespectsTheSsimThreshold) {
   EXPECT_EQ(store.stats().semantic_hits, 1u);
 }
 
-TEST(AssetStore, SemanticOffBuildsNearDuplicatesSeparately) {
-  AssetStore store(AssetStoreOptions{.semantic_enabled = false});
-  const auto asset = make_asset(3);
-  const imaging::LadderOptions options;
-  const auto first = store.acquire(asset, options, obs::RequestContext::none());
-  const auto dup = store.acquire(near_duplicate(asset), options, obs::RequestContext::none());
-  ASSERT_NE(first, nullptr);
-  ASSERT_NE(dup, nullptr);
-  EXPECT_NE(first.get(), dup.get());
-
-  const AssetStoreStats s = store.stats();
-  EXPECT_EQ(s.semantic_hits, 0u);
-  EXPECT_EQ(s.probes, 0u);
-  EXPECT_EQ(s.misses, 2u);
-  EXPECT_EQ(s.inserts, 2u);
-  expect_partition(s);
-}
-
 TEST(AssetStore, DistinctContentAndRecipesNeverShare) {
   AssetStore store;
   const auto asset = make_asset(5);

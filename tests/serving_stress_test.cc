@@ -148,7 +148,7 @@ TEST(ServingStress, EvictionChurnStaysCoherent) {
           ladder->cost_bytes = 1000;
           cache.insert(key, ladder, 0.0);
         }
-        if (i % 97 == 0) cache.invalidate_site(key.site_id);
+        if (i % 97 == 0) cache.mark_stale_site(key.site_id);
       }
     });
   }
@@ -157,7 +157,8 @@ TEST(ServingStress, EvictionChurnStaysCoherent) {
   EXPECT_LE(stats.resident_bytes, 8u * 1000u);
   EXPECT_EQ(stats.resident_bytes, stats.resident_entries * 1000u);
   EXPECT_GT(stats.evictions, 0u);
-  EXPECT_GE(stats.inserts, stats.evictions + stats.invalidations);
+  EXPECT_EQ(stats.inserts, stats.evictions + stats.resident_entries)
+      << "every admitted ladder is either resident or was evicted";
 }
 
 TEST(ServingStress, OriginServerConcurrentRealBuilds) {
@@ -224,9 +225,9 @@ TEST(ServingStress, PrewarmedColdBuildsUnderConcurrentLoad) {
   sites.push_back(OriginSite{"warm-1.example", gen.make_page(rng, 220 * kKB, gen.global_profile()),
                              config, net::PlanType::kDataVoiceLowUsage});
 
-  OriginOptions prewarm_options;
-  prewarm_options.prewarm_workers = 4;
-  const OriginServer prewarmed(sites, std::move(prewarm_options));
+  std::vector<OriginSite> prewarm_sites = sites;
+  for (OriginSite& site : prewarm_sites) site.config.prewarm_workers = 4;
+  const OriginServer prewarmed(std::move(prewarm_sites));
 
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kRequests = 5;
@@ -282,9 +283,9 @@ TEST(ServingStress, QfsScoredColdBuildsUnderConcurrentLoad) {
     sites.push_back(OriginSite{hosts.back(), gen.make_page(rng, 200 * kKB, gen.global_profile()),
                                config, net::PlanType::kDataVoiceLowUsage});
   }
-  OriginOptions prewarm_options;
-  prewarm_options.prewarm_workers = 4;
-  const OriginServer concurrent(sites, std::move(prewarm_options));
+  std::vector<OriginSite> prewarm_sites = sites;
+  for (OriginSite& site : prewarm_sites) site.config.prewarm_workers = 4;
+  const OriginServer concurrent(std::move(prewarm_sites));
 
   auto request_for = [](const std::string& host) {
     net::HttpRequest request;
