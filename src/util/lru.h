@@ -78,27 +78,9 @@ class LruMap {
     return victim;
   }
 
-  /// Erases every entry matching `pred(key, value)`; returns the count.
-  /// Recency order of survivors is untouched.
-  template <typename Pred>
-  std::size_t erase_if(Pred pred) {
-    std::size_t erased = 0;
-    for (auto it = order_.begin(); it != order_.end();) {
-      if (pred(it->key, it->value)) {
-        total_cost_ -= it->cost;
-        index_.erase(it->key);
-        it = order_.erase(it);
-        ++erased;
-      } else {
-        ++it;
-      }
-    }
-    return erased;
-  }
-
   /// Visits every entry (value mutable) most-recent first, with no recency
   /// update — for in-place marking sweeps (e.g. stale-flagging a site's
-  /// entries) where erase_if would throw residency away.
+  /// entries).
   template <typename Fn>
   void for_each(Fn fn) {
     for (Entry& entry : order_) fn(static_cast<const Key&>(entry.key), entry.value);

@@ -54,30 +54,5 @@ TEST(LruMap, DuplicateInsertIsAPreconditionViolation) {
   EXPECT_THROW(lru.insert(1, 0, 1), LogicError);
 }
 
-TEST(LruMap, EraseIfFiltersByKeyAndValue) {
-  LruMap<int, int> lru;
-  for (int i = 0; i < 10; ++i) lru.insert(i, i * i, 1);
-  const std::size_t erased =
-      lru.erase_if([](int key, int value) { return key % 2 == 0 || value > 49; });
-  EXPECT_EQ(erased, 6u);  // the five evens, plus 9 whose square exceeds 49
-  EXPECT_EQ(lru.size(), 4u);
-  EXPECT_EQ(lru.total_cost(), 4u);
-  EXPECT_NE(lru.peek(1), nullptr);
-  EXPECT_NE(lru.peek(3), nullptr);
-  EXPECT_NE(lru.peek(5), nullptr);
-  EXPECT_NE(lru.peek(7), nullptr);
-}
-
-TEST(LruMap, EraseIfPreservesSurvivorOrder) {
-  LruMap<int, int> lru;
-  lru.insert(1, 0, 1);
-  lru.insert(2, 0, 1);
-  lru.insert(3, 0, 1);
-  lru.erase_if([](int key, int) { return key == 2; });
-  const auto victim = lru.evict_lru();
-  ASSERT_TRUE(victim.has_value());
-  EXPECT_EQ(victim->key, 1);  // still the least recently inserted survivor
-}
-
 }  // namespace
 }  // namespace aw4a
