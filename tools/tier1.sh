@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Tier-1 gate: the full test suite in the standard configuration, plus the
-# robustness, asset-store, rANS-coder, markup and quality suites under
-# ASan+UBSan (fault injection, eviction churn, attacker-controlled
-# entropy-coded payloads, the length-prefixed AWML parser on truncated or
-# tampered blobs, and the per-build QFS memo's stored views exercise the
-# paths where lifetime and UB bugs hide), plus the full suite under UBSan
+# Tier-1 gate: the full test suite in the standard configuration, plus
+# originbench's smoke and oracle tests, plus the robustness, asset-store,
+# rANS-coder, markup and quality suites under ASan+UBSan (fault injection,
+# eviction churn, attacker-controlled entropy-coded payloads, the
+# length-prefixed AWML parser on truncated or tampered blobs, and the
+# per-build QFS memo's stored views exercise the paths where lifetime and
+# UB bugs hide), plus the full suite under UBSan
 # alone (cheap enough to run everything), plus the serving suite and the
 # rANS coder under TSan (the tier cache, single-flight, and the
 # content-addressed asset store are the concurrent core; the coder's
@@ -17,6 +18,11 @@ cd "$(dirname "$0")/.."
 cmake -B build -S . >/dev/null
 cmake --build build -j >/dev/null
 (cd build && ctest --output-on-failure --timeout 300 -j "$(nproc)")
+
+# originbench builds its own Release copy of src/ against the OriginServer
+# API; its smoke test runs every workload briefly and its oracle self-test,
+# so an API or answer change that breaks the benchmark fails here.
+python3 -m unittest discover -s originbench -p 'test_*.py'
 
 cmake -B build-asan -S . -DAW4A_SANITIZE=ON >/dev/null
 cmake --build build-asan -j --target robustness_test serving_asset_store_test imaging_ans_test web_markup_test core_quality_test >/dev/null
