@@ -24,12 +24,12 @@
 // Bytes built come from imaging::build_work_stats() (process-wide encoder
 // counters), so the pass runs strictly serially: one request per site, one
 // build at a time, prewarm pinned to one worker — the numbers are a
-// deterministic function of the corpus. Prewarm is ON in both modes on purpose: a store
-// miss warms the *full* family set (that is what a later hit adopts), so the
-// fair baseline is the prewarmed cold build that enumerates the same set.
-// Without prewarm the lazy path builds only the families the solvers happen
-// to demand, and the store's first-build warming would be charged for
-// families the baseline never paid for.
+// deterministic function of the corpus. Prewarm is ON in both modes on
+// purpose: a store miss warms the *full* family set (that is what a later
+// hit adopts), so the fair baseline is the prewarmed cold build that
+// enumerates the same set. Without prewarm the lazy path builds only the
+// families the solvers happen to demand, and the store's first-build
+// warming would be charged for families the baseline never paid for.
 //
 // Exit status is the acceptance check (run by tier1.sh): non-zero when the
 // 30% row saves less than 20% of bytes built or of cold-build time, or when
