@@ -90,7 +90,7 @@ struct MetricsSnapshot {
   // ladder_cached + ladder_stale + ladder_built.
   std::uint64_t ladder_cached = 0;  ///< fresh cache hit
   std::uint64_t ladder_stale = 0;   ///< stale hit (refresh queued behind it)
-  std::uint64_t ladder_built = 0;   ///< built this flight (or cache off/bypassed)
+  std::uint64_t ladder_built = 0;   ///< built this flight (or cache bypassed)
   // Rung kind of the tier behind each tier answer (core::TierKind).
   // Partition: served_paw_tier + served_preference_tier ==
   // served_kind_image + served_kind_text_only + served_kind_markup_rewrite.
