@@ -165,9 +165,17 @@ std::optional<HttpResponse> parse_response(std::string_view text) {
   if (!line.empty() && line.back() == '\r') line.pop_back();
   std::istringstream status_line(line);
   HttpResponse response;
-  if (!(status_line >> response.version >> response.status)) return std::nullopt;
+  std::string code;
+  if (!(status_line >> response.version >> code)) return std::nullopt;
   if (response.version.rfind("HTTP/", 0) != 0) return std::nullopt;
-  std::getline(status_line, response.reason);
+  // RFC 9112: the status code is exactly three digits (no sign, no suffix).
+  if (code.size() != 3 ||
+      !std::all_of(code.begin(), code.end(), [](char c) { return c >= '0' && c <= '9'; })) {
+    return std::nullopt;
+  }
+  response.status = std::stoi(code);
+  // The reason phrase is optional; a bare "HTTP/1.1 404" has an empty one.
+  if (!std::getline(status_line, response.reason)) response.reason.clear();
   const std::string_view reason_trimmed = trim(response.reason);
   response.reason = std::string(reason_trimmed);
   if (!parse_headers(in, response.headers)) return std::nullopt;
@@ -177,7 +185,7 @@ std::optional<HttpResponse> parse_response(std::string_view text) {
     Bytes length = 0;
     const std::string_view s = trim(*v);
     const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), length);
-    if (ec != std::errc{}) return std::nullopt;
+    if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
     response.content_length = length;
   }
   return response;

@@ -183,5 +183,116 @@ TEST(Http, ExplicitContentLengthHeaderWins) {
   EXPECT_EQ(wire.find("999"), std::string::npos);
 }
 
+TEST(Http, StatusCodeIsExactlyThreeDigits) {
+  // RFC 9112: status-code = 3DIGIT. No sign, no suffix, no other width.
+  for (const char* line : {"HTTP/1.1 +200 OK", "HTTP/1.1 -5 Nope", "HTTP/1.1 200x OK",
+                           "HTTP/1.1 20 OK", "HTTP/1.1 2000 OK", "HTTP/1.1 OK"}) {
+    EXPECT_FALSE(parse_response(std::string(line) + "\r\n\r\n").has_value()) << line;
+  }
+  const auto parsed = parse_response("HTTP/1.1 204 No Content\r\n\r\n");
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->status, 204);
+}
+
+TEST(Http, MissingReasonPhraseIsEmpty) {
+  for (const char* wire : {"HTTP/1.1 404\r\n\r\n", "HTTP/1.1 404 \r\n\r\n"}) {
+    const auto parsed = parse_response(wire);
+    ASSERT_TRUE(parsed.has_value()) << wire;
+    EXPECT_EQ(parsed->status, 404);
+    EXPECT_EQ(parsed->reason, "") << wire;
+  }
+}
+
+TEST(Http, ContentLengthRejectsTrailingJunk) {
+  EXPECT_FALSE(parse_response("HTTP/1.1 200 OK\r\nContent-Length: 12abc\r\n\r\n").has_value());
+  EXPECT_FALSE(parse_response("HTTP/1.1 200 OK\r\nContent-Length: 1 2\r\n\r\n").has_value());
+  EXPECT_FALSE(parse_response("HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n").has_value());
+  const auto parsed = parse_response("HTTP/1.1 200 OK\r\nContent-Length:  12 \r\n\r\n");
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->content_length, 12u);
+}
+
+// The accepted grammar at its edges, verdict and parsed fields alike.
+TEST(Http, EdgeCaseVerdicts) {
+  // LF-only line ends are accepted as if they were CRLF.
+  {
+    const auto request = parse_request("GET /a HTTP/1.1\nHost: x\n\n");
+    ASSERT_TRUE(request.has_value());
+    EXPECT_EQ(request->path, "/a");
+    ASSERT_EQ(request->headers.size(), 1u);
+    EXPECT_EQ(request->headers[0].name, "Host");
+    EXPECT_EQ(request->headers[0].value, "x");
+    const auto response = parse_response("HTTP/1.1 200 OK\nContent-Length: 5\n\nhello");
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->status, 200);
+    EXPECT_EQ(response->reason, "OK");
+    EXPECT_EQ(response->body, "hello");
+    EXPECT_EQ(response->content_length, 5u);
+  }
+  // The start line splits on any run of whitespace: tabs, vertical tabs,
+  // repeated spaces. The reason phrase keeps its inner spacing.
+  {
+    const auto request = parse_request("GET\t/b \v  HTTP/1.0\r\n\r\n");
+    ASSERT_TRUE(request.has_value());
+    EXPECT_EQ(request->method, "GET");
+    EXPECT_EQ(request->path, "/b");
+    EXPECT_EQ(request->version, "HTTP/1.0");
+    const auto response = parse_response("HTTP/1.1\t\v404  Not  Found \t\r\n\r\n");
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->version, "HTTP/1.1");
+    EXPECT_EQ(response->status, 404);
+    EXPECT_EQ(response->reason, "Not  Found");
+  }
+  // A lone CR as the final line ends the head like a blank line.
+  {
+    const auto request = parse_request("GET / HTTP/1.1\r\nHost: x\r\n\r");
+    ASSERT_TRUE(request.has_value());
+    ASSERT_EQ(request->headers.size(), 1u);
+    EXPECT_EQ(request->headers[0].value, "x");
+    const auto response = parse_response("HTTP/1.1 200 OK\r\n\r");
+    ASSERT_TRUE(response.has_value());
+    EXPECT_TRUE(response->body.empty());
+  }
+  // Bytes after a request head are ignored; after a response head they are
+  // the body (no Content-Length header: content_length stays 0).
+  {
+    const auto request = parse_request("GET / HTTP/1.1\r\n\r\nGET /next HTTP/1.1\r\n\r\n");
+    ASSERT_TRUE(request.has_value());
+    EXPECT_EQ(request->path, "/");
+    EXPECT_TRUE(request->headers.empty());
+    const auto response = parse_response("HTTP/1.1 200 OK\r\n\r\nbody\r\n\r\nbytes");
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->body, "body\r\n\r\nbytes");
+    EXPECT_EQ(response->content_length, 0u);
+  }
+  // An empty (or all-blank) header value is kept as "".
+  {
+    const auto request = parse_request("GET / HTTP/1.1\r\nX-Empty:\r\nX-Blank: \t \r\n\r\n");
+    ASSERT_TRUE(request.has_value());
+    ASSERT_EQ(request->headers.size(), 2u);
+    EXPECT_EQ(request->headers[0].name, "X-Empty");
+    EXPECT_EQ(request->headers[0].value, "");
+    EXPECT_EQ(request->headers[1].name, "X-Blank");
+    EXPECT_EQ(request->headers[1].value, "");
+  }
+  // A bare CR does not end a line: here it leaves a fourth token on the
+  // request line, which is rejected.
+  EXPECT_FALSE(parse_request("GET / HTTP/1.1\rHost: x\r\n\r\n").has_value());
+  // 100 headers are accepted, 101 are not, in requests and responses alike.
+  {
+    std::string headers;
+    for (int i = 0; i < 100; ++i) headers += "H" + std::to_string(i) + ": v\r\n";
+    const std::string extra = "H100: v\r\n";
+    const auto request = parse_request("GET / HTTP/1.1\r\n" + headers + "\r\n");
+    ASSERT_TRUE(request.has_value());
+    EXPECT_EQ(request->headers.size(), 100u);
+    const auto response = parse_response("HTTP/1.1 200 OK\r\n" + headers + "\r\n");
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->headers.size(), 100u);
+    EXPECT_FALSE(parse_request("GET / HTTP/1.1\r\n" + headers + extra + "\r\n").has_value());
+    EXPECT_FALSE(parse_response("HTTP/1.1 200 OK\r\n" + headers + extra + "\r\n").has_value());
+  }
+}
+
 }  // namespace
 }  // namespace aw4a::net
