@@ -59,6 +59,74 @@ bool parse_headers(std::istringstream& in, std::vector<HttpHeader>& out) {
   return false;  // EOF before the CRLF terminator: truncated message
 }
 
+/// Whitespace as the start line's tokenizer sees it: `isspace` in the C
+/// locale. A line never holds an LF.
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\v' || c == '\f' || c == '\r';
+}
+
+/// Removes and returns the next whitespace-delimited word of `line` (empty
+/// when only whitespace is left). The whitespace after the word stays.
+std::string_view next_word(std::string_view& line) {
+  std::size_t begin = 0;
+  while (begin < line.size() && is_space(line[begin])) ++begin;
+  std::size_t end = begin;
+  while (end < line.size() && !is_space(line[end])) ++end;
+  const std::string_view word = line.substr(begin, end - begin);
+  line.remove_prefix(end);
+  return word;
+}
+
+/// Takes the next line off `text`: the bytes up to the next LF (or to the
+/// end), with one trailing CR stripped. False when `text` is empty.
+bool next_line(std::string_view& text, std::string_view& line) {
+  if (text.empty()) return false;
+  const std::size_t lf = text.find('\n');
+  line = text.substr(0, lf);
+  text.remove_prefix(lf == std::string_view::npos ? text.size() : lf + 1);
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  return true;
+}
+
+/// A message head, split in one pass over the input.
+struct Head {
+  std::string_view start_line;
+  std::vector<HttpHeader> headers;
+  std::string_view rest;  ///< the bytes after the blank line
+};
+
+/// Scans the start line and the header lines up to the blank line. nullopt
+/// on empty input, a malformed header line, more than kMaxHeaders headers,
+/// or a head that ends before its blank line (a truncated message).
+std::optional<Head> scan_head(std::string_view text) {
+  Head head;
+  if (!next_line(text, head.start_line)) return std::nullopt;
+  std::string_view line;
+  while (next_line(text, line)) {
+    if (line.empty()) {
+      head.rest = text;
+      return head;
+    }
+    if (head.headers.size() >= kMaxHeaders) return std::nullopt;
+    const auto colon = line.find(':');
+    if (colon == std::string_view::npos) return std::nullopt;
+    const std::string_view name = line.substr(0, colon);
+    if (!valid_token(name)) return std::nullopt;
+    head.headers.push_back(
+        HttpHeader{std::string(name), std::string(trim(line.substr(colon + 1)))});
+  }
+  return std::nullopt;
+}
+
+/// Parses a whole unsigned decimal field (surrounding blanks allowed).
+std::optional<Bytes> parse_length(std::string_view text) {
+  const std::string_view s = trim(text);
+  Bytes value = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
+  return value;
+}
+
 }  // namespace
 
 const std::string* find_header(const std::vector<HttpHeader>& headers, std::string_view name) {
@@ -142,6 +210,53 @@ std::string serialize(const HttpResponse& response) {
 }
 
 std::optional<HttpRequest> parse_request(std::string_view text) {
+  std::optional<Head> head = scan_head(text);
+  if (!head) return std::nullopt;
+  std::string_view line = head->start_line;
+  const std::string_view method = next_word(line);
+  const std::string_view path = next_word(line);
+  const std::string_view version = next_word(line);
+  if (version.empty() || !next_word(line).empty()) return std::nullopt;
+  if (!version.starts_with("HTTP/")) return std::nullopt;
+  HttpRequest request;
+  request.method = method;
+  request.path = path;
+  request.version = version;
+  request.headers = std::move(head->headers);
+  return request;
+}
+
+std::optional<HttpResponse> parse_response(std::string_view text) {
+  std::optional<Head> head = scan_head(text);
+  if (!head) return std::nullopt;
+  std::string_view line = head->start_line;
+  const std::string_view version = next_word(line);
+  const std::string_view code = next_word(line);
+  if (!version.starts_with("HTTP/")) return std::nullopt;
+  // RFC 9112: the status code is exactly three digits (no sign, no suffix).
+  if (code.size() != 3 ||
+      !std::all_of(code.begin(), code.end(), [](char c) { return c >= '0' && c <= '9'; })) {
+    return std::nullopt;
+  }
+  HttpResponse response;
+  response.version = version;
+  response.status = (code[0] - '0') * 100 + (code[1] - '0') * 10 + (code[2] - '0');
+  // The reason phrase is optional; a bare "HTTP/1.1 404" has an empty one.
+  response.reason = trim(line);
+  response.headers = std::move(head->headers);
+  // Whatever follows the head is the body (this layer never chunk-encodes).
+  response.body = head->rest;
+  if (const std::string* v = response.header("Content-Length")) {
+    const std::optional<Bytes> length = parse_length(*v);
+    if (!length) return std::nullopt;
+    response.content_length = *length;
+  }
+  return response;
+}
+
+namespace legacy {
+
+std::optional<HttpRequest> parse_request(std::string_view text) {
   std::istringstream in{std::string(text)};
   std::string line;
   if (!std::getline(in, line)) return std::nullopt;
@@ -190,5 +305,7 @@ std::optional<HttpResponse> parse_response(std::string_view text) {
   }
   return response;
 }
+
+}  // namespace legacy
 
 }  // namespace aw4a::net
