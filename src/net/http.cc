@@ -4,136 +4,90 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <iterator>
-#include <sstream>
 
 namespace aw4a::net {
 namespace {
 
 bool iequals(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
+  return std::ranges::equal(
+      a, b, [](unsigned char x, unsigned char y) { return std::tolower(x) == std::tolower(y); });
 }
 
+/// Drops leading blanks, and trailing blanks and CRs.
 std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t' || s.back() == '\r')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
-bool valid_token(std::string_view name) {
-  if (name.empty()) return false;
-  return std::none_of(name.begin(), name.end(), [](char c) {
-    return c == ' ' || c == '\t' || c == ':' || c == '\r' || c == '\n';
-  });
+  s.remove_prefix(std::min(s.find_first_not_of(" \t"), s.size()));
+  return s.substr(0, s.find_last_not_of(" \t\r") + 1);
 }
 
 /// A head with more headers than any sane client sends is either corrupt or
 /// hostile; parsing is refused rather than buffering without bound.
 constexpr std::size_t kMaxHeaders = 100;
 
-/// Parses header lines shared by requests and responses. Returns false on a
-/// malformed line, a missing blank-line terminator (truncated head), or an
-/// oversized header count.
-bool parse_headers(std::istringstream& in, std::vector<HttpHeader>& out) {
-  std::string line;
-  while (std::getline(in, line)) {
-    std::string_view view = line;
-    if (!view.empty() && view.back() == '\r') view.remove_suffix(1);
-    if (view.empty()) return true;  // blank line: end of head
-    if (out.size() >= kMaxHeaders) return false;
-    const auto colon = view.find(':');
-    if (colon == std::string_view::npos) return false;
-    const std::string_view name = view.substr(0, colon);
-    if (!valid_token(name)) return false;
-    out.push_back(HttpHeader{std::string(name), std::string(trim(view.substr(colon + 1)))});
-  }
-  return false;  // EOF before the CRLF terminator: truncated message
+/// from_chars over all of `s` but its surrounding blanks; false on junk.
+template <typename T>
+bool parse_number(std::string_view s, T& value) {
+  s = trim(s);
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  return ec == std::errc{} && ptr == s.data() + s.size();
 }
 
-/// Whitespace as the start line's tokenizer sees it: `isspace` in the C
-/// locale. A line never holds an LF.
-bool is_space(char c) {
-  return c == ' ' || c == '\t' || c == '\v' || c == '\f' || c == '\r';
-}
+/// Start-line word separators: `isspace` in the C locale (a line has no LF).
+constexpr std::string_view kSpace = " \t\v\f\r";
 
-/// Removes and returns the next whitespace-delimited word of `line` (empty
-/// when only whitespace is left). The whitespace after the word stays.
+/// Removes and returns the next word of `line`; empty when none is left.
 std::string_view next_word(std::string_view& line) {
-  std::size_t begin = 0;
-  while (begin < line.size() && is_space(line[begin])) ++begin;
-  std::size_t end = begin;
-  while (end < line.size() && !is_space(line[end])) ++end;
-  const std::string_view word = line.substr(begin, end - begin);
-  line.remove_prefix(end);
+  line.remove_prefix(std::min(line.find_first_not_of(kSpace), line.size()));
+  const std::string_view word = line.substr(0, line.find_first_of(kSpace));
+  line.remove_prefix(word.size());
   return word;
 }
 
 /// Takes the next line off `text`: the bytes up to the next LF (or to the
-/// end), with one trailing CR stripped. False when `text` is empty.
-bool next_line(std::string_view& text, std::string_view& line) {
-  if (text.empty()) return false;
-  const std::size_t lf = text.find('\n');
-  line = text.substr(0, lf);
-  text.remove_prefix(lf == std::string_view::npos ? text.size() : lf + 1);
-  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  return true;
+/// end), minus one trailing CR.
+std::string_view next_line(std::string_view& text) {
+  const std::string_view line = text.substr(0, text.find('\n'));
+  text.remove_prefix(std::min(line.size() + 1, text.size()));
+  return line.ends_with('\r') ? line.substr(0, line.size() - 1) : line;
 }
 
-/// A message head, split in one pass over the input.
-struct Head {
-  std::string_view start_line;
-  std::vector<HttpHeader> headers;
-  std::string_view rest;  ///< the bytes after the blank line
-};
-
-/// Scans the start line and the header lines up to the blank line. nullopt
-/// on empty input, a malformed header line, more than kMaxHeaders headers,
-/// or a head that ends before its blank line (a truncated message).
-std::optional<Head> scan_head(std::string_view text) {
-  Head head;
-  if (!next_line(text, head.start_line)) return std::nullopt;
-  std::string_view line;
-  while (next_line(text, line)) {
-    if (line.empty()) {
-      head.rest = text;
-      return head;
-    }
-    if (head.headers.size() >= kMaxHeaders) return std::nullopt;
+/// The one head scanner: the start line, then header lines up to the blank
+/// line, in one pass. Returns the bytes after the blank line; nullopt on empty
+/// input, a bad header line, over kMaxHeaders headers, or no blank line.
+std::optional<std::string_view> scan_head(std::string_view text, std::string_view& start_line,
+                                          std::vector<HttpHeader>& headers) {
+  if (text.empty()) return std::nullopt;
+  start_line = next_line(text);
+  while (!text.empty()) {
+    const std::string_view line = next_line(text);
+    if (line.empty()) return text;
     const auto colon = line.find(':');
-    if (colon == std::string_view::npos) return std::nullopt;
+    if (headers.size() >= kMaxHeaders || colon == std::string_view::npos) return std::nullopt;
     const std::string_view name = line.substr(0, colon);
-    if (!valid_token(name)) return std::nullopt;
-    head.headers.push_back(
-        HttpHeader{std::string(name), std::string(trim(line.substr(colon + 1)))});
+    if (name.empty() || name.find_first_of(" \t\r") != std::string_view::npos) return std::nullopt;
+    headers.push_back({std::string(name), std::string(trim(line.substr(colon + 1)))});
   }
   return std::nullopt;
 }
 
-/// Parses a whole unsigned decimal field (surrounding blanks allowed).
-std::optional<Bytes> parse_length(std::string_view text) {
-  const std::string_view s = trim(text);
-  Bytes value = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
-  return value;
+/// The start line `a b c` and the header lines, in one string reserved for
+/// them plus `tail` more bytes. The caller ends the head.
+std::string write_head(std::string_view a, std::string_view b, std::string_view c,
+                       const std::vector<HttpHeader>& headers, std::size_t tail) {
+  std::size_t size = a.size() + b.size() + c.size() + 4 + tail;
+  for (const auto& h : headers) size += h.name.size() + h.value.size() + 4;
+  std::string out;
+  out.reserve(size);
+  out.append(a).append(" ").append(b).append(" ").append(c).append("\r\n");
+  for (const auto& h : headers) out.append(h.name).append(": ").append(h.value).append("\r\n");
+  return out;
 }
 
 }  // namespace
 
 const std::string* find_header(const std::vector<HttpHeader>& headers, std::string_view name) {
-  for (const auto& h : headers) {
-    if (iequals(h.name, name)) return &h.value;
-  }
-  return nullptr;
+  const auto it =
+      std::ranges::find_if(headers, [&](const auto& h) { return iequals(h.name, name); });
+  return it == headers.end() ? nullptr : &it->value;
 }
 
 bool HttpRequest::save_data() const {
@@ -161,151 +115,70 @@ std::optional<std::string> HttpRequest::country_hint() const {
   const std::string_view s = trim(*v);
   // Anything but exactly two ASCII letters is junk (full names, numbers,
   // empty) — degrade to "country unknown" rather than fail a lookup later.
-  if (s.size() != 2) return std::nullopt;
-  std::string code;
-  for (const char c : s) {
-    const bool ascii_alpha = (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z');
-    if (!ascii_alpha) return std::nullopt;
-    code += static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  }
+  const auto letter = [](char c) { return (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z'); };
+  if (s.size() != 2 || !std::ranges::all_of(s, letter)) return std::nullopt;
+  std::string code(s);
+  for (char& c : code) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
   return code;
 }
 
 std::optional<double> HttpRequest::preferred_savings_pct() const {
   const std::string* v = header("AW4A-Savings");
   if (v == nullptr) return std::nullopt;
-  const std::string_view s = trim(*v);
   double value = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
+  if (!parse_number(*v, value)) return std::nullopt;
   // from_chars accepts "nan"/"inf"; a non-finite preference would poison the
   // closest-tier comparisons downstream, so reject it with the other junk.
-  if (!std::isfinite(value)) return std::nullopt;
-  if (value < 0.0 || value >= 100.0) return std::nullopt;
+  if (!std::isfinite(value) || value < 0.0 || value >= 100.0) return std::nullopt;
   return value;
 }
 
 std::string serialize(const HttpRequest& request) {
-  std::string out = request.method + " " + request.path + " " + request.version + "\r\n";
-  for (const auto& h : request.headers) out += h.name + ": " + h.value + "\r\n";
-  out += "\r\n";
-  return out;
+  return write_head(request.method, request.path, request.version, request.headers, 2) + "\r\n";
 }
 
 std::string serialize(const HttpResponse& response) {
-  std::string out =
-      response.version + " " + std::to_string(response.status) + " " + response.reason + "\r\n";
-  bool has_length = false;
-  for (const auto& h : response.headers) {
-    out += h.name + ": " + h.value + "\r\n";
-    if (iequals(h.name, "Content-Length")) has_length = true;
-  }
-  if (!has_length) {
+  // Room for an added Content-Length line, the blank line and the body.
+  std::string out = write_head(response.version, std::to_string(response.status), response.reason,
+                               response.headers, 40 + response.body.size());
+  if (find_header(response.headers, "Content-Length") == nullptr) {
     const Bytes length = response.body.empty() ? response.content_length : response.body.size();
-    out += "Content-Length: " + std::to_string(length) + "\r\n";
+    out.append("Content-Length: ").append(std::to_string(length)).append("\r\n");
   }
-  out += "\r\n";
-  out += response.body;
+  out.append("\r\n").append(response.body);
   return out;
 }
 
 std::optional<HttpRequest> parse_request(std::string_view text) {
-  std::optional<Head> head = scan_head(text);
-  if (!head) return std::nullopt;
-  std::string_view line = head->start_line;
-  const std::string_view method = next_word(line);
-  const std::string_view path = next_word(line);
-  const std::string_view version = next_word(line);
-  if (version.empty() || !next_word(line).empty()) return std::nullopt;
-  if (!version.starts_with("HTTP/")) return std::nullopt;
   HttpRequest request;
-  request.method = method;
-  request.path = path;
-  request.version = version;
-  request.headers = std::move(head->headers);
+  std::string_view line;
+  if (!scan_head(text, line, request.headers)) return std::nullopt;
+  request.method = next_word(line);
+  request.path = next_word(line);
+  request.version = next_word(line);
+  if (!request.version.starts_with("HTTP/") || !next_word(line).empty()) return std::nullopt;
   return request;
 }
 
 std::optional<HttpResponse> parse_response(std::string_view text) {
-  std::optional<Head> head = scan_head(text);
-  if (!head) return std::nullopt;
-  std::string_view line = head->start_line;
-  const std::string_view version = next_word(line);
+  HttpResponse response;
+  std::string_view line;
+  const std::optional<std::string_view> body = scan_head(text, line, response.headers);
+  if (!body) return std::nullopt;
+  response.version = next_word(line);
+  // RFC 9112: the status code is exactly three digits (no sign, no suffix).
   const std::string_view code = next_word(line);
-  if (!version.starts_with("HTTP/")) return std::nullopt;
-  // RFC 9112: the status code is exactly three digits (no sign, no suffix).
-  if (code.size() != 3 ||
-      !std::all_of(code.begin(), code.end(), [](char c) { return c >= '0' && c <= '9'; })) {
+  if (!response.version.starts_with("HTTP/") || code.size() != 3 ||
+      !parse_number(code, response.status) || response.status < 0) {
     return std::nullopt;
   }
-  HttpResponse response;
-  response.version = version;
-  response.status = (code[0] - '0') * 100 + (code[1] - '0') * 10 + (code[2] - '0');
-  // The reason phrase is optional; a bare "HTTP/1.1 404" has an empty one.
+  // The reason phrase is optional: a bare "HTTP/1.1 404" has an empty one.
   response.reason = trim(line);
-  response.headers = std::move(head->headers);
   // Whatever follows the head is the body (this layer never chunk-encodes).
-  response.body = head->rest;
-  if (const std::string* v = response.header("Content-Length")) {
-    const std::optional<Bytes> length = parse_length(*v);
-    if (!length) return std::nullopt;
-    response.content_length = *length;
-  }
+  response.body = *body;
+  const std::string* length = response.header("Content-Length");
+  if (length != nullptr && !parse_number(*length, response.content_length)) return std::nullopt;
   return response;
 }
-
-namespace legacy {
-
-std::optional<HttpRequest> parse_request(std::string_view text) {
-  std::istringstream in{std::string(text)};
-  std::string line;
-  if (!std::getline(in, line)) return std::nullopt;
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  std::istringstream request_line(line);
-  HttpRequest request;
-  if (!(request_line >> request.method >> request.path >> request.version)) {
-    return std::nullopt;
-  }
-  std::string extra;
-  if (request_line >> extra) return std::nullopt;  // junk after the version
-  if (request.version.rfind("HTTP/", 0) != 0) return std::nullopt;
-  if (!parse_headers(in, request.headers)) return std::nullopt;
-  return request;
-}
-
-std::optional<HttpResponse> parse_response(std::string_view text) {
-  std::istringstream in{std::string(text)};
-  std::string line;
-  if (!std::getline(in, line)) return std::nullopt;
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  std::istringstream status_line(line);
-  HttpResponse response;
-  std::string code;
-  if (!(status_line >> response.version >> code)) return std::nullopt;
-  if (response.version.rfind("HTTP/", 0) != 0) return std::nullopt;
-  // RFC 9112: the status code is exactly three digits (no sign, no suffix).
-  if (code.size() != 3 ||
-      !std::all_of(code.begin(), code.end(), [](char c) { return c >= '0' && c <= '9'; })) {
-    return std::nullopt;
-  }
-  response.status = std::stoi(code);
-  // The reason phrase is optional; a bare "HTTP/1.1 404" has an empty one.
-  if (!std::getline(status_line, response.reason)) response.reason.clear();
-  const std::string_view reason_trimmed = trim(response.reason);
-  response.reason = std::string(reason_trimmed);
-  if (!parse_headers(in, response.headers)) return std::nullopt;
-  // Whatever follows the head is the body (this layer never chunk-encodes).
-  response.body.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  if (const std::string* v = response.header("Content-Length")) {
-    Bytes length = 0;
-    const std::string_view s = trim(*v);
-    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), length);
-    if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
-    response.content_length = length;
-  }
-  return response;
-}
-
-}  // namespace legacy
 
 }  // namespace aw4a::net

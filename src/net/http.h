@@ -4,9 +4,9 @@
 // the server what to serve". On the real Web that conversation is HTTP
 // headers — most directly the standardized `Save-Data: on` client hint
 // (RFC 8674), plus the CDN-style geo hint and a savings-preference
-// extension header. This module gives the repository a real wire surface:
-// parse/serialize requests and responses, case-insensitive header access,
-// and typed accessors for the three hints the framework consumes.
+// extension header. This module is the repository's wire surface: one
+// single-pass head scanner behind both parsers, one header-block writer
+// behind both serializers, and typed accessors for the three hints.
 #pragma once
 
 #include <optional>
@@ -32,9 +32,7 @@ struct HttpRequest {
   std::string version = "HTTP/1.1";
   std::vector<HttpHeader> headers;
 
-  const std::string* header(std::string_view name) const {
-    return find_header(headers, name);
-  }
+  const std::string* header(std::string_view name) const { return find_header(headers, name); }
 
   /// RFC 8674: `Save-Data: on` — the user opted into data saving.
   bool save_data() const;
@@ -66,29 +64,26 @@ struct HttpResponse {
   /// serving stats endpoint). Empty for simulated page responses.
   std::string body;
 
-  const std::string* header(std::string_view name) const {
-    return find_header(headers, name);
-  }
+  const std::string* header(std::string_view name) const { return find_header(headers, name); }
 };
 
-/// Serializes to wire format (CRLF line endings, blank-line terminator).
-/// A non-empty response body follows the terminator, with Content-Length set
-/// to its size (unless an explicit Content-Length header overrides).
+/// Writes CRLF lines and the blank line. A response without a Content-Length
+/// header gets one (its body's size, else content_length), then its body.
 std::string serialize(const HttpRequest& request);
 std::string serialize(const HttpResponse& response);
 
-/// Parses a request/response head. Returns nullopt on malformed input:
-/// bad request line, missing colon, embedded whitespace in names, a head
-/// that ends before its blank-line (CRLF) terminator, or more than 100
-/// header lines. Response text after the terminator becomes `body`.
+/// Parses a message head; nullopt unless it matches this grammar:
+///   line     = bytes up to an LF or the end of input, one trailing CR dropped
+///   head     = start line, at most 100 header lines, an empty line (a lone CR
+///              as the last line of input is one)
+///   request  = method WS path WS version [WS], version starting "HTTP/"
+///   response = version WS status [WS reason], status exactly three digits
+///   WS       = a run of SP, HT, VT, FF or CR; the reason keeps its inner WS
+///   header   = name ":" value; name non-empty without SP, HT or CR; value
+///              trimmed of SP and HT (and trailing CR), possibly empty
+/// Bytes after a request head are ignored; after a response head they are
+/// `body`, and a Content-Length header must hold only digits (and blanks).
 std::optional<HttpRequest> parse_request(std::string_view text);
 std::optional<HttpResponse> parse_response(std::string_view text);
-
-namespace legacy {
-/// The istringstream parsers the scanner replaces; kept only until the
-/// property test has diffed the two.
-std::optional<HttpRequest> parse_request(std::string_view text);
-std::optional<HttpResponse> parse_response(std::string_view text);
-}  // namespace legacy
 
 }  // namespace aw4a::net

@@ -4,9 +4,7 @@
 // of any calibration target.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "core/api.h"
 #include "core/grid_search.h"
@@ -495,138 +493,6 @@ TEST_P(PropertyTest, HttpRequestRoundTripIsStable) {
   for (std::size_t i = 0; i < request.headers.size(); ++i) {
     EXPECT_EQ(parsed->headers[i].value, request.headers[i].value);
   }
-}
-
-// The single-pass head scanner against the istringstream parsers it
-// replaces: every verdict and every parsed field must agree on serialized
-// valid messages and on every truncation, byte flip and delimiter insertion
-// of them.
-bool same_headers(const std::vector<net::HttpHeader>& a, const std::vector<net::HttpHeader>& b) {
-  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
-                    [](const net::HttpHeader& x, const net::HttpHeader& y) {
-                      return x.name == y.name && x.value == y.value;
-                    });
-}
-
-bool same_parse(const std::optional<net::HttpRequest>& a,
-                const std::optional<net::HttpRequest>& b) {
-  if (a.has_value() != b.has_value()) return false;
-  return !a || (a->method == b->method && a->path == b->path && a->version == b->version &&
-                same_headers(a->headers, b->headers));
-}
-
-bool same_parse(const std::optional<net::HttpResponse>& a,
-                const std::optional<net::HttpResponse>& b) {
-  if (a.has_value() != b.has_value()) return false;
-  return !a || (a->status == b->status && a->reason == b->reason &&
-                a->version == b->version && same_headers(a->headers, b->headers) &&
-                a->content_length == b->content_length && a->body == b->body);
-}
-
-std::string escaped(std::string_view bytes) {
-  std::string out;
-  for (const char c : bytes) {
-    const auto u = static_cast<unsigned char>(c);
-    if (u >= 0x20 && u < 0x7F && c != '\\') {
-      out += c;
-    } else {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\x%02X", u);
-      out += buf;
-    }
-  }
-  return out;
-}
-
-std::string random_token(Rng& rng, std::string_view alphabet, int max_len) {
-  std::string out(static_cast<std::size_t>(rng.uniform_int(0, max_len)), ' ');
-  for (char& c : out) {
-    c = alphabet[static_cast<std::size_t>(rng.uniform_int(0, alphabet.size() - 1))];
-  }
-  return out;
-}
-
-std::vector<net::HttpHeader> random_headers(Rng& rng) {
-  static const char* const kNames[] = {"Host", "Save-Data", "X-Geo-Country", "AW4A-Savings",
-                                       "Content-Length", "AW4A-Tier", "Vary", "X-Empty"};
-  std::vector<net::HttpHeader> headers;
-  const int n = static_cast<int>(rng.uniform_int(0, 6));
-  for (int i = 0; i < n; ++i) {
-    const char* name = kNames[rng.uniform_int(0, std::size(kNames) - 1)];
-    std::string value = std::string(name) == "Content-Length"
-                            ? std::to_string(rng.uniform_int(0, 99999))
-                            : random_token(rng, "abcXYZ019 .:-/\t", 12);
-    headers.push_back({name, std::move(value)});
-  }
-  return headers;
-}
-
-std::vector<std::string> valid_wires(Rng& rng, bool requests) {
-  std::vector<std::string> wires;
-  for (int i = 0; i < 12; ++i) {
-    if (requests) {
-      net::HttpRequest request;
-      request.method = i % 3 == 0 ? "HEAD" : "GET";
-      request.path = "/" + random_token(rng, "abc/.-_019", 10);
-      request.version = i % 4 == 0 ? "HTTP/1.0" : "HTTP/1.1";
-      request.headers = random_headers(rng);
-      wires.push_back(net::serialize(request));
-    } else {
-      static const char* const kReasons[] = {"OK", "Not Found", "Method Not Allowed", ""};
-      net::HttpResponse response;
-      response.status = static_cast<int>(rng.uniform_int(100, 599));
-      response.reason = kReasons[rng.uniform_int(0, std::size(kReasons) - 1)];
-      response.headers = random_headers(rng);
-      response.content_length = static_cast<Bytes>(rng.uniform_int(0, 1 << 20));
-      if (i % 3 == 0) response.body = random_token(rng, "{}\":ab01\r\n ", 24);
-      wires.push_back(net::serialize(response));
-    }
-  }
-  return wires;
-}
-
-TEST_P(PropertyTest, HttpScannerMatchesOldParser) {
-  Rng rng(GetParam() ^ 0x5CA7);
-  std::size_t compared = 0;
-  const auto check = [&](std::string_view input, bool request) {
-    ++compared;
-    const bool same =
-        request ? same_parse(net::parse_request(input), net::legacy::parse_request(input))
-                : same_parse(net::parse_response(input), net::legacy::parse_response(input));
-    return same ? ::testing::AssertionSuccess()
-                : ::testing::AssertionFailure()
-                      << (request ? "request" : "response") << " diverges on \""
-                      << escaped(input) << "\"";
-  };
-  for (const bool request : {true, false}) {
-    for (const std::string& wire : valid_wires(rng, request)) {
-      ASSERT_TRUE(check(wire, request));
-      for (std::size_t cut = 0; cut <= wire.size(); ++cut) {
-        ASSERT_TRUE(check(std::string_view(wire).substr(0, cut), request));
-      }
-      for (std::size_t at = 0; at <= wire.size(); ++at) {
-        for (const char c : {' ', '\t', '\r', '\n', ':'}) {
-          std::string mutated = wire;
-          mutated.insert(at, 1, c);
-          ASSERT_TRUE(check(mutated, request));
-        }
-      }
-      for (std::size_t at = 0; at < wire.size(); ++at) {
-        std::string flipped = wire;
-        flipped[at] = static_cast<char>(flipped[at] ^ (1 << rng.uniform_int(0, 7)));
-        ASSERT_TRUE(check(flipped, request));
-        flipped[at] = static_cast<char>(rng.uniform_int(0, 255));
-        ASSERT_TRUE(check(flipped, request));
-      }
-    }
-    for (int trial = 0; trial < 200; ++trial) {
-      std::string garbage(static_cast<std::size_t>(rng.uniform_int(0, 300)), '\0');
-      for (auto& c : garbage) c = static_cast<char>(rng.uniform_int(0, 255));
-      ASSERT_TRUE(check(garbage, request));
-    }
-  }
-  std::printf("seed %llu: %zu inputs compared\n", static_cast<unsigned long long>(GetParam()),
-              compared);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PropertyTest,
