@@ -1,7 +1,6 @@
 #include "serving/build_queue.h"
 
 #include <chrono>
-#include <string>
 #include <utility>
 
 #include "util/fault.h"
@@ -87,10 +86,7 @@ BuildQueue::JobPtr BuildQueue::admit(std::uint64_t popularity, const obs::Reques
 LadderPtr BuildQueue::run(std::uint64_t popularity, const obs::RequestContext& ctx,
                           BuildFn build) {
   JobPtr job = admit(popularity, ctx, std::move(build), nullptr, /*detached=*/false);
-  if (job == nullptr) {
-    throw Overloaded("build queue saturated (capacity " + std::to_string(options_.capacity) +
-                     "): request shed");
-  }
+  if (job == nullptr) return nullptr;  // shed
   std::unique_lock<std::mutex> lock(mutex_);
   while (!job->done) {
     // A job that was live at admission but lost its whole budget while

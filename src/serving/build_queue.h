@@ -12,12 +12,14 @@
 // underneath it.
 //
 // Admission: run()/submit_detached() never block on a full queue. When
-// `capacity` jobs are already waiting, the caller is told to shed
-// (Overloaded from run(), false from submit_detached()) and serves the
-// degraded original immediately — queueing everything would just convert
-// overload into unbounded latency for everyone. The "serving.build.queue"
-// fault point models enqueue failure (allocation, a poisoned queue): it
-// too sheds, never crashes.
+// `capacity` jobs are already waiting, or the queue is shutting down, the
+// caller is told to shed — a nullptr ladder from run(), false from
+// submit_detached() — and serves the degraded original immediately:
+// queueing everything would just convert overload into unbounded latency
+// for everyone. A shed is a value, not an exception, so it costs no
+// unwinding and no message formatting. The "serving.build.queue" fault
+// point models enqueue failure (allocation, a poisoned queue): it too
+// sheds, never crashes.
 //
 // Expiry: a job whose flight deadline lapses while it waits is dropped —
 // by the runner when popped (it never wastes a worker) or by its own waiter
@@ -47,16 +49,6 @@
 #include "util/error.h"
 
 namespace aw4a::serving {
-
-/// Thrown by BuildQueue::run when admission fails (queue saturated or the
-/// enqueue fault fired). The serving layer translates it into the shed
-/// response: degraded original, `AW4A-Tier: none`, plus a Retry-After hint.
-class Overloaded : public Error {
- public:
-  explicit Overloaded(const std::string& what) : Error(what) {}
-  std::shared_ptr<const Error> clone() const override { return std::make_shared<Overloaded>(*this); }
-  [[noreturn]] void raise() const override { throw Overloaded(*this); }
-};
 
 struct BuildQueueOptions {
   /// Maximum builds waiting (not yet running). Admission past this sheds.
@@ -93,8 +85,8 @@ class BuildQueue {
   BuildQueue& operator=(const BuildQueue&) = delete;
 
   /// Admits a build and blocks until a worker has run it, returning the
-  /// built ladder. Throws:
-  ///   - Overloaded          admission refused (shed; the caller degrades),
+  /// built ladder — or nullptr at once when admission refused it (a shed;
+  /// the caller degrades). Throws:
   ///   - DeadlineExceeded    the job expired while queued (ctx's deadline,
   ///                         including a live single-flight union, lapsed
   ///                         after admission),
@@ -140,8 +132,7 @@ class BuildQueue {
   using JobPtr = std::shared_ptr<Job>;
 
   /// Shared admission: fault point + saturation check + enqueue + runner
-  /// spawn. Returns nullptr when the job was shed. Caller owns translation
-  /// into Overloaded / false.
+  /// spawn. Returns nullptr when the job was shed.
   JobPtr admit(std::uint64_t popularity, const obs::RequestContext& ctx, BuildFn build,
                std::function<void(LadderPtr)> on_done, bool detached);
   /// Best queued job by (popularity desc, live deadline asc, seq asc);

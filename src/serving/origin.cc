@@ -31,6 +31,9 @@ void bump(std::atomic<std::uint64_t>& counter) {
 /// The Retry-After hint (seconds) attached to shed responses.
 constexpr int kRetryAfterSeconds = 1;
 
+/// The AW4A-Degraded reason of a shed answer.
+const std::string kShedReason = "build queue saturated: request shed";
+
 /// One timeline for TTLs, deadlines and queue expiry: the queue runs on the
 /// origin's clock unless it was given its own.
 BuildQueueOptions on_clock(BuildQueueOptions options, const std::function<double()>& clock) {
@@ -266,21 +269,19 @@ OriginServer::PageAnswer OriginServer::serve_page(const Site& site,
   bool shed = false;
   try {
     ladder = ladder_for(site, ctx, &source);
-  } catch (const Overloaded& e) {
-    // Admission refused: degrade NOW. The whole point of shedding is that
-    // this answer costs no build-plane work at all.
-    shed = true;
-    source = LadderSource::kNone;
-    degraded_reason = e.what();
+    // A null ladder is a shed: admission refused the build. Degrade NOW —
+    // the whole point of shedding is that this answer costs no build-plane
+    // work at all.
+    shed = ladder == nullptr;
   } catch (const Error& e) {
-    source = LadderSource::kNone;
     degraded_reason = e.what();
   }
+  if (ladder == nullptr) source = LadderSource::kNone;
   PageAnswer answer{
       core::answer_page_request(
           site.origin.page,
           ladder ? std::span<const core::Tier>(ladder->tiers) : std::span<const core::Tier>{},
-          degraded_reason, site.origin.plan, request),
+          shed ? kShedReason : degraded_reason, site.origin.plan, request),
       source, shed};
   if (shed) {
     answer.outcome.response.headers.push_back(
@@ -323,6 +324,7 @@ LadderPtr OriginServer::ladder_for(const Site& site, const obs::RequestContext& 
       return run_build(site, build_ctx);
     }
     LadderPtr built = run_build(site, build_ctx);
+    if (built == nullptr) return built;  // shed: nothing to cache
     try {
       cache_.insert(key, built, clock_(), build_ctx);
     } catch (const TransientError&) {
@@ -333,8 +335,8 @@ LadderPtr OriginServer::ladder_for(const Site& site, const obs::RequestContext& 
   // The leader builds under the flight's live deadline union (joiners
   // CAS-max their own deadlines in), not just its own budget. Admission
   // happens inside the flight: joiners of an already-admitted build
-  // piggyback on it, and a shed fails the whole flight to the degraded path
-  // at once (Overloaded propagates to every member).
+  // piggyback on it, and a shed hands the whole flight its nullptr at once,
+  // sending every member down the degraded path.
   return flight_.run(
       key,
       [&](const std::atomic<double>& shared_deadline) {
@@ -346,7 +348,7 @@ LadderPtr OriginServer::ladder_for(const Site& site, const obs::RequestContext& 
 LadderPtr OriginServer::run_build(const Site& site, const obs::RequestContext& ctx) const {
   const std::uint64_t popularity = popularity_[site.id].load(std::memory_order_relaxed);
   // Capture by reference is safe: run() blocks this thread until the queued
-  // build completed (or throws before it ever runs).
+  // build completed (or returns nullptr before it ever runs).
   return queue_.run(popularity, ctx, [&] { return build_ladder(site, ctx); });
 }
 

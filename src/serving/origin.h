@@ -33,10 +33,12 @@
 //
 // Overload safety (the build plane, DESIGN.md §11): ladder builds run
 // through a bounded serving::BuildQueue, never inline in the request
-// thread. When the queue saturates, the flight is SHED — the request gets
-// the degraded original immediately (200, `AW4A-Tier: none`,
-// `AW4A-Degraded`, plus a `Retry-After` hint), never a 5xx and never an
-// unbounded wait. invalidate_host is stale-while-revalidate: resident
+// thread. When the queue saturates, the flight is SHED: admission returns
+// a nullptr ladder, which single-flight hands to every member like any
+// other value and which is never cached, and each request gets the
+// degraded original immediately (200, `AW4A-Tier: none`, `AW4A-Degraded`,
+// plus a `Retry-After` hint) — never a 5xx, never an unbounded wait, and
+// no exception on the way. invalidate_host is stale-while-revalidate: resident
 // ladders are flagged stale and keep serving at cache speed while detached
 // rebuilds are re-admitted at a bounded rate (at most half the queue), so a
 // mass invalidation cannot stampede the build plane.
@@ -84,9 +86,9 @@ struct OriginOptions {
   /// filled from `clock` when unset, so injectable-clock tests drive queue
   /// expiry and TTLs off one timeline.
   BuildQueueOptions build_queue;
-  /// Capacity/sharding/semantic knobs of the content-addressed store. The
-  /// store can only save work, never change a request's outcome (exact hits
-  /// adopt bit-identical families; any store failure falls back to local
+  /// Capacity and sharding of the content-addressed store. The store can
+  /// only save work, never change a request's outcome (exact hits adopt
+  /// bit-identical families; any store failure falls back to local
   /// enumeration).
   AssetStoreOptions asset_store;
 };
@@ -148,13 +150,13 @@ class OriginServer {
   /// skewing them.
   PageAnswer serve_page(const Site& site, const net::HttpRequest& request,
                         const obs::RequestContext& ctx) const;
-  /// Cache -> single-flight -> queue admission -> build. Throws Overloaded
-  /// when the queue shed the flight, any other aw4a::Error when the build
-  /// (or its flight leader) failed; the caller degrades per request.
+  /// Cache -> single-flight -> queue admission -> build. Returns nullptr
+  /// when the queue shed the flight; throws aw4a::Error when the build (or
+  /// its flight leader) failed. The caller degrades per request.
   LadderPtr ladder_for(const Site& site, const obs::RequestContext& ctx,
                        LadderSource* source) const;
   /// The queue-admission gate in front of build_ladder: the build runs on a
-  /// pool worker under admission control (Overloaded on shed).
+  /// pool worker under admission control (nullptr on shed).
   LadderPtr run_build(const Site& site, const obs::RequestContext& ctx) const;
   /// One real pipeline build, metered. Throws on failure.
   LadderPtr build_ladder(const Site& site, const obs::RequestContext& ctx) const;
