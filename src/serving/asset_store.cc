@@ -32,9 +32,6 @@ AssetStoreStats& AssetStoreStats::operator+=(const AssetStoreStats& other) {
 AssetStore::AssetStore(AssetStoreOptions options) : options_(std::move(options)) {
   AW4A_EXPECTS(options_.capacity_bytes > 0);
   AW4A_EXPECTS(options_.shards > 0);
-  AW4A_EXPECTS(options_.semantic_min_ssim > 0.0 && options_.semantic_min_ssim <= 1.0);
-  AW4A_EXPECTS(options_.semantic_probe_limit > 0);
-  AW4A_EXPECTS(options_.thumbprint_dim > 0);
   const std::size_t shard_count = std::bit_ceil(options_.shards);
   shards_.resize(shard_count);
   shard_capacity_ = std::max<Bytes>(1, options_.capacity_bytes / shard_count);
@@ -117,8 +114,7 @@ AssetStore::MemoPtr AssetStore::acquire(
     // compute it outside the lock (it is a resize + luma extraction), then
     // re-check exact first — a concurrent warm may have landed meanwhile.
     // The thumbprint doubles as the stored signature of a fresh entry.
-    imaging::PlaneF thumbprint =
-        imaging::luma_thumbprint(asset->original, options_.thumbprint_dim);
+    imaging::PlaneF thumbprint = imaging::luma_thumbprint(asset->original, kThumbprintDim);
     {
       AW4A_SPAN(ctx, "serving.asset.probe");
       const std::lock_guard lock(shard.mutex);
@@ -131,7 +127,7 @@ AssetStore::MemoPtr AssetStore::acquire(
         std::size_t scored = 0;
         for (const AssetKey& candidate : bucket->second) {
           if (candidate.recipe != recipe) continue;
-          if (scored >= options_.semantic_probe_limit) break;
+          if (scored >= kSemanticProbeLimit) break;
           const Entry* entry = shard.lru.peek(candidate);
           if (entry == nullptr) continue;  // defensive: index says resident
           if (entry->thumbprint.width != thumbprint.width ||
@@ -140,8 +136,7 @@ AssetStore::MemoPtr AssetStore::acquire(
           }
           ++scored;
           ++shard.counters.probes;
-          if (imaging::thumbprint_similarity(thumbprint, entry->thumbprint) >=
-              options_.semantic_min_ssim) {
+          if (imaging::thumbprint_similarity(thumbprint, entry->thumbprint) >= kSemanticMinSsim) {
             ++shard.counters.semantic_hits;
             Entry* hit = shard.lru.touch(candidate);  // refresh recency
             return hit != nullptr ? hit->memo : nullptr;

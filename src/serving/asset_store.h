@@ -5,7 +5,7 @@
 // ladder families on asset *content* instead: an exact fingerprint over the
 // decoded raster plus encode-relevant metadata, and — when the exact probe
 // misses — a perceptual signature (8x8 average-hash bucket, confirmed by a
-// luma-thumbprint SSIM above a configurable threshold) that collapses
+// luma-thumbprint SSIM above a fixed threshold) that collapses
 // visually identical assets served under different identities.
 //
 // Placement: the store implements imaging::AssetLadderSource, and
@@ -85,19 +85,20 @@ struct AssetStoreOptions {
   Bytes capacity_bytes = 16 * kMB;
   /// Rounded up to a power of two. 1 is valid (a single mutexed store).
   std::size_t shards = 8;
-  /// Thumbprint SSIM at or above which a same-bucket, same-shape candidate
-  /// counts as the same asset. High on purpose: a false share substitutes
-  /// one asset's measured curve for another's.
-  double semantic_min_ssim = 0.98;
-  /// Max candidates scored per probe (bounds worst-case bucket scans).
-  std::size_t semantic_probe_limit = 8;
-  /// Luma thumbprint side length stored per entry for semantic scoring.
-  int thumbprint_dim = 32;
 };
 
 class AssetStore : public imaging::AssetLadderSource {
  public:
   using MemoPtr = std::shared_ptr<const imaging::VariantMemo>;
+
+  /// Thumbprint SSIM at or above which a same-bucket, same-shape candidate
+  /// counts as the same asset. High on purpose: a false share substitutes
+  /// one asset's measured curve for another's.
+  static constexpr double kSemanticMinSsim = 0.98;
+  /// Max candidates scored per probe (bounds worst-case bucket scans).
+  static constexpr std::size_t kSemanticProbeLimit = 8;
+  /// Luma thumbprint side length stored per entry for semantic scoring.
+  static constexpr int kThumbprintDim = 32;
 
   explicit AssetStore(AssetStoreOptions options = {});
 

@@ -150,16 +150,15 @@ TEST(AssetStore, SemanticHitCollapsesNearDuplicates) {
 
 TEST(AssetStore, SemanticHitRespectsTheSsimThreshold) {
   // Verify the acceptance criterion directly: a semantic hit implies the
-  // stored and probed thumbprints score at or above the configured floor.
-  AssetStoreOptions opts;
+  // stored and probed thumbprints score at or above the store's floor.
   const auto asset = make_asset(4);
   const auto dup = near_duplicate(asset);
-  const double score =
-      imaging::thumbprint_similarity(imaging::luma_thumbprint(asset->original, opts.thumbprint_dim),
-                                     imaging::luma_thumbprint(dup->original, opts.thumbprint_dim));
-  EXPECT_GE(score, opts.semantic_min_ssim);
+  const double score = imaging::thumbprint_similarity(
+      imaging::luma_thumbprint(asset->original, AssetStore::kThumbprintDim),
+      imaging::luma_thumbprint(dup->original, AssetStore::kThumbprintDim));
+  EXPECT_GE(score, AssetStore::kSemanticMinSsim);
 
-  AssetStore store(opts);
+  AssetStore store;
   const imaging::LadderOptions options;
   ASSERT_NE(store.acquire(asset, options, obs::RequestContext::none()), nullptr);
   ASSERT_NE(store.acquire(dup, options, obs::RequestContext::none()), nullptr);
