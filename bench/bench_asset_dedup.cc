@@ -41,7 +41,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <optional>
 #include <string>
@@ -49,6 +48,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "bench_json.h"
 #include "core/server.h"
 #include "dataset/corpus.h"
 #include "imaging/variants.h"
@@ -58,6 +58,8 @@
 namespace {
 
 using namespace aw4a;
+using bench::Entry;
+using bench::write_json;
 using Clock = std::chrono::steady_clock;
 
 struct BenchOptions {
@@ -65,24 +67,6 @@ struct BenchOptions {
   int repeat = 5;
   std::string json_path = "BENCH_dedup.json";
 };
-
-struct Entry {
-  std::string name;
-  std::string unit;
-  double value = 0.0;
-};
-
-void write_json(const std::string& path, const std::vector<Entry>& entries) {
-  std::ofstream out(path);
-  out << "[\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    char value[64];
-    std::snprintf(value, sizeof(value), "%.6g", entries[i].value);
-    out << "  {\"name\": \"" << entries[i].name << "\", \"unit\": \"" << entries[i].unit
-        << "\", \"value\": " << value << "}" << (i + 1 < entries.size() ? "," : "") << "\n";
-  }
-  out << "]\n";
-}
 
 std::vector<serving::OriginSite> make_corpus(double duplication_rate,
                                              const BenchOptions& options) {

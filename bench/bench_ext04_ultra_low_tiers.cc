@@ -17,11 +17,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "analysis/report.h"
 #include "core/api.h"
 #include "dataset/corpus.h"
@@ -32,24 +32,8 @@
 namespace {
 
 using namespace aw4a;
-
-struct Entry {
-  std::string name;
-  std::string unit;
-  double value = 0.0;
-};
-
-void write_json(const std::string& path, const std::vector<Entry>& entries) {
-  std::ofstream out(path);
-  out << "[\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    char value[64];
-    std::snprintf(value, sizeof(value), "%.6g", entries[i].value);
-    out << "  {\"name\": \"" << entries[i].name << "\", \"unit\": \"" << entries[i].unit
-        << "\", \"value\": " << value << "}" << (i + 1 < entries.size() ? "," : "") << "\n";
-  }
-  out << "]\n";
-}
+using bench::Entry;
+using bench::write_json;
 
 struct TierAgg {
   double bytes = 0, reduction = 0, savings = 0, qss = 0, qfs = 0, elapsed_ms = 0;

@@ -36,12 +36,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "bench_json.h"
 #include "core/pipeline.h"
 #include "dataset/corpus.h"
 #include "imaging/codec.h"
@@ -53,18 +53,14 @@
 namespace {
 
 using namespace aw4a;
+using bench::Entry;
+using bench::write_json;
 
 struct BenchOptions {
   double kb = 600.0;
   int repeat = 3;
   unsigned workers = 4;
   std::string json_path = "BENCH_pipeline.json";
-};
-
-struct Entry {
-  std::string name;
-  std::string unit;
-  double value = 0.0;
 };
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -114,18 +110,6 @@ bool same(const std::vector<TierSummary>& a, const std::vector<TierSummary>& b,
 TierSummary summarize(const core::TranscodeResult& result) {
   return TierSummary{result.result_bytes, result.quality.qss, result.algorithm,
                      result.met_target};
-}
-
-void write_json(const std::string& path, const std::vector<Entry>& entries) {
-  std::ofstream out(path);
-  out << "[\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    char value[64];
-    std::snprintf(value, sizeof(value), "%.6g", entries[i].value);
-    out << "  {\"name\": \"" << entries[i].name << "\", \"unit\": \"" << entries[i].unit
-        << "\", \"value\": " << value << "}" << (i + 1 < entries.size() ? "," : "") << "\n";
-  }
-  out << "]\n";
 }
 
 }  // namespace

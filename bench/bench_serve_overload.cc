@@ -46,12 +46,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "bench_json.h"
 #include "dataset/corpus.h"
 #include "serving/origin.h"
 #include "util/rng.h"
@@ -59,6 +59,8 @@
 namespace {
 
 using namespace aw4a;
+using bench::Entry;
+using bench::write_json;
 using Clock = std::chrono::steady_clock;
 
 struct BenchOptions {
@@ -77,24 +79,6 @@ constexpr int kQueueWorkers = 4;
 /// unloaded shed fast path before the bench fails.
 constexpr double kShedBoundMargin = 5.0;
 constexpr double kShedBoundFloorMs = 2.0;
-
-struct Entry {
-  std::string name;
-  std::string unit;
-  double value = 0.0;
-};
-
-void write_json(const std::string& path, const std::vector<Entry>& entries) {
-  std::ofstream out(path);
-  out << "[\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    char value[64];
-    std::snprintf(value, sizeof(value), "%.6g", entries[i].value);
-    out << "  {\"name\": \"" << entries[i].name << "\", \"unit\": \"" << entries[i].unit
-        << "\", \"value\": " << value << "}" << (i + 1 < entries.size() ? "," : "") << "\n";
-  }
-  out << "]\n";
-}
 
 double percentile(std::vector<double>& sorted_or_raw, double q) {
   if (sorted_or_raw.empty()) return 0.0;
