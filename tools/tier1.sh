@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the full test suite in the standard configuration, plus
 # originbench's smoke and oracle tests, plus the robustness, asset-store,
-# rANS-coder, markup and quality suites under ASan+UBSan (fault injection,
-# eviction churn, attacker-controlled entropy-coded payloads, the
-# length-prefixed AWML parser on truncated or tampered blobs, and the
-# per-build QFS memo's stored views exercise the paths where lifetime and
-# UB bugs hide), plus the full suite under UBSan
+# rANS-coder, markup, quality, HTTP and property suites under ASan+UBSan
+# (fault injection, eviction churn, attacker-controlled entropy-coded
+# payloads, the length-prefixed AWML parser on truncated or tampered blobs,
+# the per-build QFS memo's stored views, and the string_view head scanner
+# indexing attacker-controlled request bytes exercise the paths where
+# lifetime and UB bugs hide), plus the full suite under UBSan
 # alone (cheap enough to run everything), plus the serving suite and the
 # rANS coder under TSan (the tier cache, single-flight, and the
 # content-addressed asset store are the concurrent core; the coder's
@@ -25,8 +26,8 @@ cmake --build build -j >/dev/null
 python3 -m unittest discover -s originbench -p 'test_*.py'
 
 cmake -B build-asan -S . -DAW4A_SANITIZE=ON >/dev/null
-cmake --build build-asan -j --target robustness_test serving_asset_store_test imaging_ans_test web_markup_test core_quality_test >/dev/null
-(cd build-asan && ctest --output-on-failure --timeout 300 -R '^(robustness_test|serving_asset_store_test|imaging_ans_test|web_markup_test|core_quality_test)$')
+cmake --build build-asan -j --target robustness_test serving_asset_store_test imaging_ans_test web_markup_test core_quality_test net_http_test property_fuzz_test >/dev/null
+(cd build-asan && ctest --output-on-failure --timeout 300 -R '^(robustness_test|serving_asset_store_test|imaging_ans_test|web_markup_test|core_quality_test|net_http_test|property_fuzz_test)$')
 
 cmake -B build-ubsan -S . -DAW4A_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j >/dev/null
