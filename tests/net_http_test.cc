@@ -5,119 +5,84 @@
 namespace aw4a::net {
 namespace {
 
+// One line per parse, for table comparisons: "rejected", or the start-line
+// fields joined by '|', each header as [name=value], and for a response its
+// content length and body.
+HttpRequest with(std::string name, std::string value) {
+  HttpRequest request;
+  request.headers.push_back({std::move(name), std::move(value)});
+  return request;
+}
+
+std::string render(const std::optional<HttpRequest>& r) {
+  if (!r) return "rejected";
+  std::string out = r->method + "|" + r->path + "|" + r->version;
+  for (const auto& h : r->headers) out += " [" + h.name + "=" + h.value + "]";
+  return out;
+}
+
+std::string render(const std::optional<HttpResponse>& r) {
+  if (!r) return "rejected";
+  std::string out = r->version + "|" + std::to_string(r->status) + "|" + r->reason;
+  for (const auto& h : r->headers) out += " [" + h.name + "=" + h.value + "]";
+  return out + " length=" + std::to_string(r->content_length) + " body=" + r->body;
+}
+
 TEST(Http, RequestRoundTrip) {
   HttpRequest request;
   request.path = "/index.html";
-  request.headers.push_back({"Host", "example.com"});
-  request.headers.push_back({"Save-Data", "on"});
+  request.headers = {{"Host", "example.com"}, {"Save-Data", "on"}};
   const std::string wire = serialize(request);
-  EXPECT_EQ(wire.substr(0, 31), "GET /index.html HTTP/1.1\r\nHost:");
-  const auto parsed = parse_request(wire);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->method, "GET");
-  EXPECT_EQ(parsed->path, "/index.html");
-  EXPECT_TRUE(parsed->save_data());
+  EXPECT_EQ(wire, "GET /index.html HTTP/1.1\r\nHost: example.com\r\nSave-Data: on\r\n\r\n");
+  EXPECT_EQ(render(parse_request(wire)),
+            "GET|/index.html|HTTP/1.1 [Host=example.com] [Save-Data=on]");
+  EXPECT_TRUE(parse_request(wire).value_or(HttpRequest{}).save_data());
 }
 
 TEST(Http, HeaderLookupIsCaseInsensitive) {
-  HttpRequest request;
-  request.headers.push_back({"sAvE-dAtA", "On"});
+  const HttpRequest request = with("sAvE-dAtA", "On");
   EXPECT_TRUE(request.save_data());
   EXPECT_NE(request.header("SAVE-DATA"), nullptr);
   EXPECT_EQ(request.header("missing"), nullptr);
 }
 
 TEST(Http, SaveDataRequiresOn) {
-  HttpRequest request;
-  request.headers.push_back({"Save-Data", "off"});
-  EXPECT_FALSE(request.save_data());
-  request.headers[0].value = " on ";
-  EXPECT_TRUE(request.save_data());  // trimmed
+  EXPECT_FALSE(with("Save-Data", "off").save_data());
+  EXPECT_TRUE(with("Save-Data", " on ").save_data());  // trimmed
 }
 
 TEST(Http, CountryHintNormalizesToUppercaseIso2) {
-  HttpRequest request;
-  EXPECT_FALSE(request.country_hint().has_value());
-  request.headers.push_back({"X-Geo-Country", "PK"});
-  ASSERT_TRUE(request.country_hint().has_value());
-  EXPECT_EQ(*request.country_hint(), "PK");
-  request.headers[0].value = "pk";
-  EXPECT_EQ(*request.country_hint(), "PK");
-  request.headers[0].value = " et ";  // trimmed, then normalized
-  EXPECT_EQ(*request.country_hint(), "ET");
+  EXPECT_FALSE(HttpRequest{}.country_hint().has_value());
+  EXPECT_EQ(with("X-Geo-Country", "PK").country_hint(), "PK");
+  EXPECT_EQ(with("X-Geo-Country", "pk").country_hint(), "PK");
+  EXPECT_EQ(with("X-Geo-Country", " et ").country_hint(), "ET");  // trimmed, then normalized
 }
 
 TEST(Http, CountryHintRejectsNonIso2Junk) {
-  HttpRequest request;
-  request.headers.push_back({"X-Geo-Country", ""});
   for (const char* junk : {"", "Pakistan", "P", "PAK", "P1", "1K", "--", "p k", "\xC3\x89T"}) {
-    request.headers[0].value = junk;
-    EXPECT_FALSE(request.country_hint().has_value()) << "accepted junk hint: " << junk;
+    EXPECT_FALSE(with("X-Geo-Country", junk).country_hint().has_value()) << "accepted: " << junk;
   }
 }
 
 TEST(Http, HostIsLowercasedAndPortStripped) {
-  HttpRequest request;
-  EXPECT_FALSE(request.host().has_value());
-  request.headers.push_back({"Host", "News.Example.COM:8080"});
-  ASSERT_TRUE(request.host().has_value());
-  EXPECT_EQ(*request.host(), "news.example.com");
-  request.headers[0].value = "plain.example";
-  EXPECT_EQ(*request.host(), "plain.example");
-  request.headers[0].value = "  ";
-  EXPECT_FALSE(request.host().has_value());
+  EXPECT_FALSE(HttpRequest{}.host().has_value());
+  EXPECT_EQ(with("Host", "News.Example.COM:8080").host(), "news.example.com");
+  EXPECT_EQ(with("Host", "plain.example").host(), "plain.example");
+  EXPECT_FALSE(with("Host", "  ").host().has_value());
 }
 
 TEST(Http, SavingsHeaderValidation) {
-  HttpRequest request;
-  request.headers.push_back({"AW4A-Savings", "65"});
-  ASSERT_TRUE(request.preferred_savings_pct().has_value());
-  EXPECT_DOUBLE_EQ(*request.preferred_savings_pct(), 65.0);
-  request.headers[0].value = "abc";
-  EXPECT_FALSE(request.preferred_savings_pct().has_value());
-  request.headers[0].value = "120";
-  EXPECT_FALSE(request.preferred_savings_pct().has_value());
-  request.headers[0].value = "-3";
-  EXPECT_FALSE(request.preferred_savings_pct().has_value());
-}
-
-TEST(Http, MalformedRequestsRejected) {
-  EXPECT_FALSE(parse_request("").has_value());
-  EXPECT_FALSE(parse_request("GET /\r\n\r\n").has_value());               // no version
-  EXPECT_FALSE(parse_request("GET / HTTP/1.1 junk\r\n\r\n").has_value()); // trailing junk
-  EXPECT_FALSE(parse_request("GET / FTP/1.0\r\n\r\n").has_value());       // bad scheme
-  EXPECT_FALSE(parse_request("GET / HTTP/1.1\r\nNoColonHere\r\n\r\n").has_value());
-  EXPECT_FALSE(parse_request("GET / HTTP/1.1\r\nBad Name: x\r\n\r\n").has_value());
-}
-
-TEST(Http, MissingTerminatorRejected) {
-  // A head must end with its blank-line terminator; EOF mid-head means the
-  // message was truncated on the wire.
-  EXPECT_FALSE(parse_request("GET / HTTP/1.1\r\n").has_value());
-  EXPECT_FALSE(parse_request("GET / HTTP/1.1\r\nHost: example.com\r\n").has_value());
-  EXPECT_FALSE(parse_response("HTTP/1.1 200 OK\r\nAW4A-Tier: 1\r\n").has_value());
-  EXPECT_TRUE(parse_request("GET / HTTP/1.1\r\n\r\n").has_value());
-  EXPECT_TRUE(parse_response("HTTP/1.1 200 OK\r\n\r\n").has_value());
-}
-
-TEST(Http, OversizedHeaderCountRejected) {
-  std::string wire = "GET / HTTP/1.1\r\n";
-  for (int i = 0; i < 100; ++i) wire += "H" + std::to_string(i) + ": v\r\n";
-  EXPECT_TRUE(parse_request(wire + "\r\n").has_value());  // at the cap: fine
-  wire += "H100: one too many\r\n";
-  EXPECT_FALSE(parse_request(wire + "\r\n").has_value());
+  EXPECT_EQ(with("AW4A-Savings", "65").preferred_savings_pct(), 65.0);
+  for (const char* junk : {"abc", "120", "-3"}) {
+    EXPECT_FALSE(with("AW4A-Savings", junk).preferred_savings_pct().has_value()) << junk;
+  }
 }
 
 TEST(Http, NonFiniteSavingsRejected) {
-  HttpRequest request;
-  request.headers.push_back({"AW4A-Savings", "nan"});
-  EXPECT_FALSE(request.preferred_savings_pct().has_value());
-  request.headers[0].value = "inf";
-  EXPECT_FALSE(request.preferred_savings_pct().has_value());
-  request.headers[0].value = "-inf";
-  EXPECT_FALSE(request.preferred_savings_pct().has_value());
-  request.headers[0].value = "1e999";  // overflows double
-  EXPECT_FALSE(request.preferred_savings_pct().has_value());
+  // "1e999" overflows a double.
+  for (const char* junk : {"nan", "inf", "-inf", "1e999"}) {
+    EXPECT_FALSE(with("AW4A-Savings", junk).preferred_savings_pct().has_value()) << junk;
+  }
 }
 
 TEST(Http, MalformedSavingsOverTheWire) {
@@ -130,167 +95,116 @@ TEST(Http, MalformedSavingsOverTheWire) {
 
 TEST(Http, ResponseRoundTripWithContentLength) {
   HttpResponse response;
-  response.status = 200;
   response.content_length = 123456;
   response.headers.push_back({"AW4A-Tier", "2"});
   const std::string wire = serialize(response);
-  EXPECT_NE(wire.find("HTTP/1.1 200 OK\r\n"), std::string::npos);
-  EXPECT_NE(wire.find("Content-Length: 123456\r\n"), std::string::npos);
+  EXPECT_EQ(wire, "HTTP/1.1 200 OK\r\nAW4A-Tier: 2\r\nContent-Length: 123456\r\n\r\n");
   const auto parsed = parse_response(wire);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->status, 200);
-  EXPECT_EQ(parsed->content_length, 123456u);
-  ASSERT_NE(parsed->header("aw4a-tier"), nullptr);
-  EXPECT_EQ(*parsed->header("aw4a-tier"), "2");
-}
-
-TEST(Http, ResponseReasonPreserved) {
-  const auto parsed = parse_response("HTTP/1.1 405 Method Not Allowed\r\nAllow: GET\r\n\r\n");
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->status, 405);
-  EXPECT_EQ(parsed->reason, "Method Not Allowed");
+  EXPECT_EQ(render(parsed),
+            "HTTP/1.1|200|OK [AW4A-Tier=2] [Content-Length=123456] length=123456 body=");
+  EXPECT_NE(parsed.value_or(HttpResponse{}).header("aw4a-tier"), nullptr);
 }
 
 TEST(Http, ResponseBodyRoundTrip) {
   HttpResponse response;
   response.headers.push_back({"Content-Type", "application/json"});
-  response.body = "{\"requests\":{\"total\":12}}";
+  response.body = "{\"total\":12}";
   const std::string wire = serialize(response);
-  EXPECT_NE(wire.find("Content-Length: 25\r\n"), std::string::npos);
-  EXPECT_EQ(wire.substr(wire.size() - response.body.size()), response.body);
-  const auto parsed = parse_response(wire);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->body, response.body);
-  EXPECT_EQ(parsed->content_length, 25u);
+  EXPECT_EQ(wire, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                  "Content-Length: 12\r\n\r\n" + response.body);
+  EXPECT_EQ(render(parse_response(wire)),
+            "HTTP/1.1|200|OK [Content-Type=application/json] [Content-Length=12] length=12 "
+            "body={\"total\":12}");
 }
 
 TEST(Http, EmptyBodyLeavesSimulatedLength) {
   HttpResponse response;
   response.content_length = 777;  // simulated page bytes, no materialized body
   const std::string wire = serialize(response);
-  EXPECT_NE(wire.find("Content-Length: 777\r\n"), std::string::npos);
-  const auto parsed = parse_response(wire);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_TRUE(parsed->body.empty());
+  EXPECT_EQ(wire, "HTTP/1.1 200 OK\r\nContent-Length: 777\r\n\r\n");
+  EXPECT_EQ(render(parse_response(wire)), "HTTP/1.1|200|OK [Content-Length=777] length=777 body=");
 }
 
 TEST(Http, ExplicitContentLengthHeaderWins) {
   HttpResponse response;
+  response.status = 404;
+  response.reason = "Not Found";
   response.content_length = 999;  // would be auto-emitted...
-  response.headers.push_back({"Content-Length", "42"});  // ...but explicit wins
-  const std::string wire = serialize(response);
-  EXPECT_NE(wire.find("Content-Length: 42"), std::string::npos);
-  EXPECT_EQ(wire.find("999"), std::string::npos);
+  response.headers.push_back({"content-length", "42"});  // ...but explicit wins, any case
+  EXPECT_EQ(serialize(response), "HTTP/1.1 404 Not Found\r\ncontent-length: 42\r\n\r\n");
 }
 
 TEST(Http, StatusCodeIsExactlyThreeDigits) {
   // RFC 9112: status-code = 3DIGIT. No sign, no suffix, no other width.
-  for (const char* line : {"HTTP/1.1 +200 OK", "HTTP/1.1 -5 Nope", "HTTP/1.1 200x OK",
-                           "HTTP/1.1 20 OK", "HTTP/1.1 2000 OK", "HTTP/1.1 OK"}) {
-    EXPECT_FALSE(parse_response(std::string(line) + "\r\n\r\n").has_value()) << line;
+  for (const char* status : {"+200 OK", "-5 Nope", "200x OK", "20 OK", "2000 OK", "OK"}) {
+    EXPECT_EQ(render(parse_response("HTTP/1.1 " + std::string(status) + "\r\n\r\n")), "rejected")
+        << status;
   }
-  const auto parsed = parse_response("HTTP/1.1 204 No Content\r\n\r\n");
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->status, 204);
+  EXPECT_EQ(render(parse_response("HTTP/1.1 204 No Content\r\n\r\n")),
+            "HTTP/1.1|204|No Content length=0 body=");
 }
 
 TEST(Http, MissingReasonPhraseIsEmpty) {
-  for (const char* wire : {"HTTP/1.1 404\r\n\r\n", "HTTP/1.1 404 \r\n\r\n"}) {
-    const auto parsed = parse_response(wire);
-    ASSERT_TRUE(parsed.has_value()) << wire;
-    EXPECT_EQ(parsed->status, 404);
-    EXPECT_EQ(parsed->reason, "") << wire;
-  }
+  EXPECT_EQ(render(parse_response("HTTP/1.1 404\r\n\r\n")), "HTTP/1.1|404| length=0 body=");
+  EXPECT_EQ(render(parse_response("HTTP/1.1 404 \r\n\r\n")), "HTTP/1.1|404| length=0 body=");
 }
 
 TEST(Http, ContentLengthRejectsTrailingJunk) {
-  EXPECT_FALSE(parse_response("HTTP/1.1 200 OK\r\nContent-Length: 12abc\r\n\r\n").has_value());
-  EXPECT_FALSE(parse_response("HTTP/1.1 200 OK\r\nContent-Length: 1 2\r\n\r\n").has_value());
-  EXPECT_FALSE(parse_response("HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n").has_value());
-  const auto parsed = parse_response("HTTP/1.1 200 OK\r\nContent-Length:  12 \r\n\r\n");
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->content_length, 12u);
+  for (const char* value : {"12abc", "1 2", "-1", ""}) {
+    const std::string line = "Content-Length: " + std::string(value) + "\r\n";
+    EXPECT_EQ(render(parse_response("HTTP/1.1 200 OK\r\n" + line + "\r\n")), "rejected") << value;
+  }
+  EXPECT_EQ(render(parse_response("HTTP/1.1 200 OK\r\nContent-Length:  12 \r\n\r\n")),
+            "HTTP/1.1|200|OK [Content-Length=12] length=12 body=");
 }
 
-// The accepted grammar at its edges, verdict and parsed fields alike.
+// The accepted grammar (http.h) at its edges: verdict and parsed fields.
 TEST(Http, EdgeCaseVerdicts) {
-  // LF-only line ends are accepted as if they were CRLF.
-  {
-    const auto request = parse_request("GET /a HTTP/1.1\nHost: x\n\n");
-    ASSERT_TRUE(request.has_value());
-    EXPECT_EQ(request->path, "/a");
-    ASSERT_EQ(request->headers.size(), 1u);
-    EXPECT_EQ(request->headers[0].name, "Host");
-    EXPECT_EQ(request->headers[0].value, "x");
-    const auto response = parse_response("HTTP/1.1 200 OK\nContent-Length: 5\n\nhello");
-    ASSERT_TRUE(response.has_value());
-    EXPECT_EQ(response->status, 200);
-    EXPECT_EQ(response->reason, "OK");
-    EXPECT_EQ(response->body, "hello");
-    EXPECT_EQ(response->content_length, 5u);
-  }
-  // The start line splits on any run of whitespace: tabs, vertical tabs,
-  // repeated spaces. The reason phrase keeps its inner spacing.
-  {
-    const auto request = parse_request("GET\t/b \v  HTTP/1.0\r\n\r\n");
-    ASSERT_TRUE(request.has_value());
-    EXPECT_EQ(request->method, "GET");
-    EXPECT_EQ(request->path, "/b");
-    EXPECT_EQ(request->version, "HTTP/1.0");
-    const auto response = parse_response("HTTP/1.1\t\v404  Not  Found \t\r\n\r\n");
-    ASSERT_TRUE(response.has_value());
-    EXPECT_EQ(response->version, "HTTP/1.1");
-    EXPECT_EQ(response->status, 404);
-    EXPECT_EQ(response->reason, "Not  Found");
-  }
-  // A lone CR as the final line ends the head like a blank line.
-  {
-    const auto request = parse_request("GET / HTTP/1.1\r\nHost: x\r\n\r");
-    ASSERT_TRUE(request.has_value());
-    ASSERT_EQ(request->headers.size(), 1u);
-    EXPECT_EQ(request->headers[0].value, "x");
-    const auto response = parse_response("HTTP/1.1 200 OK\r\n\r");
-    ASSERT_TRUE(response.has_value());
-    EXPECT_TRUE(response->body.empty());
-  }
-  // Bytes after a request head are ignored; after a response head they are
-  // the body (no Content-Length header: content_length stays 0).
-  {
-    const auto request = parse_request("GET / HTTP/1.1\r\n\r\nGET /next HTTP/1.1\r\n\r\n");
-    ASSERT_TRUE(request.has_value());
-    EXPECT_EQ(request->path, "/");
-    EXPECT_TRUE(request->headers.empty());
-    const auto response = parse_response("HTTP/1.1 200 OK\r\n\r\nbody\r\n\r\nbytes");
-    ASSERT_TRUE(response.has_value());
-    EXPECT_EQ(response->body, "body\r\n\r\nbytes");
-    EXPECT_EQ(response->content_length, 0u);
-  }
-  // An empty (or all-blank) header value is kept as "".
-  {
-    const auto request = parse_request("GET / HTTP/1.1\r\nX-Empty:\r\nX-Blank: \t \r\n\r\n");
-    ASSERT_TRUE(request.has_value());
-    ASSERT_EQ(request->headers.size(), 2u);
-    EXPECT_EQ(request->headers[0].name, "X-Empty");
-    EXPECT_EQ(request->headers[0].value, "");
-    EXPECT_EQ(request->headers[1].name, "X-Blank");
-    EXPECT_EQ(request->headers[1].value, "");
-  }
-  // A bare CR does not end a line: here it leaves a fourth token on the
-  // request line, which is rejected.
-  EXPECT_FALSE(parse_request("GET / HTTP/1.1\rHost: x\r\n\r\n").has_value());
+  const std::pair<std::string, std::string> requests[] = {
+      // LF-only line ends; tabs, vertical tabs and space runs between words.
+      {"GET /a HTTP/1.1\nHost: x\n\n", "GET|/a|HTTP/1.1 [Host=x]"},
+      {"GET\t/b \v  HTTP/1.0\r\n\r\n", "GET|/b|HTTP/1.0"},
+      // A lone CR as the last line ends the head; bytes after it are ignored.
+      {"GET / HTTP/1.1\r\nHost: x\r\n\r", "GET|/|HTTP/1.1 [Host=x]"},
+      {"GET / HTTP/1.1\r\n\r\nGET /next HTTP/1.1\r\n\r\n", "GET|/|HTTP/1.1"},
+      // Empty and all-blank header values are kept as "".
+      {"GET / HTTP/1.1\r\nX-Empty:\r\nX-Blank: \t \r\n\r\n",
+       "GET|/|HTTP/1.1 [X-Empty=] [X-Blank=]"},
+      // A bare CR ends no line: here it leaves a fourth word on the first.
+      {"GET / HTTP/1.1\rHost: x\r\n\r\n", "rejected"},
+      // No version, junk after it, a bad scheme, bad header lines.
+      {"", "rejected"},
+      {"GET /\r\n\r\n", "rejected"},
+      {"GET / HTTP/1.1 junk\r\n\r\n", "rejected"},
+      {"GET / FTP/1.0\r\n\r\n", "rejected"},
+      {"GET / HTTP/1.1\r\nNoColonHere\r\n\r\n", "rejected"},
+      {"GET / HTTP/1.1\r\nBad Name: x\r\n\r\n", "rejected"},
+      // Truncated on the wire: EOF before the blank line.
+      {"GET / HTTP/1.1\r\n", "rejected"},
+      {"GET / HTTP/1.1\r\nHost: example.com\r\n", "rejected"},
+  };
+  for (const auto& [wire, want] : requests) EXPECT_EQ(render(parse_request(wire)), want) << wire;
+  const std::pair<std::string, std::string> responses[] = {
+      {"HTTP/1.1 200 OK\nContent-Length: 5\n\nhello",
+       "HTTP/1.1|200|OK [Content-Length=5] length=5 body=hello"},
+      {"HTTP/1.1\t\v404  Not  Found \t\r\n\r\n", "HTTP/1.1|404|Not  Found length=0 body="},
+      {"HTTP/1.1 405 Method Not Allowed\r\nAllow: GET\r\n\r\n",
+       "HTTP/1.1|405|Method Not Allowed [Allow=GET] length=0 body="},
+      {"HTTP/1.1 200 OK\r\n\r", "HTTP/1.1|200|OK length=0 body="},
+      // After a response head the bytes are the body.
+      {"HTTP/1.1 200 OK\r\n\r\nbody\r\n\r\nbytes",
+       "HTTP/1.1|200|OK length=0 body=body\r\n\r\nbytes"},
+      {"HTTP/1.1 200 OK\r\nAW4A-Tier: 1\r\n", "rejected"},
+  };
+  for (const auto& [wire, want] : responses) EXPECT_EQ(render(parse_response(wire)), want) << wire;
   // 100 headers are accepted, 101 are not, in requests and responses alike.
-  {
+  for (const std::size_t n : {100u, 101u}) {
     std::string headers;
-    for (int i = 0; i < 100; ++i) headers += "H" + std::to_string(i) + ": v\r\n";
-    const std::string extra = "H100: v\r\n";
+    for (std::size_t i = 0; i < n; ++i) headers += "H" + std::to_string(i) + ": v\r\n";
     const auto request = parse_request("GET / HTTP/1.1\r\n" + headers + "\r\n");
-    ASSERT_TRUE(request.has_value());
-    EXPECT_EQ(request->headers.size(), 100u);
     const auto response = parse_response("HTTP/1.1 200 OK\r\n" + headers + "\r\n");
-    ASSERT_TRUE(response.has_value());
-    EXPECT_EQ(response->headers.size(), 100u);
-    EXPECT_FALSE(parse_request("GET / HTTP/1.1\r\n" + headers + extra + "\r\n").has_value());
-    EXPECT_FALSE(parse_response("HTTP/1.1 200 OK\r\n" + headers + extra + "\r\n").has_value());
+    EXPECT_EQ(request ? request->headers.size() : 0u, n == 100 ? n : 0u);  // 0: rejected
+    EXPECT_EQ(response ? response->headers.size() : 0u, n == 100 ? n : 0u);
   }
 }
 
