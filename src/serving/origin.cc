@@ -114,6 +114,25 @@ void histogram_json(JsonWriter& json, const char* name, const HistogramSnapshot&
   json.end();
 }
 
+/// A page-less answer: status line and headers, Content-Length 0.
+net::HttpResponse bare_response(int status, const char* reason,
+                                std::vector<net::HttpHeader> headers = {}) {
+  net::HttpResponse response;
+  response.status = status;
+  response.reason = reason;
+  response.headers = std::move(headers);
+  return response;
+}
+
+/// A JSON answer that caches must not keep (stats and trace dumps).
+net::HttpResponse json_response(std::string body) {
+  net::HttpResponse response = bare_response(200, "OK", {{"Content-Type", "application/json"},
+                                                         {"Cache-Control", "no-store"}});
+  response.content_length = body.size();
+  response.body = std::move(body);
+  return response;
+}
+
 const char* served_label(core::ServeOutcome::Served served) {
   switch (served) {
     case core::ServeOutcome::Served::kOriginal: return "original";
@@ -154,39 +173,26 @@ net::HttpResponse OriginServer::handle(const net::HttpRequest& request) const {
     // Nothing below is expected to reach here (build failures degrade in
     // handle_checked); this is the "no request crashes the origin" backstop.
     bump(metrics_.internal_errors);
-    net::HttpResponse response;
-    response.status = 500;
-    response.reason = "Internal Server Error";
-    response.content_length = 0;
     const std::string what = e.what();
-    response.headers.push_back({"AW4A-Error", what.substr(0, what.find('\n'))});
-    return response;
+    return bare_response(500, "Internal Server Error",
+                         {{"AW4A-Error", what.substr(0, what.find('\n'))}});
   }
 }
 
 net::HttpResponse OriginServer::handle_checked(const net::HttpRequest& request) const {
   if (request.method != "GET") {
     bump(metrics_.bad_method);
-    net::HttpResponse response;
-    response.status = 405;
-    response.reason = "Method Not Allowed";
-    response.content_length = 0;
-    response.headers.push_back({"Allow", "GET"});
-    return response;
+    return bare_response(405, "Method Not Allowed", {{"Allow", "GET"}});
   }
   if (request.path == kStatsPath) {
     bump(metrics_.stats_requests);
-    return stats_response();
+    return json_response(stats_json());
   }
   const auto host = request.host();
   if (!host.has_value()) {
     bump(metrics_.bad_request);
-    net::HttpResponse response;
-    response.status = 400;
-    response.reason = "Bad Request";
-    response.content_length = 0;
-    response.headers.push_back({"AW4A-Error", "multi-site origin requires a Host header"});
-    return response;
+    return bare_response(400, "Bad Request",
+                         {{"AW4A-Error", "multi-site origin requires a Host header"}});
   }
   const auto routed = by_host_.find(*host);
   if (routed != by_host_.end() && request.path == kTracePath) {
@@ -195,11 +201,7 @@ net::HttpResponse OriginServer::handle_checked(const net::HttpRequest& request) 
   }
   if (routed == by_host_.end() || !core::known_page_path(request.path)) {
     bump(metrics_.not_found);
-    net::HttpResponse response;
-    response.status = 404;
-    response.reason = "Not Found";
-    response.content_length = 0;
-    return response;
+    return bare_response(404, "Not Found");
   }
   const Site& site = sites_[routed->second];
 
@@ -437,12 +439,7 @@ net::HttpResponse OriginServer::trace_response(const net::HttpRequest& request,
   json.raw_field("spans", buffer.to_json());
   json.end();
 
-  net::HttpResponse response;
-  response.headers.push_back({"Content-Type", "application/json"});
-  response.headers.push_back({"Cache-Control", "no-store"});
-  response.body = json.take();
-  response.content_length = response.body.size();
-  return response;
+  return json_response(json.take());
 }
 
 std::size_t OriginServer::invalidate_host(std::string_view host) {
@@ -452,15 +449,6 @@ std::size_t OriginServer::invalidate_host(std::string_view host) {
   // entries stale (they keep serving) and let stale hits re-admit rebuilds
   // at the queue's bounded refresh rate.
   return cache_.mark_stale_site(sites_[routed->second].id);
-}
-
-net::HttpResponse OriginServer::stats_response() const {
-  net::HttpResponse response;
-  response.headers.push_back({"Content-Type", "application/json"});
-  response.headers.push_back({"Cache-Control", "no-store"});
-  response.body = stats_json();
-  response.content_length = response.body.size();
-  return response;
 }
 
 std::string OriginServer::stats_json() const {

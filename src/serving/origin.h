@@ -34,14 +34,13 @@
 // Overload safety (the build plane, DESIGN.md §11): ladder builds run
 // through a bounded serving::BuildQueue, never inline in the request
 // thread. When the queue saturates, the flight is SHED: admission returns
-// a nullptr ladder, which single-flight hands to every member like any
-// other value and which is never cached, and each request gets the
-// degraded original immediately (200, `AW4A-Tier: none`, `AW4A-Degraded`,
-// plus a `Retry-After` hint) — never a 5xx, never an unbounded wait, and
-// no exception on the way. invalidate_host is stale-while-revalidate: resident
-// ladders are flagged stale and keep serving at cache speed while detached
-// rebuilds are re-admitted at a bounded rate (at most half the queue), so a
-// mass invalidation cannot stampede the build plane.
+// a nullptr ladder that single-flight hands to every member and nothing
+// caches, and each request gets the degraded original at once (200,
+// `AW4A-Tier: none`, `AW4A-Degraded`, plus a `Retry-After` hint) — no 5xx,
+// no unbounded wait, no exception. invalidate_host is stale-while-revalidate:
+// resident ladders are flagged stale and keep serving at cache speed while
+// detached rebuilds are re-admitted at a bounded rate (at most half the
+// queue), so a mass invalidation cannot stampede the build plane.
 //
 // There is one configuration: cache, single-flight, queue and asset store
 // are always in the path. Each only saves work — a page answer equals the
@@ -139,7 +138,6 @@ class OriginServer {
   };
 
   net::HttpResponse handle_checked(const net::HttpRequest& request) const;
-  net::HttpResponse stats_response() const;
   net::HttpResponse trace_response(const net::HttpRequest& request, const Site& site) const;
   /// The per-request context: origin clock, the site config's deadline and
   /// prewarm workers, span sink wired to metrics_.stage_breakdown.
