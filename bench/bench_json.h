@@ -1,6 +1,5 @@
-// The BENCH_*.json trajectory format shared by the tracked benches: a JSON
-// array with one {"name", "unit", "value"} object per line, values printed
-// with %.6g. tools/bench_guard.py reads it.
+// The BENCH_*.json trajectory format that tools/bench_guard.py reads: a JSON
+// array, one {"name", "unit", "value"} object per line, values as %.6g.
 #pragma once
 
 #include <cstdio>

@@ -12,14 +12,13 @@
 // underneath it.
 //
 // Admission: run()/submit_detached() never block on a full queue. When
-// `capacity` jobs are already waiting, or the queue is shutting down, the
-// caller is told to shed — a nullptr ladder from run(), false from
-// submit_detached() — and serves the degraded original immediately:
-// queueing everything would just convert overload into unbounded latency
-// for everyone. A shed is a value, not an exception, so it costs no
-// unwinding and no message formatting. The "serving.build.queue" fault
-// point models enqueue failure (allocation, a poisoned queue): it too
-// sheds, never crashes.
+// `capacity` jobs are already waiting (or the queue is shutting down), the
+// caller is told to shed — by value, not exception: a nullptr ladder from
+// run(), false from submit_detached() — and serves the degraded original
+// immediately: queueing everything would just convert overload into
+// unbounded latency for everyone. The "serving.build.queue" fault point
+// models enqueue failure (allocation, a poisoned queue): it too sheds,
+// never crashes.
 //
 // Expiry: a job whose flight deadline lapses while it waits is dropped —
 // by the runner when popped (it never wastes a worker) or by its own waiter

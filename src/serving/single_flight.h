@@ -1,12 +1,11 @@
 // Single-flight build collapsing — the thundering-herd guard in front of
 // TierCache. When N threads miss on the same key at once, exactly one (the
 // leader) runs the expensive build; the other N-1 join the flight, block,
-// and share the leader's result, a null one included (the origin's shed
-// needs no exception to reach every member). A leader failure is
-// snapshotted once (Error::clone) and re-raised as a private copy in every
-// member of that flight, then the flight dissolves, so the next request
-// elects a fresh leader: one failure is observed once per waiting request,
-// never retried N times concurrently.
+// and share the leader's result (a null one too: the origin's shed). A
+// leader failure is snapshotted once (Error::clone) and re-raised as a
+// private copy in every member of that flight, then the flight dissolves,
+// so the next request elects a fresh leader: one failure is observed once
+// per waiting request, never retried N times concurrently.
 //
 // The registry lock is held only to find/erase flights and publish results;
 // the build itself runs unlocked, so flights for different keys proceed in

@@ -3,10 +3,9 @@
 # originbench's smoke and oracle tests, plus the robustness, asset-store,
 # rANS-coder, markup, quality, HTTP and property suites under ASan+UBSan
 # (fault injection, eviction churn, attacker-controlled entropy-coded
-# payloads, the length-prefixed AWML parser on truncated or tampered blobs,
-# the per-build QFS memo's stored views, and the string_view head scanner
-# indexing attacker-controlled request bytes exercise the paths where
-# lifetime and UB bugs hide), plus the full suite under UBSan
+# payloads and request heads, the length-prefixed AWML parser on truncated
+# or tampered blobs, and the per-build QFS memo's stored views exercise the
+# paths where lifetime and UB bugs hide), plus the full suite under UBSan
 # alone (cheap enough to run everything), plus the serving suite and the
 # rANS coder under TSan (the tier cache, single-flight, and the
 # content-addressed asset store are the concurrent core; the coder's
