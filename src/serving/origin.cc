@@ -271,9 +271,8 @@ OriginServer::PageAnswer OriginServer::serve_page(const Site& site,
   bool shed = false;
   try {
     ladder = ladder_for(site, ctx, &source);
-    // A null ladder is a shed: admission refused the build. Degrade NOW —
-    // the whole point of shedding is that this answer costs no build-plane
-    // work at all.
+    // A null ladder is a shed: admission refused the build, so degrade now,
+    // at no build-plane cost (the whole point of shedding).
     shed = ladder == nullptr;
   } catch (const Error& e) {
     degraded_reason = e.what();

@@ -164,6 +164,7 @@ TEST(Http, EdgeCaseVerdicts) {
       // LF-only line ends; tabs, vertical tabs and space runs between words.
       {"GET /a HTTP/1.1\nHost: x\n\n", "GET|/a|HTTP/1.1 [Host=x]"},
       {"GET\t/b \v  HTTP/1.0\r\n\r\n", "GET|/b|HTTP/1.0"},
+      {"GET / HTTP/1.1\r\n\r\n", "GET|/|HTTP/1.1"},
       // A lone CR as the last line ends the head; bytes after it are ignored.
       {"GET / HTTP/1.1\r\nHost: x\r\n\r", "GET|/|HTTP/1.1 [Host=x]"},
       {"GET / HTTP/1.1\r\n\r\nGET /next HTTP/1.1\r\n\r\n", "GET|/|HTTP/1.1"},
@@ -190,6 +191,7 @@ TEST(Http, EdgeCaseVerdicts) {
       {"HTTP/1.1\t\v404  Not  Found \t\r\n\r\n", "HTTP/1.1|404|Not  Found length=0 body="},
       {"HTTP/1.1 405 Method Not Allowed\r\nAllow: GET\r\n\r\n",
        "HTTP/1.1|405|Method Not Allowed [Allow=GET] length=0 body="},
+      {"HTTP/1.1 200 OK\r\n\r\n", "HTTP/1.1|200|OK length=0 body="},
       {"HTTP/1.1 200 OK\r\n\r", "HTTP/1.1|200|OK length=0 body="},
       // After a response head the bytes are the body.
       {"HTTP/1.1 200 OK\r\n\r\nbody\r\n\r\nbytes",

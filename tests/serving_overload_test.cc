@@ -66,7 +66,6 @@ TEST_F(BuildQueueOverloadTest, BoundNeverExceededAndCountersPartition) {
   std::vector<std::thread> callers;
   for (int i = 0; i < kCallers; ++i) {
     callers.emplace_back([&, i] {
-      // A shed is a value: run() returns nullptr instead of throwing.
       const LadderPtr ladder =
           queue.run(static_cast<std::uint64_t>(i), obs::RequestContext::none(), build);
       (ladder != nullptr ? got_ladder : got_shed).fetch_add(1);
