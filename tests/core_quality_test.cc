@@ -7,6 +7,7 @@
 #include "core/hbs.h"
 #include "core/objective.h"
 #include "dataset/corpus.h"
+#include "imaging/ssim.h"
 #include "util/rng.h"
 
 namespace aw4a::core {
@@ -160,6 +161,65 @@ TEST(QfsCache, MemoMatchesOneShotAndKeysOnTheFunctionalView) {
   QfsCache& memo = ladders.qfs(page);
   EXPECT_EQ(&ladders.qfs(page), &memo);
   EXPECT_THROW((void)ladders.qfs(other), LogicError);
+}
+
+/// QFS the long way: for every event, render both post-event screenshots,
+/// take their SSIM, and average. No memo, no shortcut — the definition that
+/// QfsCache must reproduce bit for bit.
+double qfs_per_event_reference(const web::ServedPage& served) {
+  const web::WebPage& page = *served.page;
+  const std::vector<web::BotEvent> events = web::enumerate_events(page);
+  if ((served.scripts.empty() && served.dropped.empty()) || events.empty()) return 1.0;
+  const web::ServedPage original = web::serve_original(page);
+  web::ServedPage view = original;
+  view.scripts = served.scripts;
+  view.dropped = served.dropped;
+  double total = 0.0;
+  for (const web::BotEvent& event : events) {
+    const imaging::Raster shot_orig =
+        web::render_page(original, web::state_after_event(original, event));
+    const imaging::Raster shot_served =
+        web::render_page(view, web::state_after_event(view, event));
+    total += imaging::ssim(shot_orig, shot_served);
+  }
+  return total / static_cast<double>(events.size());
+}
+
+TEST(QfsCache, ScoresEqualPerEventReference) {
+  // Random functional views over seeded rich pages: random drops among CSS,
+  // fonts, ads, images and scripts, plus random script liveness. One cache
+  // per page scores them all in sequence, as a build does.
+  Rng rng(17);
+  std::size_t scored = 0;
+  for (std::uint64_t seed = 4; seed < 10; ++seed) {
+    const web::WebPage page = rich_page(seed);
+    if (web::enumerate_events(page).empty()) continue;
+    QfsCache cache(page);
+    for (int trial = 0; trial < 3; ++trial) {
+      web::ServedPage served = web::serve_original(page);
+      for (const auto& o : page.objects) {
+        const bool droppable = o.type == web::ObjectType::kCss ||
+                               o.type == web::ObjectType::kFont ||
+                               o.type == web::ObjectType::kImage || o.is_ad;
+        if (droppable && rng.bernoulli(0.3)) served.dropped.insert(o.id);
+        if (o.type != web::ObjectType::kJs || o.script == nullptr) continue;
+        if (rng.bernoulli(0.15)) {
+          served.dropped.insert(o.id);
+        } else if (rng.bernoulli(0.6)) {
+          web::ServedScript script;
+          script.dropped = rng.bernoulli(0.1);
+          for (const auto& f : o.script->functions) {
+            if (rng.bernoulli(0.7)) script.live.insert(f.id);
+          }
+          served.scripts[o.id] = std::move(script);
+        }
+      }
+      EXPECT_EQ(cache.score(served), qfs_per_event_reference(served))
+          << "seed " << seed << " trial " << trial;
+      ++scored;
+    }
+  }
+  EXPECT_GE(scored, 9u);
 }
 
 TEST(Quality, OverallWeightsNormalize) {

@@ -4,6 +4,7 @@
 
 #include "imaging/ssim.h"
 #include "imaging/synth.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace aw4a::imaging {
@@ -88,6 +89,54 @@ TEST(Resize, RedisplayNoOpWhenSameSize) {
   Rng rng(5);
   const Raster img = synth_image(rng, ImageClass::kLogo, 30, 30);
   EXPECT_EQ(mean_abs_diff(redisplay(img, 30, 30), img), 0.0);
+}
+
+TEST(Resize, BilinearDigestIsFrozen) {
+  // One digest over resize_bilinear's output pixels for seeded rasters and
+  // sizes: upsampling (the browser's redisplay and the page renderer),
+  // downsampling, 1-px sources and targets, and identity. Any kernel change
+  // must reproduce every byte; a mismatch means the arithmetic moved.
+  Rng rng(2024);
+  std::uint64_t digest = 0;
+  auto fold = [&](const Raster& src, int w, int h) {
+    const Raster out = resize_bilinear(src, w, h);
+    ASSERT_EQ(out.width(), w);
+    ASSERT_EQ(out.height(), h);
+    digest = hash_mix(digest, static_cast<std::uint64_t>(w) << 32 | static_cast<std::uint64_t>(h));
+    for (const Pixel& p : out.pixels()) {
+      digest = hash_mix(digest, static_cast<std::uint64_t>(p.r) | std::uint64_t{p.g} << 8 |
+                                    std::uint64_t{p.b} << 16 | std::uint64_t{p.a} << 24);
+    }
+  };
+  auto noise = [&](int w, int h) {
+    Raster img(w, h);
+    for (Pixel& p : img.pixels()) {
+      p = Pixel{static_cast<std::uint8_t>(rng.uniform_int(0, 255)),
+                static_cast<std::uint8_t>(rng.uniform_int(0, 255)),
+                static_cast<std::uint8_t>(rng.uniform_int(0, 255)),
+                static_cast<std::uint8_t>(rng.uniform_int(0, 255))};
+    }
+    return img;
+  };
+  for (const ImageClass cls : kAllImageClasses) {
+    const Raster img = synth_image(rng, cls, 72, 54);
+    fold(img, 180, 121);  // up
+    fold(img, 23, 17);    // down
+    fold(img, 72, 54);    // identity
+    fold(img, 1, 1);      // 1-px target
+    fold(img, 1, 90);
+    fold(img, 150, 1);
+  }
+  fold(noise(1, 1), 9, 7);  // 1-px source
+  fold(noise(1, 13), 5, 40);
+  fold(noise(11, 1), 33, 2);
+  for (int i = 0; i < 24; ++i) {
+    const Raster img = noise(static_cast<int>(rng.uniform_int(1, 60)),
+                             static_cast<int>(rng.uniform_int(1, 60)));
+    fold(img, static_cast<int>(rng.uniform_int(1, 140)),
+         static_cast<int>(rng.uniform_int(1, 140)));
+  }
+  EXPECT_EQ(digest, 0xcd3f8406f0b207deULL) << std::hex << digest;
 }
 
 }  // namespace
