@@ -13,9 +13,12 @@
 //   dedup_<pct>/bytes_built        encoder output bytes with the store ON
 //   dedup_<pct>/bytes_built_off    the same for the reference (baseline)
 //   dedup_<pct>/bytes_saved_ratio  1 - on/off (higher is better)
-//   dedup_<pct>/cold_build_ms      serial cold pass wall time, store ON
-//                                  (min over --repeat fresh origins)
-//   dedup_<pct>/cold_build_ms_off  the same for the reference
+//   dedup_<pct>/cold_build_ms      serial cold pass wall time, store ON:
+//                                  the sum over sites of each site's median
+//                                  over --repeat passes, each pass on a
+//                                  fresh origin
+//   dedup_<pct>/cold_build_ms_off  the same for the reference; on and off
+//                                  passes alternate
 //   dedup_<pct>/exact_hits         content-identical reuse during the pass
 //   dedup_<pct>/semantic_hits      near-duplicate reuse during the pass
 //   dedup_<pct>/footprint_bytes    resident store bytes after the pass
@@ -25,27 +28,26 @@
 // counters), so the pass runs strictly serially: one request per site, one
 // build at a time, prewarm pinned to one worker — the numbers are a
 // deterministic function of the corpus. Prewarm is ON in both modes on
-// purpose: a store miss warms the *full* family set (that is what a later
-// hit adopts), so the fair baseline is the prewarmed cold build that
-// enumerates the same set. Without prewarm the lazy path builds only the
-// families the solvers happen to demand, and the store's first-build
-// warming would be charged for families the baseline never paid for.
+// purpose: a store miss and a prewarm both run VariantLadder::warm (the
+// WebP transcode and both resolution families — what a later hit adopts),
+// so the baseline enumerates exactly the set the store builds and shares.
 //
 // Exit status is the acceptance check (run by tier1.sh): non-zero when the
 // 30% row saves less than 20% of bytes built or of cold-build time, or when
 // any site's served content length differs between the origin and the
 // reference at any rate (the store must never change outcomes, only costs).
 //
-//   build/bench/bench_asset_dedup [--sites=24] [--repeat=3]
+//   build/bench/bench_asset_dedup [--sites=24] [--repeat=5]
 //       [--json=BENCH_dedup.json]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bench_json.h"
@@ -80,7 +82,7 @@ std::vector<serving::OriginSite> make_corpus(double duplication_rate,
   config.tier_reductions = {2.0};
   config.min_image_ssim = 0.8;
   config.measure_qfs = false;
-  config.prewarm_workers = 1;  // full family set in both modes, serially
+  config.prewarm_workers = 1;  // the warm family set in both modes, serially
   std::vector<serving::OriginSite> sites;
   sites.reserve(options.sites);
   for (std::size_t i = 0; i < options.sites; ++i) {
@@ -122,13 +124,10 @@ net::HttpRequest make_request(const std::string& host) {
 struct ColdPassResult {
   std::uint64_t bytes_built = 0;  ///< encoder output during the pass
   std::uint64_t encodes = 0;
-  /// Sum over sites of each site's *minimum* build time across repeats.
-  /// Per-site minima filter scheduler noise spikes far better than a
-  /// whole-pass minimum: one slow site in an otherwise clean repeat no
-  /// longer poisons the repeat. (Bytes need no such care — deterministic.)
-  double wall_ms = 0.0;
-  std::vector<Bytes> content_lengths;  ///< per site, first repeat
-  serving::AssetStoreStats store;      ///< first repeat
+  std::vector<double> site_ms;    ///< per site build time
+  double wall_ms = 0.0;           ///< sum over sites of the median site_ms
+  std::vector<Bytes> content_lengths;  ///< per site
+  serving::AssetStoreStats store;
   int errors = 0;
 };
 
@@ -143,42 +142,60 @@ net::HttpResponse reference_answer(const serving::OriginSite& site,
   return core::answer_page_request(site.page, tiers, "", site.plan, request).response;
 }
 
-/// Serial cold pass over every site, repeated: against a fresh default origin
-/// per repeat (dedup) or as reference builds (no dedup). One build at a time,
-/// one prewarm worker: the encoder counters and the on/off byte delta are
-/// deterministic; only wall time is sampled.
-ColdPassResult run_cold_pass(const std::vector<serving::OriginSite>& sites, bool dedup,
-                             const BenchOptions& options) {
+/// One serial cold pass over every site: against a fresh default origin
+/// (dedup) or as reference builds (no dedup). One build at a time, one
+/// prewarm worker: the encoder counters and the on/off byte delta are
+/// deterministic; only wall time varies from pass to pass.
+ColdPassResult run_cold_pass(const std::vector<serving::OriginSite>& sites, bool dedup) {
   ColdPassResult result;
-  std::vector<double> site_min_ms(sites.size(), std::numeric_limits<double>::max());
-  for (int repeat = 0; repeat < options.repeat; ++repeat) {
-    std::optional<serving::OriginServer> origin;
-    if (dedup) origin.emplace(sites);
+  std::optional<serving::OriginServer> origin;
+  if (dedup) origin.emplace(sites);
 
-    imaging::reset_build_work_stats();
-    std::vector<Bytes> lengths;
-    lengths.reserve(sites.size());
-    for (std::size_t i = 0; i < sites.size(); ++i) {
-      const net::HttpRequest request = make_request(sites[i].host);
-      const auto start = Clock::now();
-      const auto response =
-          origin ? origin->handle(request) : reference_answer(sites[i], request);
-      const double ms = std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-      site_min_ms[i] = std::min(site_min_ms[i], ms);
-      if (response.status != 200) ++result.errors;
-      lengths.push_back(response.content_length);
-    }
-
-    if (repeat == 0) {
-      const imaging::BuildWorkStats work = imaging::build_work_stats();
-      result.bytes_built = work.encoded_bytes;
-      result.encodes = work.encodes;
-      result.content_lengths = std::move(lengths);
-      if (origin) result.store = origin->asset_store_stats();
-    }
+  imaging::reset_build_work_stats();
+  result.content_lengths.reserve(sites.size());
+  for (const serving::OriginSite& site : sites) {
+    const net::HttpRequest request = make_request(site.host);
+    const auto start = Clock::now();
+    const auto response = origin ? origin->handle(request) : reference_answer(site, request);
+    result.site_ms.push_back(
+        std::chrono::duration<double, std::milli>(Clock::now() - start).count());
+    if (response.status != 200) ++result.errors;
+    result.content_lengths.push_back(response.content_length);
   }
-  for (const double ms : site_min_ms) result.wall_ms += ms;
+  const imaging::BuildWorkStats work = imaging::build_work_stats();
+  result.bytes_built = work.encoded_bytes;
+  result.encodes = work.encodes;
+  if (origin) result.store = origin->asset_store_stats();
   return result;
+}
+
+/// Runs `repeat` pairs of passes, store on then off, and returns each mode's
+/// first pass with its wall time replaced by the sum over sites of each
+/// site's median build time. Alternating the modes spreads drift in the
+/// host's speed over both; a per-site median drops a scheduler spike that
+/// hits one site in one pass, which a per-pass median cannot.
+std::pair<ColdPassResult, ColdPassResult> run_interleaved(
+    const std::vector<serving::OriginSite>& sites, int repeat) {
+  std::vector<ColdPassResult> on;
+  std::vector<ColdPassResult> off;
+  for (int r = 0; r < std::max(1, repeat); ++r) {
+    on.push_back(run_cold_pass(sites, /*dedup=*/true));
+    off.push_back(run_cold_pass(sites, /*dedup=*/false));
+  }
+  const auto median_sum = [&](const std::vector<ColdPassResult>& passes) {
+    double total = 0.0;
+    std::vector<double> ms(passes.size());
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+      for (std::size_t p = 0; p < passes.size(); ++p) ms[p] = passes[p].site_ms[i];
+      std::sort(ms.begin(), ms.end());
+      const std::size_t n = ms.size();
+      total += n % 2 == 1 ? ms[n / 2] : 0.5 * (ms[n / 2 - 1] + ms[n / 2]);
+    }
+    return total;
+  };
+  on.front().wall_ms = median_sum(on);
+  off.front().wall_ms = median_sum(off);
+  return {std::move(on.front()), std::move(off.front())};
 }
 
 }  // namespace
@@ -212,8 +229,7 @@ int main(int argc, char** argv) {
     const auto sites = make_corpus(rate, options);
     const double realized = realized_duplication(sites);
 
-    const ColdPassResult on = run_cold_pass(sites, /*dedup=*/true, options);
-    const ColdPassResult off = run_cold_pass(sites, /*dedup=*/false, options);
+    const auto [on, off] = run_interleaved(sites, options.repeat);
 
     const double off_bytes = static_cast<double>(off.bytes_built);
     const double saved =

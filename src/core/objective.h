@@ -67,9 +67,9 @@ class LadderCache {
       const web::WebObject& object,
       const obs::RequestContext& ctx = obs::RequestContext::none());
 
-  /// Enumerates every rich image's variant families (both formats' resolution
-  /// and quality ladders plus the WebP transcode) across ctx.workers()
-  /// threads, so the serial solvers that follow hit a fully memoized cache.
+  /// Warms every rich image's ladder (VariantLadder::warm: the WebP
+  /// transcode and both formats' resolution ladders) across ctx.workers()
+  /// threads, so the default HBS solver that follows hits a memoized cache.
   /// Safe because each asset's ladder is independent: ladders are *created*
   /// serially up front, then each worker fills exactly one ladder. Enumeration
   /// failures (injected codec faults, an expired ctx deadline) are swallowed —

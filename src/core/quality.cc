@@ -48,7 +48,19 @@ bool same_view(const web::ServedPage& view, const web::ServedPage& served) {
 }  // namespace
 
 QfsCache::QfsCache(const web::WebPage& page, web::RenderOptions render)
-    : page_(&page), render_(render), events_(web::enumerate_events(page)) {}
+    : page_(&page),
+      render_(render),
+      events_(web::enumerate_events(page)),
+      original_(web::serve_original(page)) {
+  original_state_of_event_.reserve(events_.size());
+  for (const auto& event : events_) {
+    web::RenderState state = web::state_after_event(original_, event);
+    const auto it = std::find(original_states_.begin(), original_states_.end(), state);
+    original_state_of_event_.push_back(
+        static_cast<std::size_t>(it - original_states_.begin()));
+    if (it == original_states_.end()) original_states_.push_back(std::move(state));
+  }
+}
 
 double QfsCache::score(const web::ServedPage& served) {
   AW4A_EXPECTS(served.page == page_);
@@ -63,7 +75,7 @@ double QfsCache::score(const web::ServedPage& served) {
   for (const Entry& entry : memo_) {
     if (same_view(entry.view, served)) return entry.qfs;
   }
-  web::ServedPage view = web::serve_original(*page_);
+  web::ServedPage view = original_;
   view.scripts = served.scripts;
   view.dropped = served.dropped;
   const double qfs = render_and_score(view);
@@ -71,19 +83,39 @@ double QfsCache::score(const web::ServedPage& served) {
   return qfs;
 }
 
-double QfsCache::render_and_score(const web::ServedPage& view) const {
-  const web::ServedPage original = web::serve_original(*page_);
+double QfsCache::render_and_score(const web::ServedPage& view) {
+  // Each event's score depends only on its (original state, view state)
+  // pair, so a pair seen earlier in this view reuses its score. Scores are
+  // still added once per event in event order: the sum is the per-event one.
+  struct Pair {
+    std::size_t original_state;
+    web::RenderState served_state;
+    double score;
+  };
+  std::vector<Pair> pairs;
   double total = 0.0;
-  for (const auto& event : events_) {
-    const web::RenderState state_orig = web::state_after_event(original, event);
-    const web::RenderState state_served = web::state_after_event(view, event);
-    const imaging::Raster shot_orig = web::render_page(original, state_orig, render_);
-    const imaging::Raster shot_served = web::render_page(view, state_served, render_);
+  for (std::size_t e = 0; e < events_.size(); ++e) {
+    const std::size_t original_state = original_state_of_event_[e];
+    web::RenderState served_state = web::state_after_event(view, events_[e]);
+    const auto it = std::find_if(pairs.begin(), pairs.end(), [&](const Pair& pair) {
+      return pair.original_state == original_state && pair.served_state == served_state;
+    });
+    if (it != pairs.end()) {
+      total += it->score;
+      continue;
+    }
+    const imaging::Raster shot_orig =
+        web::render_page(original_, original_states_[original_state], render_, &scaled_);
+    const imaging::Raster shot_served =
+        web::render_page(view, served_state, render_, &scaled_);
     // Most events leave the two screenshots pixel-identical, and ssim()
     // scores identical inputs exactly 1.0 (pinned by a test), so comparing
     // bytes first changes no score — it only skips two luma extractions.
-    total += shot_orig.pixels() == shot_served.pixels() ? 1.0
-                                                        : imaging::ssim(shot_orig, shot_served);
+    const double score = shot_orig.pixels() == shot_served.pixels()
+                             ? 1.0
+                             : imaging::ssim(shot_orig, shot_served);
+    pairs.push_back(Pair{original_state, std::move(served_state), score});
+    total += score;
   }
   return total / static_cast<double>(events_.size());
 }

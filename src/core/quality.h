@@ -32,7 +32,12 @@ double compute_qss(const web::ServedPage& served);
 /// decisions (every tier, both HBS approaches) but few distinct views, so
 /// one cache per build scores each view once. Views are compared by
 /// equality, never by hash: a collision would silently serve a wrong score.
-/// Not thread-safe; one build owns one cache.
+///
+/// Scoring a new view renders only distinct screenshot pairs: a pair is
+/// fixed by the original's post-event state (computed once per cache) and
+/// the view's, and events often share both. Image blocks are scaled once per
+/// cache (web::ScaledOriginals). Screenshots themselves are not kept past
+/// the pair that needs them. Not thread-safe; one build owns one cache.
 class QfsCache {
  public:
   explicit QfsCache(const web::WebPage& page, web::RenderOptions render = {});
@@ -53,11 +58,17 @@ class QfsCache {
     double qfs = 1.0;
   };
 
-  double render_and_score(const web::ServedPage& view) const;
+  double render_and_score(const web::ServedPage& view);
 
   const web::WebPage* page_;
   web::RenderOptions render_;
   std::vector<web::BotEvent> events_;
+  web::ServedPage original_;
+  /// Distinct post-event states of the original, and each event's index
+  /// into them.
+  std::vector<web::RenderState> original_states_;
+  std::vector<std::size_t> original_state_of_event_;
+  web::ScaledOriginals scaled_;
   std::vector<Entry> memo_;
 };
 

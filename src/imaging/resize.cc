@@ -13,29 +13,6 @@ std::uint8_t to_u8(double v) {
   return static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0) + 0.5);
 }
 
-/// One output row of the bilinear resample from channel-planar double rows
-/// (layout [r | g | b | a], each src_w wide). A gather-based AVX2 variant of
-/// this loop was tried and measured slower than what the compiler emits for
-/// the scalar form — four-lane gathers don't pay for their latency here.
-void bilinear_row_scalar(const double* top, const double* bottom, int src_w, const int* col0,
-                         const int* col1, const double* weight_x, double ty, int new_w,
-                         Pixel* dst_row) {
-  for (int x = 0; x < new_w; ++x) {
-    const double tx = weight_x[x];
-    const int c0 = col0[x];
-    const int c1 = col1[x];
-    auto lerp2 = [&](const double* r0, const double* r1) {
-      const double v0 = r0[c0] * (1 - tx) + r0[c1] * tx;
-      const double v1 = r1[c0] * (1 - tx) + r1[c1] * tx;
-      return v0 * (1 - ty) + v1 * ty;
-    };
-    dst_row[x] =
-        Pixel{to_u8(lerp2(top, bottom)), to_u8(lerp2(top + src_w, bottom + src_w)),
-              to_u8(lerp2(top + 2 * src_w, bottom + 2 * src_w)),
-              to_u8(lerp2(top + 3 * src_w, bottom + 3 * src_w))};
-  }
-}
-
 }  // namespace
 
 Raster resize_box(const Raster& img, int new_w, int new_h) {
@@ -86,41 +63,43 @@ Raster resize_bilinear(const Raster& img, int new_w, int new_h) {
   const double sy = static_cast<double>(img.height()) / new_h;
   const Pixel* src = img.pixels().data();
   const int src_w = img.width();
+  const std::size_t w = static_cast<std::size_t>(new_w);
   Pixel* dst = out.pixels().data();
-  // Per-column sample positions are row-invariant: hoist the floor/clamp and
-  // the interpolation weight out of the row loop. tx is derived from the
-  // *unclamped* floor (as before); only the fetch indices clamp.
-  std::vector<int> col0(static_cast<std::size_t>(new_w)), col1(static_cast<std::size_t>(new_w));
-  std::vector<double> weight_x(static_cast<std::size_t>(new_w));
-  for (int x = 0; x < new_w; ++x) {
-    const double fx = (x + 0.5) * sx - 0.5;
+  // Per-column sample positions and weights are row-invariant: hoist the
+  // floor/clamp and both weights out of the row loop. tx is derived from the
+  // *unclamped* floor; only the fetch indices clamp.
+  std::vector<int> col0(w), col1(w);
+  std::vector<double> wx0(w), wx1(w);
+  for (std::size_t x = 0; x < w; ++x) {
+    const double fx = (static_cast<double>(x) + 0.5) * sx - 0.5;
     const int x0 = static_cast<int>(std::floor(fx));
-    weight_x[static_cast<std::size_t>(x)] = fx - x0;
-    col0[static_cast<std::size_t>(x)] = std::clamp(x0, 0, src_w - 1);
-    col1[static_cast<std::size_t>(x)] = std::clamp(x0 + 1, 0, src_w - 1);
+    const double tx = fx - x0;
+    wx0[x] = 1 - tx;
+    wx1[x] = tx;
+    col0[x] = std::clamp(x0, 0, src_w - 1);
+    col1[x] = std::clamp(x0 + 1, 0, src_w - 1);
   }
-  // Row cache: the four channels of the two active source rows, converted to
-  // double once per *source* row (double(uint8) is exact, so precomputing the
-  // conversion is bit-identical). The per-pixel loop previously paid sixteen
-  // byte->double conversions per output pixel; upsampling revisits the same
-  // source row pair for several output rows, so the staged form converts
-  // each source sample a handful of times total. Layout: [r | g | b | a],
-  // each src_w wide.
-  std::vector<double> rowbuf_a(4 * static_cast<std::size_t>(src_w));
-  std::vector<double> rowbuf_b(4 * static_cast<std::size_t>(src_w));
-  int row_a_idx = -1;
-  int row_b_idx = -1;
-  auto convert_row = [&](int sy, std::vector<double>& buf) {
-    const Pixel* srow = src + static_cast<std::size_t>(sy) * src_w;
+  // Separable form: each source row is interpolated horizontally once, into
+  // a channel-planar row of new_w doubles ([r | g | b | a]), and every output
+  // row is one vertical lerp of two such rows. The products and sums are the
+  // ones the per-pixel 2x2 form computes, in the same order, so the output is
+  // bit-identical; upsampling reuses each row for several output rows.
+  std::vector<double> top(4 * w), bottom(4 * w);
+  int top_row = -1;
+  int bottom_row = -1;
+  auto interpolate_row = [&](int row, std::vector<double>& buf) {
+    const Pixel* srow = src + static_cast<std::size_t>(row) * src_w;
     double* r = buf.data();
-    double* g = r + src_w;
-    double* b = g + src_w;
-    double* a = b + src_w;
-    for (int x = 0; x < src_w; ++x) {
-      r[x] = double(srow[x].r);
-      g[x] = double(srow[x].g);
-      b[x] = double(srow[x].b);
-      a[x] = double(srow[x].a);
+    double* g = r + w;
+    double* b = g + w;
+    double* a = b + w;
+    for (std::size_t x = 0; x < w; ++x) {
+      const Pixel p0 = srow[col0[x]];
+      const Pixel p1 = srow[col1[x]];
+      r[x] = double(p0.r) * wx0[x] + double(p1.r) * wx1[x];
+      g[x] = double(p0.g) * wx0[x] + double(p1.g) * wx1[x];
+      b[x] = double(p0.b) * wx0[x] + double(p1.b) * wx1[x];
+      a[x] = double(p0.a) * wx0[x] + double(p1.a) * wx1[x];
     }
   };
   for (int y = 0; y < new_h; ++y) {
@@ -130,24 +109,29 @@ Raster resize_bilinear(const Raster& img, int new_w, int new_h) {
     const int sy0 = std::clamp(y0, 0, img.height() - 1);
     const int sy1 = std::clamp(y0 + 1, 0, img.height() - 1);
     // Advancing one source row turns the old bottom row into the new top
-    // row: swap instead of reconverting.
-    if (row_a_idx != sy0 && row_b_idx == sy0) {
-      std::swap(rowbuf_a, rowbuf_b);
-      std::swap(row_a_idx, row_b_idx);
+    // row: swap instead of interpolating it again.
+    if (top_row != sy0 && bottom_row == sy0) {
+      std::swap(top, bottom);
+      std::swap(top_row, bottom_row);
     }
-    if (row_a_idx != sy0) {
-      convert_row(sy0, rowbuf_a);
-      row_a_idx = sy0;
+    if (top_row != sy0) {
+      interpolate_row(sy0, top);
+      top_row = sy0;
     }
-    if (sy1 != sy0 && row_b_idx != sy1) {
-      convert_row(sy1, rowbuf_b);
-      row_b_idx = sy1;
+    if (sy1 != sy0 && bottom_row != sy1) {
+      interpolate_row(sy1, bottom);
+      bottom_row = sy1;
     }
-    const double* top = rowbuf_a.data();
-    const double* bottom = sy1 == sy0 ? rowbuf_a.data() : rowbuf_b.data();
-    Pixel* dst_row = dst + static_cast<std::size_t>(y) * new_w;
-    bilinear_row_scalar(top, bottom, src_w, col0.data(), col1.data(), weight_x.data(), ty,
-                        new_w, dst_row);
+    const double* t = top.data();
+    const double* u = sy1 == sy0 ? top.data() : bottom.data();
+    const double wy0 = 1 - ty;
+    Pixel* dst_row = dst + static_cast<std::size_t>(y) * w;
+    for (std::size_t x = 0; x < w; ++x) {
+      dst_row[x] = Pixel{to_u8(t[x] * wy0 + u[x] * ty),
+                         to_u8(t[w + x] * wy0 + u[w + x] * ty),
+                         to_u8(t[2 * w + x] * wy0 + u[2 * w + x] * ty),
+                         to_u8(t[3 * w + x] * wy0 + u[3 * w + x] * ty)};
+    }
   }
   return out;
 }

@@ -370,8 +370,6 @@ void VariantLadder::warm(const obs::RequestContext& ctx) {
   webp_full(ctx);
   resolution_family(asset_->format, ctx);
   resolution_family(ImageFormat::kWebp, ctx);
-  quality_family(asset_->format, ctx);
-  quality_family(ImageFormat::kWebp, ctx);
 }
 
 std::vector<ImageVariant> VariantLadder::all_variants() const {

@@ -234,10 +234,12 @@ class VariantLadder {
   /// options match this ladder's (the asset store keys on exactly that).
   void adopt(const VariantMemo& memo);
 
-  /// Enumerates the five standard families (the WebP transcode plus both
-  /// formats' resolution and quality families — the same set prewarm fills).
-  /// Unlike prewarm this propagates failures: a store warming an entry must
-  /// know the memo is complete before sharing it.
+  /// Enumerates the families the default HBS solver reads: the WebP
+  /// transcode and both formats' resolution families. The quality families
+  /// stay unset; Grid Search and knapsack fill them lazily. The asset store
+  /// and LadderCache::prewarm both warm through here. Unlike prewarm this
+  /// propagates failures: a store warming an entry must know the memo is
+  /// complete before sharing it.
   void warm(const obs::RequestContext& ctx = obs::RequestContext::none());
 
   /// Re-creates the decoded, redisplayed raster of a variant (used by the

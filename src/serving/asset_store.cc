@@ -146,7 +146,7 @@ AssetStore::MemoPtr AssetStore::acquire(
       ++shard.counters.misses;
     }
 
-    // Cold content: warm the full family set once per content key. The
+    // Cold content: warm the ladder once per content key. The
     // flight collapses concurrent builds of the same content from *any*
     // page identity, and the leader builds under the union of every
     // waiter's deadline (joiners CAS-max theirs in).

@@ -12,10 +12,10 @@
 // OriginServer threads it through the pipeline's LadderCache. A ladder build
 // consults the store per image before encoding anything; a hit adopts the
 // shared memo (bit-identical results for exact hits — enumeration is a
-// deterministic function of the fingerprinted inputs), a miss builds the
-// full family set once, under a SingleFlight keyed by the *content* key, so
-// two cold sites sharing assets do the DCT/encode work once even when their
-// requests race.
+// deterministic function of the fingerprinted inputs), a miss warms the
+// ladder once (VariantLadder::warm: the families the default solver reads),
+// under a SingleFlight keyed by the *content* key, so two cold sites sharing
+// assets do the encode work once even when their requests race.
 //
 // Concurrency: sharded like TierCache (mutex + byte-budget LRU + per-shard
 // counters per shard). The shard index is derived from the perceptual hash

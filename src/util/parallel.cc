@@ -73,9 +73,13 @@ struct Job {
   /// alike) executes: poll cancellation, claim the next index, run it. A
   /// failure stops items not yet claimed; participants mid-body finish (or
   /// fail) their current item, so concurrent failures are all collected.
+  /// A runner that starts after every index is claimed stops before it
+  /// polls: the caller may have returned, and `cancelled` may read its
+  /// stack.
   void run() {
     active.fetch_add(1, std::memory_order_acq_rel);
     while (!failed.load(std::memory_order_acquire)) {
+      if (next.load(std::memory_order_acquire) >= count) break;
       if (cancelled && cancelled()) {
         record_cancel();
         break;
@@ -98,7 +102,7 @@ struct Job {
   /// Complete = no participant is inside run() and no unclaimed work can
   /// start (either exhausted or failed). A late pool runner can bump
   /// `active` again after this holds, but it finds no work and touches only
-  /// this heap-owned struct.
+  /// this heap-owned struct: it never calls `body` or `cancelled`.
   bool done() const {
     return active.load(std::memory_order_acquire) == 0 &&
            (failed.load(std::memory_order_acquire) ||

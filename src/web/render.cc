@@ -53,7 +53,8 @@ void draw_text_block(Canvas& canvas, const LayoutBlock& block, bool fonts_presen
   }
 }
 
-void draw_image_block(Canvas& canvas, const ServedPage& served, const LayoutBlock& block) {
+void draw_image_block(Canvas& canvas, const ServedPage& served, const LayoutBlock& block,
+                      ScaledOriginals& originals) {
   const WebObject* object = served.page->find(block.object_id);
   const bool dropped = object == nullptr || served.is_dropped(block.object_id);
   if (dropped) {
@@ -68,20 +69,18 @@ void draw_image_block(Canvas& canvas, const ServedPage& served, const LayoutBloc
     canvas.rect(block.rect, Pixel{tint, static_cast<std::uint8_t>(tint / 2 + 60), 120, 255});
     return;
   }
-  // Point at the original instead of copying it: only a degraded variant
-  // needs a raster of its own.
-  const Raster* shown = &object->image->original;
-  Raster variant;
-  if (const auto it = served.images.find(block.object_id); it != served.images.end()) {
-    if (it->second.variant && !it->second.variant->is_original) {
-      variant = imaging::render_variant(*object->image, *it->second.variant);
-      shown = &variant;
-    }
-  }
   const int w = std::max(1, canvas.sx(block.rect.w));
   const int h = std::max(1, canvas.sx(block.rect.h));
-  Raster scaled = imaging::resize_bilinear(*shown, w, h);
-  canvas.img.composite(scaled, canvas.sx(block.rect.x), canvas.sx(block.rect.y));
+  const int x = canvas.sx(block.rect.x);
+  const int y = canvas.sx(block.rect.y);
+  if (const auto it = served.images.find(block.object_id); it != served.images.end()) {
+    if (it->second.variant && !it->second.variant->is_original) {
+      const Raster variant = imaging::render_variant(*object->image, *it->second.variant);
+      canvas.img.composite(imaging::resize_bilinear(variant, w, h), x, y);
+      return;
+    }
+  }
+  canvas.img.composite(originals.get(*object, w, h), x, y);
 }
 
 void draw_widget_block(Canvas& canvas, const ServedPage& served, const RenderState& state,
@@ -110,6 +109,16 @@ void draw_ad_block(Canvas& canvas, const ServedPage& served, const LayoutBlock& 
 
 }  // namespace
 
+const imaging::Raster& ScaledOriginals::get(const WebObject& object, int w, int h) {
+  AW4A_EXPECTS(object.image != nullptr);
+  for (const Entry& entry : entries_) {
+    if (entry.object_id == object.id && entry.w == w && entry.h == h) return entry.scaled;
+  }
+  entries_.push_back(
+      Entry{object.id, w, h, imaging::resize_bilinear(object.image->original, w, h)});
+  return entries_.back().scaled;
+}
+
 bool widget_functional(const ServedPage& served, js::WidgetId widget) {
   AW4A_EXPECTS(served.page != nullptr);
   for (const auto& object : served.page->objects) {
@@ -123,7 +132,7 @@ bool widget_functional(const ServedPage& served, js::WidgetId widget) {
 }
 
 imaging::Raster render_page(const ServedPage& served, const RenderState& state,
-                            const RenderOptions& options) {
+                            const RenderOptions& options, ScaledOriginals* originals) {
   AW4A_EXPECTS(served.page != nullptr);
   AW4A_EXPECTS(options.canvas_scale > 0.0 && options.canvas_scale <= 2.0);
   const WebPage& page = *served.page;
@@ -152,6 +161,9 @@ imaging::Raster render_page(const ServedPage& served, const RenderState& state,
   if (!css_exists) css_present = true;    // pages without CSS render as-is
   if (!fonts_exist) fonts_present = true; // system fonts
 
+  ScaledOriginals this_render;
+  ScaledOriginals& scaled = originals != nullptr ? *originals : this_render;
+
   for (const LayoutBlock& original_block : page.layout) {
     LayoutBlock block = original_block;
     if (!css_present) {
@@ -163,7 +175,7 @@ imaging::Raster render_page(const ServedPage& served, const RenderState& state,
         draw_text_block(canvas, block, fonts_present);
         break;
       case LayoutBlock::Kind::kImage:
-        draw_image_block(canvas, served, block);
+        draw_image_block(canvas, served, block, scaled);
         break;
       case LayoutBlock::Kind::kWidget:
         draw_widget_block(canvas, served, state, block);

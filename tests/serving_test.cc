@@ -863,6 +863,45 @@ TEST_F(OriginServerTest, AnswersMatchTheUncachedReference) {
   EXPECT_EQ(origin.metrics().builds_started, corpus.size() + 1);
 }
 
+TEST_F(OriginServerTest, GridSearchSiteAdoptsAWarmedMemoAndMatchesTheReference) {
+  // A store warm fills only the families HBS reads. A Grid Search site whose
+  // images another (HBS) site already warmed adopts that partial memo and
+  // enumerates the quality families itself; its answers must still be the
+  // reference's, as must the HBS site's.
+  core::DeveloperConfig grid = config();
+  grid.stage2 = core::DeveloperConfig::Stage2::kGridSearch;
+  const std::vector<OriginSite> shared = {
+      OriginSite{"hbs.example", (*pages_)[0], config(), net::PlanType::kDataVoiceLowUsage},
+      OriginSite{"grid.example", (*pages_)[0], grid, net::PlanType::kDataVoiceLowUsage}};
+  std::vector<std::vector<core::Tier>> reference;
+  for (const OriginSite& site : shared) {
+    reference.push_back(core::Aw4aPipeline(site.config).build_tiers(site.page));
+  }
+  const OriginServer origin(shared);
+
+  std::uint64_t exact_hits_before = 0;
+  for (std::size_t s = 0; s < shared.size(); ++s) {
+    const OriginSite& site = shared[s];
+    exact_hits_before = origin.asset_store_stats().exact_hits;
+    for (const char* country : {"ET", "PK"}) {
+      const net::HttpRequest request =
+          get(site.host, {{"Save-Data", "on"}, {"X-Geo-Country", country}});
+      const auto served = origin.handle(request);
+      const auto expected =
+          core::answer_page_request(site.page, reference[s], "", site.plan, request).response;
+      EXPECT_EQ(served.status, expected.status) << site.host << " " << country;
+      EXPECT_EQ(served.content_length, expected.content_length) << site.host << " " << country;
+      ASSERT_NE(served.header("AW4A-Tier"), nullptr);
+      ASSERT_NE(expected.header("AW4A-Tier"), nullptr);
+      EXPECT_EQ(*served.header("AW4A-Tier"), *expected.header("AW4A-Tier"))
+          << site.host << " " << country;
+    }
+  }
+  EXPECT_GT(origin.asset_store_stats().exact_hits, exact_hits_before)
+      << "the Grid Search build must adopt the HBS site's memos";
+  EXPECT_EQ(origin.metrics().builds_started, shared.size());
+}
+
 TEST_F(OriginServerTest, ColdBuildFillsEveryStageHistogram) {
   // A 4x tier so Stage-2 definitely runs (Stage-1 alone cannot reach it).
   auto deep = sites();

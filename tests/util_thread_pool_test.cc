@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <set>
 #include <thread>
 
@@ -159,6 +160,60 @@ TEST(ParallelForCancel, NullPollMeansNoCancellation) {
   std::atomic<std::size_t> ran{0};
   parallel_for(16, [&](std::size_t) { ran.fetch_add(1); }, /*workers=*/2);
   EXPECT_EQ(ran.load(), 16u);
+}
+
+TEST(ParallelForCancel, LateRunnersNeverPollAfterTheCallReturns) {
+  // Every pool worker is parked on a blocker, so the runners parallel_for
+  // submits can only start after the call has returned: the caller claims
+  // every item itself. A late runner must then stop without polling, since
+  // the poll reads the caller's stack (prewarm's reads its RequestContext).
+  constexpr unsigned kWorkers = 3;
+  util::ThreadPool& pool = util::ThreadPool::shared();
+  pool.ensure_threads(static_cast<int>(kWorkers) - 1);
+  const int threads = pool.threads();
+  std::atomic<int> parked{0};
+  std::atomic<bool> release{false};
+  for (int i = 0; i < threads; ++i) {
+    pool.submit([&] {
+      parked.fetch_add(1);
+      while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (parked.load() < threads && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(parked.load(), threads);
+
+  struct Probe {
+    std::atomic<bool> returned{false};
+    std::atomic<int> late_polls{0};
+  };
+  auto probe = std::make_shared<Probe>();
+  std::size_t ran = 0;
+  {
+    const std::atomic<bool> stop_requested{false};  // caller-stack state the poll reads
+    parallel_for(
+        8, [&](std::size_t) { ++ran; }, kWorkers,
+        [probe, &stop_requested] {
+          if (probe->returned.load()) {
+            probe->late_polls.fetch_add(1);
+            return true;
+          }
+          return stop_requested.load();
+        });
+    probe->returned.store(true);
+  }
+  EXPECT_EQ(ran, 8u);
+
+  // Unpark the pool and wait for the late runners: the job holds the last
+  // copies of the poll (and so of `probe`) until its final runner is done.
+  release.store(true);
+  while (probe.use_count() > 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(probe.use_count(), 1) << "late runners never finished";
+  EXPECT_EQ(probe->late_polls.load(), 0) << "a runner polled after parallel_for returned";
 }
 
 // --- Pool bookkeeping ---
