@@ -7,6 +7,7 @@
 #include "imaging/ssim.h"
 #include "imaging/synth.h"
 #include "net/compress.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace aw4a::imaging::detail {
@@ -37,6 +38,44 @@ TEST(PngFilterStream, NoisyImageResistsFiltering) {
   }
   const auto stream = png_filter_stream(img, false);
   EXPECT_GT(net::gzip_size(stream), stream.size() * 2 / 3);
+}
+
+TEST(PngFilter, StreamDigestIsFrozen) {
+  // One digest over png_filter_stream's bytes, with and without alpha, for
+  // seeded smooth, noisy and flat rasters, including 1-px-wide and
+  // 1-px-tall ones (no left / no up neighbours). Any change to the filter
+  // loops must reproduce every byte and every per-row filter choice.
+  Rng rng(2027);
+  std::uint64_t digest = 0;
+  auto fold = [&](const Raster& img) {
+    for (const bool alpha : {false, true}) {
+      const auto stream = png_filter_stream(img, alpha);
+      digest = hash_mix(digest, static_cast<std::uint64_t>(stream.size()));
+      for (const std::uint8_t byte : stream) digest = hash_mix(digest, std::uint64_t{byte});
+    }
+  };
+  auto noise = [&](int w, int h) {
+    Raster img(w, h);
+    for (Pixel& p : img.pixels()) {
+      p = Pixel{static_cast<std::uint8_t>(rng.uniform_int(0, 255)),
+                static_cast<std::uint8_t>(rng.uniform_int(0, 255)),
+                static_cast<std::uint8_t>(rng.uniform_int(0, 255)),
+                static_cast<std::uint8_t>(rng.uniform_int(0, 255))};
+    }
+    return img;
+  };
+  for (const ImageClass cls : kAllImageClasses) {
+    Raster img = synth_image(rng, cls, 45, 31);
+    fold(img);
+    for (Pixel& p : img.pixels()) p.a = static_cast<std::uint8_t>(p.r ^ p.b);
+    fold(img);
+  }
+  fold(noise(1, 1));
+  fold(noise(1, 29));
+  fold(noise(37, 1));
+  fold(noise(23, 17));
+  fold(Raster(19, 11, Pixel{200, 100, 50, 128}));
+  EXPECT_EQ(digest, 0xed9ba072b812502cULL) << std::hex << digest;
 }
 
 TEST(AlphaPlaneCost, FlatAlphaIsCheapVariedAlphaIsNot) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "imaging/synth.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace aw4a::imaging {
@@ -55,6 +56,43 @@ TEST(Raster, CompositeBlendsAlpha) {
   dst.composite(src, 0, 0);
   EXPECT_NEAR(dst.at(0, 0).r, 128, 1);
   EXPECT_EQ(dst.at(1, 0).r, 0);  // outside src untouched
+}
+
+TEST(Raster, CompositeDigestIsFrozen) {
+  // One digest over the destination pixels after compositing seeded sources
+  // whose alphas mix 0, 255 and partial values (plus all-opaque and
+  // all-transparent sources), placed inside, across each of the four edges,
+  // over a corner and fully outside. Any kernel change must reproduce every
+  // byte; a mismatch means the blend arithmetic moved.
+  Rng rng(2026);
+  auto channel = [&] { return static_cast<std::uint8_t>(rng.uniform_int(0, 255)); };
+  auto source = [&](int w, int h, int alpha_mode) {
+    Raster src(w, h);
+    for (Pixel& p : src.pixels()) {
+      p = Pixel{channel(), channel(), channel(), 255};
+      const int pick = alpha_mode < 3 ? alpha_mode : static_cast<int>(rng.uniform_int(0, 2));
+      p.a = pick == 0 ? 0 : pick == 1 ? 255 : static_cast<std::uint8_t>(rng.uniform_int(1, 254));
+    }
+    return src;
+  };
+  std::uint64_t digest = 0;
+  for (int round = 0; round < 3; ++round) {
+    Raster dst(61, 47);
+    for (Pixel& p : dst.pixels()) p = Pixel{channel(), channel(), channel(), channel()};
+    const std::pair<int, int> origins[] = {{5, 7},   {-9, 12}, {40, 20}, {10, -6},
+                                           {18, 35}, {-4, -5}, {55, 41}, {70, 3}};
+    int mode = round;
+    for (const auto& [x, y] : origins) {
+      const Raster src = source(static_cast<int>(rng.uniform_int(1, 24)),
+                                static_cast<int>(rng.uniform_int(1, 24)), mode++ % 4);
+      dst.composite(src, x, y);
+    }
+    for (const Pixel& p : dst.pixels()) {
+      digest = hash_mix(digest, static_cast<std::uint64_t>(p.r) | std::uint64_t{p.g} << 8 |
+                                    std::uint64_t{p.b} << 16 | std::uint64_t{p.a} << 24);
+    }
+  }
+  EXPECT_EQ(digest, 0xfda29df9b68c722eULL) << std::hex << digest;
 }
 
 TEST(Raster, LumaCompositesOverWhite) {

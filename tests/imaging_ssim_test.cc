@@ -242,8 +242,12 @@ TEST(SsimDispatch, DirectPathIsBitIdenticalToReference) {
   // execute the reference's chains in the reference's order, so equality is
   // exact — EXPECT_EQ on the doubles, not a tolerance. Sizes exercise the
   // vector groups, the scalar remainder (width not a multiple of 4 windows),
-  // and the clamped tail window on both axes.
-  for (const auto& [w, h] : {std::pair{160, 120}, {163, 121}, {57, 43}, {448, 336}}) {
+  // and the clamped tail window on both axes. The ladder shapes (97, 101 and
+  // 143 wide, as redisplayed variants of 96-144 px originals are) put the
+  // clamped tail window inside the last group of four, after a regular
+  // group, or in the scalar remainder.
+  for (const auto& [w, h] : {std::pair{160, 120}, {163, 121}, {57, 43}, {448, 336}, {97, 73},
+                             {101, 76}, {143, 107}, {98, 74}, {99, 75}, {100, 75}}) {
     const auto [a, b] = correlated_planes(w, h, 31);
     for (const int stride : {3, 4, 7, 16}) {
       const SsimOptions opts{.window = 8, .stride = stride};
