@@ -1072,32 +1072,54 @@ Raster reconstruct_lossy(const DecodedLossy& lv) {
   return out;
 }
 
+namespace {
+
+/// Writes one PNG filter's residual row (cur - predict(i), mod 256) over
+/// bytes [0, n) and returns its score, the sum of |signed residual| — the
+/// standard minimum-sum-of-absolute-differences heuristic.
+template <class Predict>
+long filter_residuals(const std::uint8_t* cur, int n, std::uint8_t* out, Predict predict) {
+  long score = 0;
+  for (int i = 0; i < n; ++i) {
+    const auto residual = static_cast<std::uint8_t>(cur[i] - predict(i));
+    out[i] = residual;
+    score += std::abs(static_cast<std::int8_t>(residual));
+  }
+  return score;
+}
+
+int paeth(int a, int b, int c) {
+  const int pr = a + b - c;
+  const int pa = std::abs(pr - a);
+  const int pb = std::abs(pr - b);
+  const int pc = std::abs(pr - c);
+  if (pa <= pb && pa <= pc) return a;
+  if (pb <= pc) return b;
+  return c;
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> png_filter_stream(const Raster& img, bool include_alpha) {
   AW4A_EXPECTS(!img.empty());
   const int channels = include_alpha ? 4 : 3;
   const int w = img.width();
   const int h = img.height();
   const int stride = w * channels;
-  auto paeth = [](int a, int b, int c) {
-    const int pr = a + b - c;
-    const int pa = std::abs(pr - a);
-    const int pb = std::abs(pr - b);
-    const int pc = std::abs(pr - c);
-    if (pa <= pb && pa <= pc) return a;
-    if (pb <= pc) return b;
-    return c;
-  };
 
   std::vector<std::uint8_t> out;
   out.reserve(static_cast<std::size_t>(h) * (stride + 1));
   std::vector<std::uint8_t> candidate(static_cast<std::size_t>(stride));
   std::vector<std::uint8_t> best(static_cast<std::size_t>(stride));
   // De-interleave each raster row into a flat byte row once, instead of
-  // re-fetching every pixel 5 filters x 4 neighbors times; out-of-row
-  // neighbors (x < 0 or y < 0) read as 0, same as before.
+  // re-fetching every pixel 5 filters x 4 neighbors times. Out-of-row
+  // neighbors read as 0: prev_row starts zeroed (the row above row 0), and
+  // the first pixel of a row, which has no left neighbor, runs its own loop.
   std::vector<std::uint8_t> cur_row(static_cast<std::size_t>(stride));
   std::vector<std::uint8_t> prev_row(static_cast<std::size_t>(stride), 0);
   const Pixel* px = img.pixels().data();
+  const int lead = channels;
+  const int rest = stride - lead;
   for (int y = 0; y < h; ++y) {
     const Pixel* row = px + static_cast<std::size_t>(y) * w;
     for (int x = 0; x < w; ++x) {
@@ -1108,35 +1130,38 @@ std::vector<std::uint8_t> png_filter_stream(const Raster& img, bool include_alph
       b[2] = p.b;
       if (include_alpha) b[3] = p.a;
     }
+    const std::uint8_t* cur = cur_row.data();
+    const std::uint8_t* up = prev_row.data();
+    // One loop per filter (None, Sub, Up, Average, Paeth), each over the
+    // lead pixel (left = up-left = 0) and then the rest of the row, where
+    // byte i's left neighbor is i - channels. The first filter with the
+    // strictly lowest score wins; its row is swapped into `best`.
     long best_score = -1;
     std::uint8_t best_filter = 0;
-    for (std::uint8_t filter = 0; filter < 5; ++filter) {
-      long score = 0;
-      for (int i = 0; i < stride; ++i) {
-        const int cur = cur_row[static_cast<std::size_t>(i)];
-        const int left = i >= channels ? cur_row[static_cast<std::size_t>(i - channels)] : 0;
-        const int up = y > 0 ? prev_row[static_cast<std::size_t>(i)] : 0;
-        const int ul =
-            (i >= channels && y > 0) ? prev_row[static_cast<std::size_t>(i - channels)] : 0;
-        int predicted = 0;
-        switch (filter) {
-          case 0: predicted = 0; break;
-          case 1: predicted = left; break;
-          case 2: predicted = up; break;
-          case 3: predicted = (left + up) / 2; break;
-          default: predicted = paeth(left, up, ul); break;
-        }
-        const auto residual = static_cast<std::uint8_t>(cur - predicted);
-        candidate[static_cast<std::size_t>(i)] = residual;
-        // Standard heuristic: minimize sum of |signed residual|.
-        score += std::abs(static_cast<std::int8_t>(residual));
-      }
+    auto keep_if_best = [&](std::uint8_t filter, long score) {
       if (best_score < 0 || score < best_score) {
         best_score = score;
         best_filter = filter;
-        best = candidate;
+        std::swap(best, candidate);
       }
-    }
+    };
+    auto none = [](int) { return 0; };
+    keep_if_best(0, filter_residuals(cur, stride, candidate.data(), none));
+    keep_if_best(1, filter_residuals(cur, lead, candidate.data(), none) +
+                        filter_residuals(cur + lead, rest, candidate.data() + lead,
+                                         [&](int i) { return int{cur[i]}; }));
+    keep_if_best(2, filter_residuals(cur, stride, candidate.data(),
+                                     [&](int i) { return int{up[i]}; }));
+    keep_if_best(3, filter_residuals(cur, lead, candidate.data(),
+                                     [&](int i) { return up[i] / 2; }) +
+                        filter_residuals(cur + lead, rest, candidate.data() + lead,
+                                         [&](int i) { return (cur[i] + up[lead + i]) / 2; }));
+    // paeth(0, up, 0) is up, so the lead pixel's Paeth row is its Up row.
+    keep_if_best(4, filter_residuals(cur, lead, candidate.data(),
+                                     [&](int i) { return int{up[i]}; }) +
+                        filter_residuals(cur + lead, rest, candidate.data() + lead, [&](int i) {
+                          return paeth(cur[i], up[lead + i], up[i]);
+                        }));
     out.push_back(best_filter);
     out.insert(out.end(), best.begin(), best.end());
     std::swap(cur_row, prev_row);

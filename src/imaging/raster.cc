@@ -34,10 +34,20 @@ void Raster::composite(const Raster& src, int x, int y) {
   const int x1 = std::min(width_, x + src.width());
   const int y1 = std::min(height_, y + src.height());
   for (int yy = y0; yy < y1; ++yy) {
+    const Pixel* src_row = src.data_.data() + static_cast<std::size_t>(yy - y) * src.width_;
+    Pixel* dst_row = data_.data() + static_cast<std::size_t>(yy) * width_;
     for (int xx = x0; xx < x1; ++xx) {
-      const Pixel s = src.at(xx - x, yy - y);
-      Pixel& d = data_[static_cast<std::size_t>(yy) * width_ + xx];
+      const Pixel s = src_row[xx - x];
+      Pixel& d = dst_row[xx];
       const int a = s.a;
+      // Exact shortcuts of the blend below: a = 255 gives
+      // (s * 255 + 127) / 255 = s and max(d.a, 255) = 255, i.e. d = s;
+      // a = 0 gives (d * 255 + 127) / 255 = d and max(d.a, 0) = d.a.
+      if (a == 255) {
+        d = s;
+        continue;
+      }
+      if (a == 0) continue;
       const int ia = 255 - a;
       d.r = static_cast<std::uint8_t>((s.r * a + d.r * ia + 127) / 255);
       d.g = static_cast<std::uint8_t>((s.g * a + d.g * ia + 127) / 255);

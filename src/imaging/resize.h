@@ -20,4 +20,10 @@ Raster reduce_resolution(const Raster& img, double scale);
 /// Upscales `reduced` back to (w, h) bilinearly — the browser's redisplay.
 Raster redisplay(const Raster& reduced, int w, int h);
 
+/// luma_plane(redisplay(reduced, w, h)), bit for bit, without building the
+/// redisplayed raster: the measurement path of every reduced variant. Opaque
+/// sources skip the alpha channel; the rows run four pixels per AVX2 vector
+/// where the CPU has it.
+PlaneF redisplay_luma(const Raster& reduced, int w, int h);
+
 }  // namespace aw4a::imaging

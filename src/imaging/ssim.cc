@@ -93,6 +93,29 @@ std::size_t window_positions(int dim, int win, int stride) {
 }
 
 #if AW4A_SSIM_DIRECT_SIMD
+/// The five window sums of four windows, one window per lane.
+struct WindowSums4 {
+  __m256d sa, sb, saa, sbb, sab;
+
+  __attribute__((target("avx2"))) WindowSums4()
+      : sa(_mm256_setzero_pd()),
+        sb(_mm256_setzero_pd()),
+        saa(_mm256_setzero_pd()),
+        sbb(_mm256_setzero_pd()),
+        sab(_mm256_setzero_pd()) {}
+
+  /// One window column step: sample x of each lane's window in a and b.
+  __attribute__((target("avx2"))) void add(__m128 fa, __m128 fb) {
+    const __m256d va = _mm256_cvtps_pd(fa);
+    const __m256d vb = _mm256_cvtps_pd(fb);
+    sa = _mm256_add_pd(sa, va);
+    sb = _mm256_add_pd(sb, vb);
+    saa = _mm256_add_pd(saa, _mm256_mul_pd(va, va));
+    sbb = _mm256_add_pd(sbb, _mm256_mul_pd(vb, vb));
+    sab = _mm256_add_pd(sab, _mm256_mul_pd(va, vb));
+  }
+};
+
 /// Direct (per-window summation) SSIM, vectorized four windows at a time.
 ///
 /// ssim_reference's five accumulators form serial dependency chains *within*
@@ -102,7 +125,9 @@ std::size_t window_positions(int dim, int win, int stride) {
 /// multiplies, and adds in the same source order as the scalar loop, and the
 /// per-window scores join `total` in the same left-to-right, top-to-bottom
 /// window order. The result is therefore bit-identical to ssim_reference —
-/// pinned (with EXPECT_EQ, not a tolerance) by SsimDispatch tests.
+/// pinned (with EXPECT_EQ, not a tolerance) by SsimDispatch tests. Evenly
+/// spaced groups at the default geometry load their rows contiguously and
+/// transpose; the clamped tail group gathers.
 __attribute__((target("avx2"))) double ssim_direct_avx2(const PlaneF& a, const PlaneF& b,
                                                         int win, int stride) {
   const double n = static_cast<double>(win) * win;
@@ -128,30 +153,49 @@ __attribute__((target("avx2"))) double ssim_direct_avx2(const PlaneF& a, const P
       // never depend on lane spacing, so the clamped tail window needs no
       // special case.
       const __m128i idx = _mm_set_epi32(xs[gi + 3], xs[gi + 2], xs[gi + 1], xs[gi]);
-      __m256d sa = _mm256_setzero_pd();
-      __m256d sb = _mm256_setzero_pd();
-      __m256d saa = _mm256_setzero_pd();
-      __m256d sbb = _mm256_setzero_pd();
-      __m256d sab = _mm256_setzero_pd();
+      WindowSums4 sums;
+      // The default geometry (window 8, stride 4) with evenly spaced
+      // origins: the four windows of a row span 20 contiguous floats, so
+      // five loads and two 4x4 transposes yield column x of every window
+      // (lane l = window l) without a gather.
+      const bool regular = win == 8 && stride == 4 && xs[gi + 3] == xs[gi] + 12;
       for (int y = 0; y < win; ++y) {
         const float* ra = &a.v[static_cast<std::size_t>(y0 + y) * a.width];
         const float* rb = &b.v[static_cast<std::size_t>(y0 + y) * b.width];
-        for (int x = 0; x < win; ++x) {
-          const __m256d va = _mm256_cvtps_pd(_mm_i32gather_ps(ra + x, idx, 4));
-          const __m256d vb = _mm256_cvtps_pd(_mm_i32gather_ps(rb + x, idx, 4));
-          sa = _mm256_add_pd(sa, va);
-          sb = _mm256_add_pd(sb, vb);
-          saa = _mm256_add_pd(saa, _mm256_mul_pd(va, va));
-          sbb = _mm256_add_pd(sbb, _mm256_mul_pd(vb, vb));
-          sab = _mm256_add_pd(sab, _mm256_mul_pd(va, vb));
+        if (!regular) {
+          for (int x = 0; x < win; ++x) {
+            sums.add(_mm_i32gather_ps(ra + x, idx, 4), _mm_i32gather_ps(rb + x, idx, 4));
+          }
+          continue;
         }
+        const float* pa = ra + xs[gi];
+        const float* pb = rb + xs[gi];
+        __m128 a0 = _mm_loadu_ps(pa), a1 = _mm_loadu_ps(pa + 4), a2 = _mm_loadu_ps(pa + 8),
+               a3 = _mm_loadu_ps(pa + 12), a4 = _mm_loadu_ps(pa + 16);
+        __m128 b0 = _mm_loadu_ps(pb), b1 = _mm_loadu_ps(pb + 4), b2 = _mm_loadu_ps(pb + 8),
+               b3 = _mm_loadu_ps(pb + 12), b4 = _mm_loadu_ps(pb + 16);
+        // Columns 4..7 of window l are columns 0..3 of block l + 1.
+        __m128 c0 = a1, c1 = a2, c2 = a3, c3 = a4;
+        __m128 d0 = b1, d1 = b2, d2 = b3, d3 = b4;
+        _MM_TRANSPOSE4_PS(a0, a1, a2, a3);
+        _MM_TRANSPOSE4_PS(b0, b1, b2, b3);
+        _MM_TRANSPOSE4_PS(c0, c1, c2, c3);
+        _MM_TRANSPOSE4_PS(d0, d1, d2, d3);
+        sums.add(a0, b0);
+        sums.add(a1, b1);
+        sums.add(a2, b2);
+        sums.add(a3, b3);
+        sums.add(c0, d0);
+        sums.add(c1, d1);
+        sums.add(c2, d2);
+        sums.add(c3, d3);
       }
       alignas(32) double la[4], lb[4], laa[4], lbb[4], lab[4];
-      _mm256_store_pd(la, sa);
-      _mm256_store_pd(lb, sb);
-      _mm256_store_pd(laa, saa);
-      _mm256_store_pd(lbb, sbb);
-      _mm256_store_pd(lab, sab);
+      _mm256_store_pd(la, sums.sa);
+      _mm256_store_pd(lb, sums.sb);
+      _mm256_store_pd(laa, sums.saa);
+      _mm256_store_pd(lbb, sums.sbb);
+      _mm256_store_pd(lab, sums.sab);
       for (int l = 0; l < 4; ++l) {
         const double mu_a = la[l] / n;
         const double mu_b = lb[l] / n;
@@ -213,7 +257,7 @@ bool ssim_uses_integral(int width, int height, const SsimOptions& opts) {
   // Direct summation touches windows * win^2 samples; the tables touch every
   // pixel once with a heavier (5-table) inner loop plus allocation traffic.
   // The 5x factor is the measured crossover on the bench plane (448x336,
-  // win 8): stride 4 lands direct (0.78ms vs 1.06ms), stride <= 2 integral.
+  // win 8): stride 4 lands direct, stride <= 2 integral.
   const std::size_t windows = window_positions(width, win, opts.stride) *
                               window_positions(height, win, opts.stride);
   const std::size_t direct_work = windows * static_cast<std::size_t>(win) * win;

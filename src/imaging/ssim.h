@@ -13,10 +13,10 @@
 // The tables cost ~5 multiply-adds per *pixel* to build, paid whether or not
 // the windows ever look at most pixels. At the default stride of 4 the
 // windows only touch 1/16th of the positions, and directly re-summing every
-// window is cheaper than building tables over the full plane — measured
-// 0.78ms direct vs 1.06ms integral on the 448x336 bench plane. ssim()
+// window is cheaper than building tables over the full plane. ssim()
 // therefore dispatches on estimated work (ssim_uses_integral below): sparse
 // window grids take the direct path, dense grids the integral one.
+// bench_perf_pipeline's ssim_strided_* rows track the direct path.
 #pragma once
 
 #include "imaging/raster.h"

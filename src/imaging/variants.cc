@@ -159,7 +159,6 @@ ImageVariant measure_variant(const SourceImage& asset, ImageFormat format, doubl
     return encode_retrying(format, reduced, quality, backend);
   }();
   count_encode(enc);
-  const Raster shown = redisplay(enc.decoded, asset.original.width(), asset.original.height());
   ImageVariant v;
   v.format = format;
   v.scale = scale;
@@ -169,7 +168,8 @@ ImageVariant measure_variant(const SourceImage& asset, ImageFormat format, doubl
                                             asset.byte_scale));
   {
     AW4A_SPAN(ctx, "ssim");
-    v.ssim = ssim(asset.original, shown);
+    v.ssim = ssim(luma_plane(asset.original),
+                  redisplay_luma(enc.decoded, asset.original.width(), asset.original.height()));
   }
   return v;
 }
@@ -191,14 +191,6 @@ ImageVariant VariantLadder::finish_measurement(const Encoded& enc, ImageFormat f
                                                double scale, int quality,
                                                const obs::RequestContext& ctx) const {
   count_encode(enc);
-  // Full-resolution variants need no redisplay; alias the decoded raster
-  // instead of copying it (quality ladders hit this once per rung).
-  const bool full_res = enc.decoded.width() == asset_->original.width() &&
-                        enc.decoded.height() == asset_->original.height();
-  const Raster resized =
-      full_res ? Raster()
-               : redisplay(enc.decoded, asset_->original.width(), asset_->original.height());
-  const Raster& shown = full_res ? enc.decoded : resized;
   ImageVariant v;
   v.format = format;
   v.scale = scale;
@@ -206,11 +198,15 @@ ImageVariant VariantLadder::finish_measurement(const Encoded& enc, ImageFormat f
   v.bytes = wire_header_bytes() +
             static_cast<Bytes>(std::llround(static_cast<double>(enc.payload_bytes()) *
                                             asset_->byte_scale));
-  // Cached-luma path: the original's luma is extracted once per ladder, the
-  // variant's once per measurement — identical scores to comparing rasters.
+  // Cached-luma path: the original's luma is extracted once per ladder; the
+  // variant's redisplayed luma comes straight from the decoded raster in one
+  // fused pass — identical scores to comparing redisplayed rasters.
   {
     AW4A_SPAN(ctx, "ssim");
-    v.ssim = compare_images(original_luma(), luma_plane(shown), options_.metric);
+    v.ssim = compare_images(
+        original_luma(),
+        redisplay_luma(enc.decoded, asset_->original.width(), asset_->original.height()),
+        options_.metric);
   }
   return v;
 }

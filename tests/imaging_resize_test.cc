@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "imaging/ssim.h"
 #include "imaging/synth.h"
 #include "util/hash.h"
@@ -137,6 +139,52 @@ TEST(Resize, BilinearDigestIsFrozen) {
          static_cast<int>(rng.uniform_int(1, 140)));
   }
   EXPECT_EQ(digest, 0xcd3f8406f0b207deULL) << std::hex << digest;
+}
+
+TEST(Resize, RedisplayLumaEqualsLumaOfRedisplay) {
+  // The fused measurement kernel must reproduce luma_plane(redisplay(...))
+  // bit for bit: opaque sources (the alpha-free path) and sources with
+  // alpha, identity size, 1-px targets, up- and downsampling, and target
+  // widths of every residue mod 4 so the vector rows' scalar tails run.
+  Rng rng(2028);
+  auto noise = [&](int w, int h, bool alpha) {
+    Raster img(w, h);
+    for (Pixel& p : img.pixels()) {
+      p = Pixel{static_cast<std::uint8_t>(rng.uniform_int(0, 255)),
+                static_cast<std::uint8_t>(rng.uniform_int(0, 255)),
+                static_cast<std::uint8_t>(rng.uniform_int(0, 255)),
+                alpha ? static_cast<std::uint8_t>(rng.uniform_int(0, 255)) : std::uint8_t{255}};
+    }
+    return img;
+  };
+  auto check = [](const Raster& src, int w, int h) {
+    const PlaneF fused = redisplay_luma(src, w, h);
+    const PlaneF ref = luma_plane(redisplay(src, w, h));
+    ASSERT_EQ(fused.width, w);
+    ASSERT_EQ(fused.height, h);
+    ASSERT_EQ(fused.v.size(), ref.v.size());
+    for (std::size_t i = 0; i < ref.v.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(fused.v[i]), std::bit_cast<std::uint32_t>(ref.v[i]))
+          << src.width() << "x" << src.height() << " -> " << w << "x" << h << " at " << i;
+    }
+  };
+  std::vector<Raster> sources;
+  for (const ImageClass cls : kAllImageClasses) sources.push_back(synth_image(rng, cls, 58, 43));
+  sources.push_back(noise(37, 29, false));
+  sources.push_back(noise(37, 29, true));
+  sources.push_back(noise(1, 1, false));
+  sources.push_back(noise(1, 9, true));
+  sources.push_back(noise(13, 1, false));
+  for (const Raster& src : sources) {
+    SCOPED_TRACE(src.has_alpha() ? "alpha" : "opaque");
+    check(src, src.width(), src.height());  // identity
+    check(src, 1, 1);
+    check(src, 1, 33);
+    check(src, 45, 1);
+    for (const int w : {96, 97, 98, 99, 143, 20, 21, 22, 23}) {
+      check(src, w, w * 3 / 4 + 1);
+    }
+  }
 }
 
 }  // namespace

@@ -218,8 +218,8 @@ TEST(SsimEquivalence, LargePlaneDense) {
 
 TEST(SsimDispatch, BenchPlaneCrossesOverBetweenStride4AndStride1) {
   // The calibration case: on the 448x336 bench plane with the 8x8 window,
-  // stride 4 visits 1/16th of the window positions and the direct path wins
-  // (measured 0.78ms vs 1.06ms); dense stride 1 amortizes the tables.
+  // stride 4 visits 1/16th of the window positions and the direct path wins;
+  // dense stride 1 amortizes the tables.
   EXPECT_FALSE(ssim_uses_integral(448, 336, SsimOptions{.window = 8, .stride = 4}));
   EXPECT_TRUE(ssim_uses_integral(448, 336, SsimOptions{.window = 8, .stride = 1}));
   EXPECT_TRUE(ssim_uses_integral(448, 336, SsimOptions{.window = 8, .stride = 2}));
@@ -242,10 +242,11 @@ TEST(SsimDispatch, DirectPathIsBitIdenticalToReference) {
   // execute the reference's chains in the reference's order, so equality is
   // exact — EXPECT_EQ on the doubles, not a tolerance. Sizes exercise the
   // vector groups, the scalar remainder (width not a multiple of 4 windows),
-  // and the clamped tail window on both axes. The ladder shapes (97, 101 and
-  // 143 wide, as redisplayed variants of 96-144 px originals are) put the
-  // clamped tail window inside the last group of four, after a regular
-  // group, or in the scalar remainder.
+  // and the clamped tail window on both axes. The ladder-sized planes (the
+  // 96-144 px originals whose redisplayed variants get scored) put the
+  // clamped tail window inside the last group of four (97, 98, 99 wide), in
+  // the scalar remainder (101, 143), or end a regular group's contiguous
+  // loads on the row's last float (100).
   for (const auto& [w, h] : {std::pair{160, 120}, {163, 121}, {57, 43}, {448, 336}, {97, 73},
                              {101, 76}, {143, 107}, {98, 74}, {99, 75}, {100, 75}}) {
     const auto [a, b] = correlated_planes(w, h, 31);

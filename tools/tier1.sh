@@ -7,14 +7,15 @@
 # or tampered blobs, the per-build QFS memo's stored views, the bilinear
 # kernel's row cache, the renderer's scaled-image memo and the ladder
 # snapshot/adopt round trip exercise the paths where lifetime and UB bugs
-# hide), plus the full suite under UBSan alone (cheap enough to run
-# everything), plus the serving suite, the rANS coder and the thread pool
-# under TSan (the tier cache, single-flight, and the content-addressed asset
-# store are the concurrent core; the coder's thread-local scratch must stay
-# race-free under the ladder's worker pool; parallel_for's late runners must
-# never touch a returned caller's state). Every ctest run carries a
-# per-test timeout so a deadline-propagation bug hangs the suite loudly
-# instead of forever.
+# hide; the SSIM, raster, PNG-filter and variant suites drive the vector
+# kernels' row-end loads and scalar tails), plus the full suite under UBSan
+# alone (cheap enough to run everything), plus the serving suite, the rANS
+# coder and the thread pool under TSan (the tier cache, single-flight, and
+# the content-addressed asset store are the concurrent core; the coder's
+# thread-local scratch must stay race-free under the ladder's worker pool;
+# parallel_for's late runners must never touch a returned caller's state).
+# Every ctest run carries a per-test timeout so a deadline-propagation bug
+# hangs the suite loudly instead of forever.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,8 +29,8 @@ cmake --build build -j >/dev/null
 python3 -m unittest discover -s originbench -p 'test_*.py'
 
 cmake -B build-asan -S . -DAW4A_SANITIZE=ON >/dev/null
-cmake --build build-asan -j --target robustness_test serving_asset_store_test imaging_ans_test web_markup_test core_quality_test net_http_test property_fuzz_test imaging_resize_test web_render_test imaging_fingerprint_test >/dev/null
-(cd build-asan && ctest --output-on-failure --timeout 300 -R '^(robustness_test|serving_asset_store_test|imaging_ans_test|web_markup_test|core_quality_test|net_http_test|property_fuzz_test|imaging_resize_test|web_render_test|imaging_fingerprint_test)$')
+cmake --build build-asan -j --target robustness_test serving_asset_store_test imaging_ans_test web_markup_test core_quality_test net_http_test property_fuzz_test imaging_resize_test web_render_test imaging_fingerprint_test imaging_ssim_test imaging_raster_test imaging_codec_detail_test imaging_variants_test >/dev/null
+(cd build-asan && ctest --output-on-failure --timeout 300 -R '^(robustness_test|serving_asset_store_test|imaging_ans_test|web_markup_test|core_quality_test|net_http_test|property_fuzz_test|imaging_resize_test|web_render_test|imaging_fingerprint_test|imaging_ssim_test|imaging_raster_test|imaging_codec_detail_test|imaging_variants_test)$')
 
 cmake -B build-ubsan -S . -DAW4A_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j >/dev/null
