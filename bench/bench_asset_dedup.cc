@@ -26,11 +26,10 @@
 //
 // Bytes built come from imaging::build_work_stats() (process-wide encoder
 // counters), so the pass runs strictly serially: one request per site, one
-// build at a time, prewarm pinned to one worker — the numbers are a
-// deterministic function of the corpus. Prewarm is ON in both modes on
-// purpose: a store miss and a prewarm both run VariantLadder::warm (the
-// WebP transcode and both resolution families — what a later hit adopts),
-// so the baseline enumerates exactly the set the store builds and shares.
+// build at a time — the numbers are a deterministic function of the corpus.
+// The reference enumerates lazily, as served builds do: only the families
+// its solver asks for. A store miss runs VariantLadder::warm instead (the
+// WebP transcode and both resolution families — what a later hit adopts).
 //
 // Exit status is the acceptance check (run by tier1.sh): non-zero when the
 // 30% row saves less than 20% of bytes built or of cold-build time, or when
@@ -82,7 +81,6 @@ std::vector<serving::OriginSite> make_corpus(double duplication_rate,
   config.tier_reductions = {2.0};
   config.min_image_ssim = 0.8;
   config.measure_qfs = false;
-  config.prewarm_workers = 1;  // the warm family set in both modes, serially
   std::vector<serving::OriginSite> sites;
   sites.reserve(options.sites);
   for (std::size_t i = 0; i < options.sites; ++i) {
@@ -131,21 +129,18 @@ struct ColdPassResult {
   int errors = 0;
 };
 
-/// The store-OFF answer: the site's ladder built with nothing shared, one
-/// prewarm worker, answered like the origin would answer it.
+/// The store-OFF answer: the site's ladder built with nothing shared,
+/// enumerated lazily, answered like the origin would answer it.
 net::HttpResponse reference_answer(const serving::OriginSite& site,
                                    const net::HttpRequest& request) {
-  const std::vector<core::Tier> tiers = core::Aw4aPipeline(site.config)
-                                            .build_tiers(site.page,
-                                                         obs::RequestContext().with_workers(1),
-                                                         /*assets=*/nullptr);
+  const std::vector<core::Tier> tiers = core::Aw4aPipeline(site.config).build_tiers(site.page);
   return core::answer_page_request(site.page, tiers, "", site.plan, request).response;
 }
 
 /// One serial cold pass over every site: against a fresh default origin
-/// (dedup) or as reference builds (no dedup). One build at a time, one
-/// prewarm worker: the encoder counters and the on/off byte delta are
-/// deterministic; only wall time varies from pass to pass.
+/// (dedup) or as reference builds (no dedup). One build at a time: the
+/// encoder counters and the on/off byte delta are deterministic; only wall
+/// time varies from pass to pass.
 ColdPassResult run_cold_pass(const std::vector<serving::OriginSite>& sites, bool dedup) {
   ColdPassResult result;
   std::optional<serving::OriginServer> origin;

@@ -126,7 +126,7 @@ GridSearchOutcome grid_search(web::ServedPage& served, Bytes target_bytes,
   std::uint64_t nodes = 0;
   bool timed_out = false;
   const auto deadline_hit = [&] {
-    if (ctx.expired() || ctx.cancelled()) return true;
+    if (ctx.expired()) return true;
     if (options.timeout_seconds <= 0.0) return false;
     const auto elapsed = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - started);

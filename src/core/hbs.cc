@@ -67,7 +67,7 @@ TranscodeResult hbs_transcode(const web::WebPage& page, web::ServedPage base,
 
   // Anytime: no budget left for approach B — serve what A reached (the
   // comparison below would see an un-run B anyway).
-  if (ctx.expired() || ctx.cancelled()) {
+  if (ctx.expired()) {
     return finish(std::move(approach_a),
                   options.js_strategy == HbsOptions::JsStrategy::kAdjustable
                       ? "hbs/adjustable-js+rbr"

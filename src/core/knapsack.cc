@@ -128,7 +128,7 @@ KnapsackOutcome knapsack_optimize(web::ServedPage& served, Bytes target_bytes,
   for (std::size_t k = 0; k < n; ++k) {
     // Anytime: one budget poll per DP layer. On expiry fall back to the
     // byte-minimal floor — feasible by the check above, just not optimal.
-    if (ctx.expired() || ctx.cancelled()) {
+    if (ctx.expired()) {
       install(min_choice);
       outcome.bytes_after = served.transfer_size();
       outcome.met_target = outcome.bytes_after <= target_bytes;

@@ -46,7 +46,8 @@ imaging::VariantLadder& LadderCache::ladder_for(const web::WebObject& object,
   return slot.ladder;
 }
 
-void LadderCache::prewarm(const web::WebPage& page, const obs::RequestContext& ctx) {
+void LadderCache::prewarm(const web::WebPage& page, unsigned workers,
+                          const obs::RequestContext& ctx) {
   AW4A_SPAN(ctx, "prewarm");
   const std::vector<const web::WebObject*> images = rich_images(page);
   // Create every slot serially: map insertion is the only shared-state
@@ -79,11 +80,11 @@ void LadderCache::prewarm(const web::WebPage& page, const obs::RequestContext& c
             // change outcomes.
           }
         },
-        ctx.workers(),
+        workers,
         // Stop claiming ladders once the request's budget is gone: an
         // expired deadline turns the remaining prewarm into pure waste (the
         // per-ladder bodies would each start and immediately abort).
-        [&ctx] { return ctx.expired() || ctx.cancelled(); });
+        [&ctx] { return ctx.expired(); });
   } catch (const DeadlineExceeded&) {
     // Same best-effort contract as a per-ladder deadline: the serial path
     // reports the budget overrun with full tier context.

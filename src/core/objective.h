@@ -68,25 +68,23 @@ class LadderCache {
       const obs::RequestContext& ctx = obs::RequestContext::none());
 
   /// Warms every rich image's ladder (VariantLadder::warm: the WebP
-  /// transcode and both formats' resolution ladders) across ctx.workers()
-  /// threads, so the default HBS solver that follows hits a memoized cache.
-  /// Safe because each asset's ladder is independent: ladders are *created*
-  /// serially up front, then each worker fills exactly one ladder. Enumeration
-  /// failures (injected codec faults, an expired ctx deadline) are swallowed —
-  /// nothing is memoized for the failed family, and the serial path
-  /// re-attempts it under the pipeline's normal retry/degradation machinery,
-  /// so results and error handling are identical to a cold serial run.
+  /// transcode and both formats' resolution ladders) across `workers`
+  /// threads (0 = parallel_workers()), so the default HBS solver that
+  /// follows hits a memoized cache. Safe because each asset's ladder is
+  /// independent: ladders are *created* serially up front, then each worker
+  /// fills exactly one ladder. Enumeration failures (injected codec faults,
+  /// an expired ctx deadline) are swallowed — nothing is memoized for the
+  /// failed family, and the serial path re-attempts it under the pipeline's
+  /// normal retry/degradation machinery, so results and error handling are
+  /// identical to a cold serial run.
   /// Emits a "prewarm" span, plus the workers' encode/ssim spans (the trace
-  /// buffer and sink are thread-safe). The context's deadline/cancellation
-  /// is polled between ladders: once the budget is gone no further ladder
-  /// starts, and the overrun itself is swallowed here (best-effort) — the
-  /// serial path re-raises it with tier context.
-  void prewarm(const web::WebPage& page, const obs::RequestContext& ctx);
-
-  /// Worker-count shorthand for callers without a context (benches, tests).
-  void prewarm(const web::WebPage& page, unsigned workers) {
-    prewarm(page, obs::RequestContext().with_workers(workers));
-  }
+  /// buffer and sink are thread-safe). The context's deadline is polled
+  /// between ladders: once the budget is gone no further ladder starts, and
+  /// the overrun itself is swallowed here (best-effort) — the serial path
+  /// re-raises it with tier context. Served builds enumerate lazily instead;
+  /// this is the bench and test entry point for a parallel warm.
+  void prewarm(const web::WebPage& page, unsigned workers,
+               const obs::RequestContext& ctx = obs::RequestContext::none());
 
   /// The placeholder rung of an image object (DESIGN.md §14), or nullopt when
   /// the options don't enable it. Lives here rather than on VariantLadder

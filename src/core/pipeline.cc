@@ -21,7 +21,6 @@ const char* to_string(TierKind kind) {
 Aw4aPipeline::Aw4aPipeline(DeveloperConfig config) : config_(std::move(config)) {
   AW4A_EXPECTS(config_.min_image_ssim > 0.0 && config_.min_image_ssim < 1.0);
   AW4A_EXPECTS(config_.tier_build_attempts >= 1);
-  AW4A_EXPECTS(config_.prewarm_workers >= 0);
 }
 
 imaging::LadderOptions Aw4aPipeline::ladder_options() const {
@@ -43,9 +42,6 @@ obs::RequestContext Aw4aPipeline::make_context() const {
   obs::RequestContext ctx;
   if (config_.stage2_deadline_seconds >= 0.0) {
     ctx = ctx.with_deadline_after(config_.stage2_deadline_seconds);
-  }
-  if (config_.prewarm_workers > 0) {
-    ctx = ctx.with_workers(static_cast<unsigned>(config_.prewarm_workers));
   }
   return ctx;
 }
@@ -113,10 +109,9 @@ TranscodeResult Aw4aPipeline::transcode_to_target(const web::WebPage& page, Byte
     result.degradation_reason = reason;
     return result;
   };
-  if (ctx.expired() || ctx.cancelled()) {
-    std::string reason = ctx.cancelled() ? "request cancelled after stage-1"
-                                         : "stage-2 deadline exhausted after stage-1";
-    if (!ctx.cancelled() && config_.stage2_deadline_seconds >= 0.0) {
+  if (ctx.expired()) {
+    std::string reason = "stage-2 deadline exhausted after stage-1";
+    if (config_.stage2_deadline_seconds >= 0.0) {
       reason += " (" + fmt(config_.stage2_deadline_seconds, 3) + "s)";
     }
     return degrade(reason);
@@ -188,14 +183,8 @@ std::vector<Tier> Aw4aPipeline::build_tiers(const web::WebPage& page,
 
   // One ladder cache for the whole build: every tier searches the identical
   // variant space (only the byte target differs), so sharing makes tiers
-  // after the first skip all encode+SSIM work. Optionally prewarm the cache
-  // across threads first; failures are absorbed (see LadderCache::prewarm),
-  // so the per-tier retry/degradation ladder below behaves exactly as it
-  // would on a cold cache.
+  // after the first skip all encode+SSIM work.
   LadderCache ladders(ladder_options(), assets);
-  if (ctx.workers() > 0) {
-    ladders.prewarm(page, ctx);
-  }
 
   std::size_t built_count = 0;
   for (double reduction : config_.tier_reductions) {

@@ -48,14 +48,6 @@ struct DeveloperConfig {
   /// Attempts per tier in build_tiers (transient faults are retried with
   /// deterministic backoff; see util/retry.h).
   int tier_build_attempts = 2;
-  /// Worker threads for the cold-build ladder prewarm in build_tiers: image
-  /// variant families are enumerated concurrently (one worker per asset)
-  /// before the serial solvers run. 0 disables the prewarm; 1 prewarms
-  /// serially (same work, useful for differential tests). Results are
-  /// bit-identical at any setting — the knob only moves when enumeration
-  /// happens — so it is deliberately NOT part of the serving tier-cache
-  /// config fingerprint.
-  int prewarm_workers = 0;
   /// Entropy coder of the lossy codec family for every variant measured
   /// under this config (DESIGN.md §13): kHuffman is the analytic cost
   /// model, kRans actually entropy-codes the coefficients (fewer bytes at
@@ -118,10 +110,9 @@ class Aw4aPipeline {
   const DeveloperConfig& config() const { return config_; }
 
   /// Context seeded from this config: deadline from stage2_deadline_seconds
-  /// (when >= 0), workers from prewarm_workers (when > 0). The single-shot
-  /// entry points below call this; callers that need tracing, cancellation,
-  /// or a caller-owned deadline build on top of it (or pass their own
-  /// context to the ctx overloads).
+  /// (when >= 0). The single-shot entry points below call this; callers that
+  /// need tracing or a caller-owned deadline build on top of it (or pass
+  /// their own context to the ctx overloads).
   obs::RequestContext make_context() const;
 
   /// Fig. 5 end-to-end: Stage-1, then Stage-2 if the target is unmet.
@@ -140,9 +131,9 @@ class Aw4aPipeline {
   TranscodeResult transcode_to_target(const web::WebPage& page, Bytes target_bytes,
                                       LadderCache& ladders) const;
 
-  /// Explicit-context variants: deadline, cancellation, tracing, and worker
-  /// budget all come from `ctx` (the config's stage2_deadline_seconds is NOT
-  /// consulted — the caller owns the budget).
+  /// Explicit-context variants: deadline and tracing both come from `ctx`
+  /// (the config's stage2_deadline_seconds is NOT consulted — the caller
+  /// owns the budget).
   TranscodeResult transcode_to_target(const web::WebPage& page, Bytes target_bytes,
                                       const obs::RequestContext& ctx) const;
   TranscodeResult transcode_to_target(const web::WebPage& page, Bytes target_bytes,
@@ -170,9 +161,11 @@ class Aw4aPipeline {
   /// Explicit-context build: ONE context bounds the whole build, so a
   /// deadline is shared across all tiers (later tiers degrade to their
   /// Stage-1 result when earlier ones consumed the budget) rather than reset
-  /// per tier. Worker budget for the ladder prewarm comes from ctx.workers().
-  /// An optional AssetLadderSource (the serving asset store) is consulted
-  /// per image by content before any enumeration; nullptr builds locally.
+  /// per tier. Variant families are enumerated lazily, as the solvers ask
+  /// for them (LadderCache::prewarm is the parallel warm, for benches and
+  /// tests). An optional AssetLadderSource (the serving asset store) is
+  /// consulted per image by content before any enumeration; nullptr builds
+  /// locally.
   std::vector<Tier> build_tiers(const web::WebPage& page,
                                 const obs::RequestContext& ctx,
                                 imaging::AssetLadderSource* assets = nullptr) const;

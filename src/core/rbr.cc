@@ -92,7 +92,7 @@ RbrOutcome rank_based_reduce(web::ServedPage& served, Bytes target_bytes, Ladder
   // the Bytes Efficiency is better in WebP).
   if (options.webp_pass) {
     for (const web::WebObject* object : rich_images(page)) {
-      if (ctx.expired() || ctx.cancelled()) break;  // anytime: keep what we have
+      if (ctx.expired()) break;  // anytime: keep what we have
       if (served.is_dropped(object->id) || served.images.count(object->id)) continue;
       if (object->image->format != imaging::ImageFormat::kPng) continue;
       auto& ladder = ladders.ladder_for(*object, ctx);
@@ -113,7 +113,7 @@ RbrOutcome rank_based_reduce(web::ServedPage& served, Bytes target_bytes, Ladder
   // Greedy reduction in reducibility order (Algorithm 1's priority queue).
   const auto ranking = reducibility_ranking(page, ladders, options, ctx);
   for (const auto& [object_id, score] : ranking) {
-    if (ctx.expired() || ctx.cancelled()) break;  // anytime: stop between images
+    if (ctx.expired()) break;  // anytime: stop between images
     const web::WebObject* object = page.find(object_id);
     if (object == nullptr || served.is_dropped(object_id)) continue;
     auto& ladder = ladders.ladder_for(*object, ctx);
@@ -157,7 +157,7 @@ RbrOutcome rank_based_reduce(web::ServedPage& served, Bytes target_bytes, Ladder
   // RBR (and HBS) past the deepest encode rung.
   if (!done()) {
     for (const auto& [object_id, score] : ranking) {
-      if (ctx.expired() || ctx.cancelled()) break;
+      if (ctx.expired()) break;
       const web::WebObject* object = page.find(object_id);
       if (object == nullptr || served.is_dropped(object_id)) continue;
       const auto ph = ladders.placeholder_rung(*object);

@@ -15,7 +15,7 @@ Bytes apply_stage1(web::ServedPage& served, LadderCache& ladders, const Stage1Op
 
   for (const auto& object : served.page->objects) {
     // Anytime: stop on an exhausted budget, keep what is already optimized.
-    if (ctx.expired() || ctx.cancelled()) break;
+    if (ctx.expired()) break;
     if (served.is_dropped(object.id)) continue;
     switch (object.type) {
       case web::ObjectType::kHtml:

@@ -67,22 +67,10 @@ RequestContext RequestContext::with_deadline_after(double seconds) const {
   return out;
 }
 
-RequestContext RequestContext::with_deadline_at(double at_seconds) const {
-  RequestContext out = *this;
-  out.deadline_at_ = at_seconds;
-  return out;
-}
-
 RequestContext RequestContext::with_shared_deadline(
     const std::atomic<double>* at_seconds) const {
   RequestContext out = *this;
   out.shared_deadline_ = at_seconds;
-  return out;
-}
-
-RequestContext RequestContext::with_workers(unsigned workers) const {
-  RequestContext out = *this;
-  out.workers_ = workers;
   return out;
 }
 
@@ -95,12 +83,6 @@ RequestContext RequestContext::with_trace(TraceBuffer* trace) const {
 RequestContext RequestContext::with_sink(SpanSink* sink) const {
   RequestContext out = *this;
   out.sink_ = sink;
-  return out;
-}
-
-RequestContext RequestContext::with_cancel(const std::atomic<bool>* cancelled) const {
-  RequestContext out = *this;
-  out.cancelled_ = cancelled;
   return out;
 }
 
@@ -123,14 +105,7 @@ double RequestContext::remaining() const {
   return at - now();
 }
 
-bool RequestContext::cancelled() const {
-  return cancelled_ != nullptr && cancelled_->load(std::memory_order_relaxed);
-}
-
 void RequestContext::check(const char* what) const {
-  if (cancelled()) {
-    throw DeadlineExceeded(std::string("cancelled in ") + what);
-  }
   if (expired()) {
     throw DeadlineExceeded(std::string("deadline exceeded in ") + what);
   }

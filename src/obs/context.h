@@ -1,22 +1,21 @@
 // Request-scoped observability and control: one RequestContext threaded
 // explicitly through the pipeline, the solvers, the imaging hot path, and the
 // serving components, replacing the per-layer knobs that accumulated there
-// (stage2_deadline_seconds re-derived with local steady_clock math, worker
-// counts in a process global plus per-call overrides, no per-stage timing).
+// (stage2_deadline_seconds re-derived with local steady_clock math, no
+// per-stage timing). It carries only what served traffic sets: a time budget
+// and somewhere to report spans.
 //
 // A context carries:
 //   - a monotonic deadline (absolute seconds on the context's clock), either
 //     its own or a shared atomic (the SingleFlight waiter-union: the leader's
 //     build keeps running while ANY waiter still has budget),
-//   - a cooperative cancellation flag,
-//   - a worker budget for the cold-build ladder prewarm,
 //   - span destinations: a per-request TraceBuffer (the /aw4a/trace dump) and
 //     a process-lifetime SpanSink (the ServingMetrics stage breakdown).
 //
 // Contexts are small copyable values. The default-constructed context — also
-// RequestContext::none() — has no deadline, no cancellation, no workers and
-// no tracing, so defaulted `const RequestContext&` parameters keep every
-// pre-existing call site byte-for-byte equivalent.
+// RequestContext::none() — has no deadline and no tracing, so defaulted
+// `const RequestContext&` parameters keep every pre-existing call site
+// byte-for-byte equivalent.
 //
 // Span naming convention (DESIGN.md §9): dotted lowercase paths, coarse
 // stage first — "stage1", "stage2.hbs", "stage2.rbr", "stage2.grid",
@@ -72,8 +71,7 @@ class RequestContext {
  public:
   RequestContext() = default;
 
-  /// The canonical empty context: no deadline, no cancellation, no workers,
-  /// no tracing. Use as the default for `const RequestContext&` parameters.
+  /// The canonical empty context: no deadline, no tracing. Use as the default for `const RequestContext&` parameters.
   static const RequestContext& none();
 
   // --- Builders (value-returning, chainable). ---
@@ -84,17 +82,12 @@ class RequestContext {
   /// Deadline `seconds` from now on this context's clock. Negative or zero
   /// means "already expired" (tests exercise a 0-second budget).
   RequestContext with_deadline_after(double seconds) const;
-  /// Absolute deadline on this context's clock.
-  RequestContext with_deadline_at(double at_seconds) const;
   /// Live deadline shared with other parties (the SingleFlight flight's
   /// waiter-union). Overrides this context's own deadline; the pointee must
   /// outlive every use of the context.
   RequestContext with_shared_deadline(const std::atomic<double>* at_seconds) const;
-  /// Worker budget for parallel ladder prewarm; 0 (default) disables it.
-  RequestContext with_workers(unsigned workers) const;
   RequestContext with_trace(TraceBuffer* trace) const;
   RequestContext with_sink(SpanSink* sink) const;
-  RequestContext with_cancel(const std::atomic<bool>* cancelled) const;
 
   // --- Reads. ---
 
@@ -105,13 +98,11 @@ class RequestContext {
   /// Seconds of budget left; +inf when no deadline.
   double remaining() const;
   bool expired() const { return remaining() <= 0.0; }
-  bool cancelled() const;
-  /// Throws DeadlineExceeded when expired or cancelled, naming `what` (the
+  /// Throws DeadlineExceeded when expired, naming `what` (the
   /// stage being entered). The pipeline converts this into its Stage-1
   /// anytime result; it must never reach the serving path.
   void check(const char* what) const;
 
-  unsigned workers() const { return workers_; }
   /// True when any span destination is attached — the single branch the
   /// span macro pays when tracing is off.
   bool tracing() const { return trace_ != nullptr || sink_ != nullptr; }
@@ -122,8 +113,6 @@ class RequestContext {
   std::function<double()> clock_;  // null = steady_clock seconds
   double deadline_at_ = std::numeric_limits<double>::infinity();
   const std::atomic<double>* shared_deadline_ = nullptr;
-  const std::atomic<bool>* cancelled_ = nullptr;
-  unsigned workers_ = 0;
   TraceBuffer* trace_ = nullptr;
   SpanSink* sink_ = nullptr;
 };

@@ -68,7 +68,7 @@ BuildQueue::JobPtr BuildQueue::admit(std::uint64_t popularity, const obs::Reques
   job->popularity = popularity;
   job->seq = next_seq_++;
   job->ctx = ctx;
-  job->had_budget = !ctx.expired() && !ctx.cancelled();
+  job->had_budget = !ctx.expired();
   job->enqueued_at = clock_();
   job->build = std::move(build);
   job->on_done = std::move(on_done);
@@ -93,7 +93,7 @@ LadderPtr BuildQueue::run(std::uint64_t popularity, const obs::RequestContext& c
     // still waiting is withdrawn here rather than built for nobody. Jobs
     // admitted already-expired keep the pre-queue anytime semantics: their
     // Stage-1 build is cheap and its result is still served.
-    if (!job->started && job->had_budget && (ctx.expired() || ctx.cancelled())) {
+    if (!job->started && job->had_budget && ctx.expired()) {
       queue_.erase(job->self);
       expired_.fetch_add(1, std::memory_order_relaxed);
       throw DeadlineExceeded("build queue: flight deadline expired while queued");
@@ -159,7 +159,7 @@ void BuildQueue::runner_loop() {
     JobPtr job = *it;
     queue_.erase(it);
     job->started = true;
-    if (job->had_budget && (job->ctx.expired() || job->ctx.cancelled())) {
+    if (job->had_budget && job->ctx.expired()) {
       // Expired while queued: don't waste the worker. The waiter (if any)
       // sees DeadlineExceeded, exactly as if it had withdrawn itself.
       expired_.fetch_add(1, std::memory_order_relaxed);

@@ -249,9 +249,6 @@ obs::RequestContext OriginServer::request_context(const Site& site) const {
   if (config.stage2_deadline_seconds >= 0.0) {
     ctx = ctx.with_deadline_after(config.stage2_deadline_seconds);
   }
-  if (config.prewarm_workers > 0) {
-    ctx = ctx.with_workers(static_cast<unsigned>(config.prewarm_workers));
-  }
   return ctx;
 }
 
@@ -400,8 +397,8 @@ LadderPtr OriginServer::build_ladder(const Site& site, const obs::RequestContext
     AW4A_FAULT_POINT("serving.build.leader");
     AW4A_SPAN(ctx, "serving.build");
     auto ladder = std::make_shared<TierLadder>();
-    // Deadline and prewarm workers ride in on the context (request_context),
-    // so the site config is used as-is.
+    // The deadline rides in on the context (request_context), so the site
+    // config is used as-is.
     ladder->tiers = core::Aw4aPipeline(site.origin.config)
                         .build_tiers(site.origin.page, ctx, &asset_store_);
     for (const core::Tier& tier : ladder->tiers) ladder->cost_bytes += tier.result.result_bytes;
@@ -550,9 +547,9 @@ std::string OriginServer::stats_json() const {
   histogram_json(json, "ssim_seconds", m.ssim_seconds);
   histogram_json(json, "encode_seconds", m.encode_seconds);
   json.end();
-  // The shared worker pool prewarm builds run on. Counters are process-wide
-  // (one pool serves every origin), which is what an operator debugging
-  // "why is this box slow" wants to see anyway.
+  // The shared worker pool the build-queue runners run on. Counters are
+  // process-wide (one pool serves every origin), which is what an operator
+  // debugging "why is this box slow" wants to see anyway.
   {
     const util::ThreadPool::Stats p = util::ThreadPool::shared().stats();
     json.begin("thread_pool");

@@ -139,8 +139,8 @@ class OriginServer {
 
   net::HttpResponse handle_checked(const net::HttpRequest& request) const;
   net::HttpResponse trace_response(const net::HttpRequest& request, const Site& site) const;
-  /// The per-request context: origin clock, the site config's deadline and
-  /// prewarm workers, span sink wired to metrics_.stage_breakdown.
+  /// The per-request context: origin clock, the site config's deadline, span
+  /// sink wired to metrics_.stage_breakdown.
   obs::RequestContext request_context(const Site& site) const;
   /// The Fig. 6 page answer for one site (original fast path, or ladder via
   /// cache + single-flight + queue). Bumps no served_* counters —

@@ -54,9 +54,6 @@ std::uint64_t config_fingerprint(const core::DeveloperConfig& config) {
     h = mix(h, config.ultra_low.placeholder_base_similarity);
     h = mix(h, config.ultra_low.placeholder_alt_bonus);
   }
-  // config.prewarm_workers is deliberately excluded: it only parallelizes
-  // ladder enumeration and cannot change tier contents, so caching across
-  // different worker counts is correct (and desirable).
   return h;
 }
 

@@ -20,8 +20,8 @@ namespace aw4a {
 /// Default worker count of parallel_for: hardware concurrency, min 1. There
 /// is deliberately no process-wide override — the old mutable global raced
 /// with concurrent callers (OriginServer prewarms several sites' ladders at
-/// once); callers that need a specific count pass it per call, typically
-/// from obs::RequestContext::workers().
+/// once); callers that need a specific count pass it per call, e.g.
+/// core::LadderCache::prewarm's `workers` argument.
 unsigned parallel_workers();
 
 /// Runs body(i) for i in [0, count) across the shared thread pool. The body
@@ -49,7 +49,7 @@ unsigned parallel_workers();
 /// every participating thread). Once it returns true, no further items
 /// start — items already executing finish normally — and the call throws
 /// DeadlineExceeded. Callers pass a poll of their RequestContext, e.g.
-/// `[&ctx] { return ctx.expired() || ctx.cancelled(); }`; the indirection
+/// `[&ctx] { return ctx.expired(); }`; the indirection
 /// keeps util below obs in the layering.
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body,
                   unsigned workers = 0, const std::function<bool()>& cancelled = {});

@@ -17,7 +17,7 @@
 //
 // The pool grows on demand (ensure_threads) instead of pinning itself to
 // hardware_concurrency: callers that pin a worker count — tests asserting
-// 4-way concurrency, prewarm honoring RequestContext::workers() — get real
+// 4-way concurrency, LadderCache::prewarm's pinned count — get real
 // threads even on a single-core machine, preserving the semantics of the
 // thread-per-call implementation this replaces.
 #pragma once

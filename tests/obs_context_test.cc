@@ -2,8 +2,8 @@
 //
 // These pin the semantics the rest of the codebase leans on: deadline math
 // on an injectable clock, the shared-deadline override (the SingleFlight
-// waiter-union), cooperative cancellation, check() throwing DeadlineExceeded
-// (and nothing else), and the span scope being inert without a destination.
+// waiter-union), check() throwing DeadlineExceeded (and nothing else), and
+// the span scope being inert without a destination.
 #include "obs/context.h"
 
 #include <gtest/gtest.h>
@@ -26,12 +26,10 @@ struct FakeClock {
   }
 };
 
-TEST(RequestContext, DefaultHasNoDeadlineNoWorkersNoTracing) {
+TEST(RequestContext, DefaultHasNoDeadlineNoTracing) {
   const RequestContext& ctx = RequestContext::none();
   EXPECT_FALSE(ctx.has_deadline());
   EXPECT_FALSE(ctx.expired());
-  EXPECT_FALSE(ctx.cancelled());
-  EXPECT_EQ(ctx.workers(), 0u);
   EXPECT_FALSE(ctx.tracing());
   EXPECT_EQ(ctx.remaining(), std::numeric_limits<double>::infinity());
   EXPECT_NO_THROW(ctx.check("anywhere"));
@@ -85,27 +83,14 @@ TEST(RequestContext, SharedDeadlineOverridesOwnAndMovesLive) {
   EXPECT_DOUBLE_EQ(ctx.remaining(), 5.0);
 }
 
-TEST(RequestContext, CancellationTripsCheckAndNamesTheStage) {
-  std::atomic<bool> cancelled{false};
-  const RequestContext ctx = RequestContext().with_cancel(&cancelled);
-  EXPECT_NO_THROW(ctx.check("ssim"));
-  cancelled.store(true);
-  EXPECT_TRUE(ctx.cancelled());
-  try {
-    ctx.check("ssim");
-    FAIL() << "should have thrown";
-  } catch (const DeadlineExceeded& e) {
-    EXPECT_NE(std::string(e.what()).find("cancelled"), std::string::npos) << e.what();
-  }
-}
-
 TEST(RequestContext, BuildersComposeWithoutMutatingTheSource) {
   FakeClock clock;
-  const RequestContext base = clock.context().with_workers(3);
+  TraceBuffer buffer;
+  const RequestContext base = clock.context().with_trace(&buffer);
   const RequestContext derived = base.with_deadline_after(1.0);
   EXPECT_FALSE(base.has_deadline());
   EXPECT_TRUE(derived.has_deadline());
-  EXPECT_EQ(derived.workers(), 3u);  // earlier builder settings carry over
+  EXPECT_EQ(derived.trace(), &buffer);  // earlier builder settings carry over
 }
 
 TEST(SpanScope, TracingOffRecordsNothing) {

@@ -9,6 +9,8 @@
 //   - concurrent acquires of one content key collapse to one build with no
 //     lost waiters, across *different page identities*, under the flight's
 //     deadline union,
+//   - LadderCache's parallel prewarm through the store yields the same
+//     ladders as serial lazy enumeration,
 //   - the counter partition lookups == exact_hits + semantic_hits + misses
 //     holds in every schedule (the TSan leg runs this whole binary).
 #include "serving/asset_store.h"
@@ -17,13 +19,17 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/objective.h"
 #include "imaging/fingerprint.h"
 #include "imaging/variants.h"
 #include "obs/context.h"
 #include "util/rng.h"
+#include "web/page.h"
 
 namespace aw4a::serving {
 namespace {
@@ -60,6 +66,30 @@ std::shared_ptr<const SourceImage> near_duplicate(
 void expect_partition(const AssetStoreStats& s) {
   EXPECT_EQ(s.lookups, s.exact_hits + s.semantic_hits + s.misses)
       << "every acquire must land in exactly one outcome counter";
+}
+
+void expect_same_family(const std::optional<std::vector<imaging::ImageVariant>>& got,
+                        const std::optional<std::vector<imaging::ImageVariant>>& want) {
+  ASSERT_EQ(got.has_value(), want.has_value());
+  if (!got) return;
+  ASSERT_EQ(got->size(), want->size());
+  for (std::size_t i = 0; i < got->size(); ++i) {
+    EXPECT_EQ((*got)[i].bytes, (*want)[i].bytes);
+    EXPECT_DOUBLE_EQ((*got)[i].ssim, (*want)[i].ssim);
+  }
+}
+
+/// Every memoized family bit for bit: same slots set, same bytes and SSIM.
+void expect_same_memo(const imaging::VariantMemo& got, const imaging::VariantMemo& want) {
+  ASSERT_EQ(got.webp_full.has_value(), want.webp_full.has_value());
+  if (got.webp_full) {
+    EXPECT_EQ(got.webp_full->bytes, want.webp_full->bytes);
+    EXPECT_DOUBLE_EQ(got.webp_full->ssim, want.webp_full->ssim);
+  }
+  for (std::size_t f = 0; f < 3; ++f) {
+    expect_same_family(got.res_family[f], want.res_family[f]);
+    expect_same_family(got.qual_family[f], want.qual_family[f]);
+  }
 }
 
 TEST(AssetStore, ExactHitSharesOneBuildAndOneMemo) {
@@ -102,29 +132,8 @@ TEST(AssetStore, AcquiredMemoMatchesLocalEnumerationBitForBit) {
 
   imaging::VariantLadder local(asset, options);
   local.warm();
-  const imaging::VariantMemo reference = local.snapshot();
   ASSERT_TRUE(memo->webp_full.has_value());
-  ASSERT_TRUE(reference.webp_full.has_value());
-  EXPECT_EQ(memo->webp_full->bytes, reference.webp_full->bytes);
-  EXPECT_DOUBLE_EQ(memo->webp_full->ssim, reference.webp_full->ssim);
-  for (std::size_t f = 0; f < 3; ++f) {
-    ASSERT_EQ(memo->res_family[f].has_value(), reference.res_family[f].has_value());
-    ASSERT_EQ(memo->qual_family[f].has_value(), reference.qual_family[f].has_value());
-    if (memo->res_family[f]) {
-      ASSERT_EQ(memo->res_family[f]->size(), reference.res_family[f]->size());
-      for (std::size_t i = 0; i < memo->res_family[f]->size(); ++i) {
-        EXPECT_EQ((*memo->res_family[f])[i].bytes, (*reference.res_family[f])[i].bytes);
-        EXPECT_DOUBLE_EQ((*memo->res_family[f])[i].ssim, (*reference.res_family[f])[i].ssim);
-      }
-    }
-    if (memo->qual_family[f]) {
-      ASSERT_EQ(memo->qual_family[f]->size(), reference.qual_family[f]->size());
-      for (std::size_t i = 0; i < memo->qual_family[f]->size(); ++i) {
-        EXPECT_EQ((*memo->qual_family[f])[i].bytes, (*reference.qual_family[f])[i].bytes);
-        EXPECT_DOUBLE_EQ((*memo->qual_family[f])[i].ssim, (*reference.qual_family[f])[i].ssim);
-      }
-    }
-  }
+  expect_same_memo(*memo, local.snapshot());
 }
 
 TEST(AssetStore, SemanticHitCollapsesNearDuplicates) {
@@ -372,6 +381,41 @@ TEST(AssetStore, FlightDeadlineUnionSpansPageIdentities) {
   EXPECT_EQ(s.inserts, 1u);
   EXPECT_EQ(store.flight_stats().leads, 1u);
   EXPECT_EQ(store.flight_stats().joins, 1u);
+  expect_partition(s);
+}
+
+TEST(AssetStore, ParallelPrewarmMatchesASerialLazyCache) {
+  // LadderCache::prewarm on 4 threads probes the store from every worker at
+  // once; a page that repeats one asset makes two of them race on one
+  // content key. Every ladder must still equal a serial, store-less cache's.
+  web::WebPage page;
+  const auto repeated = make_asset(15, 40 * kKB);
+  const std::shared_ptr<const SourceImage> assets[] = {
+      repeated, make_asset(16, 40 * kKB), same_content_other_page(repeated),
+      make_asset(17, 40 * kKB)};
+  for (const auto& asset : assets) {
+    web::WebObject object;
+    object.id = page.objects.size() + 1;
+    object.type = web::ObjectType::kImage;
+    object.image = asset;
+    page.objects.push_back(object);
+  }
+  const imaging::LadderOptions options;
+
+  AssetStore store;
+  core::LadderCache prewarmed(options, &store);
+  prewarmed.prewarm(page, 4);
+  core::LadderCache serial(options);
+  for (const web::WebObject& object : page.objects) {
+    serial.ladder_for(object).warm();
+    SCOPED_TRACE("object " + std::to_string(object.id));
+    expect_same_memo(prewarmed.ladder_for(object).snapshot(),
+                     serial.ladder_for(object).snapshot());
+  }
+
+  const AssetStoreStats s = store.stats();
+  EXPECT_EQ(s.lookups, page.objects.size());
+  EXPECT_EQ(s.build_failures, 0u);
   expect_partition(s);
 }
 

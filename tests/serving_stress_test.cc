@@ -208,11 +208,10 @@ TEST(ServingStress, OriginServerConcurrentRealBuilds) {
   EXPECT_EQ(origin.handle(stats_request).status, 200);
 }
 
-TEST(ServingStress, PrewarmedColdBuildsUnderConcurrentLoad) {
-  // The parallel ladder prewarm inside cold builds, exercised under TSan:
-  // multiple origin builds may run concurrently (two sites here), each
-  // spinning up its own prewarm worker pool, while request threads hammer
-  // the cache. Outputs must match a serial (no-prewarm) origin's bit for bit.
+TEST(ServingStress, ConcurrentColdBuildsMatchAFreshOrigin) {
+  // Real cold builds under TSan: multiple origin builds may run concurrently
+  // (two sites here) while request threads hammer the cache. Outputs must
+  // match a fresh origin, queried one request at a time, bit for bit.
   dataset::CorpusGenerator gen(dataset::CorpusOptions{.seed = 23, .rich = true});
   Rng rng(23);
   core::DeveloperConfig config;
@@ -225,9 +224,7 @@ TEST(ServingStress, PrewarmedColdBuildsUnderConcurrentLoad) {
   sites.push_back(OriginSite{"warm-1.example", gen.make_page(rng, 220 * kKB, gen.global_profile()),
                              config, net::PlanType::kDataVoiceLowUsage});
 
-  std::vector<OriginSite> prewarm_sites = sites;
-  for (OriginSite& site : prewarm_sites) site.config.prewarm_workers = 4;
-  const OriginServer prewarmed(std::move(prewarm_sites));
+  const OriginServer concurrent(sites);
 
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kRequests = 5;
@@ -240,7 +237,7 @@ TEST(ServingStress, PrewarmedColdBuildsUnderConcurrentLoad) {
         request.headers = {{"Host", (t + i) % 2 == 0 ? "warm-0.example" : "warm-1.example"},
                            {"Save-Data", "on"},
                            {"X-Geo-Country", "ET"}};
-        const auto response = prewarmed.handle(request);
+        const auto response = concurrent.handle(request);
         if (response.status != 200 || response.header("AW4A-Tier") == nullptr) {
           bad_responses.fetch_add(1);
         }
@@ -250,17 +247,18 @@ TEST(ServingStress, PrewarmedColdBuildsUnderConcurrentLoad) {
   for (auto& thread : threads) thread.join();
 
   EXPECT_EQ(bad_responses.load(), 0u);
-  const MetricsSnapshot m = prewarmed.metrics();
-  EXPECT_EQ(m.builds_started, 2u) << "prewarm must not break single-flight";
+  const MetricsSnapshot m = concurrent.metrics();
+  EXPECT_EQ(m.builds_started, 2u) << "concurrent misses must not break single-flight";
   EXPECT_EQ(m.internal_errors, 0u);
   EXPECT_EQ(m.served_degraded, 0u);
 
-  // Differential check: a serial origin serves byte-identical pages.
+  // Differential check: a fresh origin, built by one request at a time,
+  // serves byte-identical pages.
   const OriginServer serial(sites);
   for (const char* host : {"warm-0.example", "warm-1.example"}) {
     net::HttpRequest request;
     request.headers = {{"Host", host}, {"Save-Data", "on"}, {"X-Geo-Country", "ET"}};
-    const auto a = prewarmed.handle(request);
+    const auto a = concurrent.handle(request);
     const auto b = serial.handle(request);
     EXPECT_EQ(net::serialize(a), net::serialize(b)) << host;
   }
@@ -283,9 +281,7 @@ TEST(ServingStress, QfsScoredColdBuildsUnderConcurrentLoad) {
     sites.push_back(OriginSite{hosts.back(), gen.make_page(rng, 200 * kKB, gen.global_profile()),
                                config, net::PlanType::kDataVoiceLowUsage});
   }
-  std::vector<OriginSite> prewarm_sites = sites;
-  for (OriginSite& site : prewarm_sites) site.config.prewarm_workers = 4;
-  const OriginServer concurrent(std::move(prewarm_sites));
+  const OriginServer concurrent(sites);
 
   auto request_for = [](const std::string& host) {
     net::HttpRequest request;
@@ -314,6 +310,8 @@ TEST(ServingStress, QfsScoredColdBuildsUnderConcurrentLoad) {
   EXPECT_EQ(m.internal_errors, 0u);
   EXPECT_EQ(m.served_degraded, 0u);
 
+  // Differential check: a fresh origin, built by one request at a time,
+  // serves the same tier at the same length.
   const OriginServer serial(sites);
   for (const std::string& host : hosts) {
     const auto a = concurrent.handle(request_for(host));

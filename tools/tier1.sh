@@ -10,10 +10,12 @@
 # hide; the SSIM, raster, PNG-filter and variant suites drive the vector
 # kernels' row-end loads and scalar tails), plus the full suite under UBSan
 # alone (cheap enough to run everything), plus the serving suite, the rANS
-# coder and the thread pool under TSan (the tier cache, single-flight, and
-# the content-addressed asset store are the concurrent core; the coder's
-# thread-local scratch must stay race-free under the ladder's worker pool;
-# parallel_for's late runners must never touch a returned caller's state).
+# coder, the thread pool, the pipeline and the request context under TSan
+# (the tier cache, single-flight, and the content-addressed asset store are
+# the concurrent core; the coder's thread-local scratch must stay race-free
+# under the ladder's worker pool; parallel_for's late runners must never
+# touch a returned caller's state; a 4-thread LadderCache::prewarm must
+# match the serial build, and its workers' spans share one trace buffer).
 # Every ctest run carries a per-test timeout so a deadline-propagation bug
 # hangs the suite loudly instead of forever.
 set -euo pipefail
@@ -37,8 +39,8 @@ cmake --build build-ubsan -j >/dev/null
 (cd build-ubsan && ctest --output-on-failure --timeout 300 -j "$(nproc)")
 
 cmake -B build-tsan -S . -DAW4A_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j --target serving_test serving_stress_test serving_overload_test serving_asset_store_test imaging_ans_test util_thread_pool_test >/dev/null
-(cd build-tsan && ctest --output-on-failure --timeout 300 -R '^(serving_(test|stress_test|overload_test|asset_store_test)|imaging_ans_test|util_thread_pool_test)$')
+cmake --build build-tsan -j --target serving_test serving_stress_test serving_overload_test serving_asset_store_test imaging_ans_test util_thread_pool_test core_pipeline_test obs_context_test >/dev/null
+(cd build-tsan && ctest --output-on-failure --timeout 300 -R '^(serving_(test|stress_test|overload_test|asset_store_test)|imaging_ans_test|util_thread_pool_test|core_pipeline_test|obs_context_test)$')
 
 # Release-mode perf smoke: the cold-build fast path must keep its speedups
 # (bench_perf_pipeline exits nonzero if any build mode, the integral SSIM,
