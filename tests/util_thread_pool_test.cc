@@ -172,11 +172,13 @@ TEST(ParallelForCancel, LateRunnersNeverPollAfterTheCallReturns) {
   pool.ensure_threads(static_cast<int>(kWorkers) - 1);
   const int threads = pool.threads();
   std::atomic<int> parked{0};
+  std::atomic<int> left{0};
   std::atomic<bool> release{false};
   for (int i = 0; i < threads; ++i) {
     pool.submit([&] {
       parked.fetch_add(1);
       while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      left.fetch_add(1);
     });
   }
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
@@ -214,6 +216,10 @@ TEST(ParallelForCancel, LateRunnersNeverPollAfterTheCallReturns) {
   }
   ASSERT_EQ(probe.use_count(), 1) << "late runners never finished";
   EXPECT_EQ(probe->late_polls.load(), 0) << "a runner polled after parallel_for returned";
+
+  // The blockers read `release` and `left` on this frame: every one must be
+  // out before the test returns, or it spins on a dead frame holding a worker.
+  while (left.load() < threads) std::this_thread::sleep_for(std::chrono::milliseconds(1));
 }
 
 // --- Pool bookkeeping ---
