@@ -556,7 +556,6 @@ std::string OriginServer::stats_json() const {
     json.field("threads", static_cast<std::uint64_t>(p.threads));
     json.field("tasks_submitted", p.submitted);
     json.field("tasks_executed", p.executed);
-    json.field("tasks_stolen", p.stolen);
     json.end();
   }
   histogram_json(json, "served_page_bytes", m.served_page_bytes);

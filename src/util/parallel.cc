@@ -7,7 +7,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "util/thread_pool.h"
 

@@ -1,5 +1,5 @@
-// Minimal deterministic parallel-for, running on the persistent
-// work-stealing pool in util/thread_pool.h.
+// Minimal deterministic parallel-for, running on the persistent pool in
+// util/thread_pool.h.
 //
 // The cross-country experiments are embarrassingly parallel (each country's
 // corpus is generated from its own RNG stream), so the analysis layer runs
@@ -10,17 +10,14 @@
 
 #include <cstddef>
 #include <functional>
-#include <thread>
-#include <vector>
 
 #include "util/error.h"
 
 namespace aw4a {
 
 /// Default worker count of parallel_for: hardware concurrency, min 1. There
-/// is deliberately no process-wide override — the old mutable global raced
-/// with concurrent callers (OriginServer prewarms several sites' ladders at
-/// once); callers that need a specific count pass it per call, e.g.
+/// is deliberately no process-wide override, which concurrent callers would
+/// race on; callers that need a specific count pass it per call, e.g.
 /// core::LadderCache::prewarm's `workers` argument.
 unsigned parallel_workers();
 
@@ -53,13 +50,5 @@ unsigned parallel_workers();
 /// keeps util below obs in the layering.
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body,
                   unsigned workers = 0, const std::function<bool()>& cancelled = {});
-
-/// Maps body over [0, count) into a vector, in index order.
-template <typename T>
-std::vector<T> parallel_map(std::size_t count, const std::function<T(std::size_t)>& body) {
-  std::vector<T> out(count);
-  parallel_for(count, [&](std::size_t i) { out[i] = body(i); });
-  return out;
-}
 
 }  // namespace aw4a

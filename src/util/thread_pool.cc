@@ -8,10 +8,8 @@
 namespace aw4a::util {
 namespace {
 
-// Worker identity of the calling thread: the pool it belongs to (nullptr
-// off-pool) and its queue index within that pool.
+// The pool the calling thread works for; nullptr off-pool.
 thread_local ThreadPool* tl_pool = nullptr;
-thread_local int tl_index = -1;
 
 }  // namespace
 
@@ -21,7 +19,8 @@ ThreadPool::~ThreadPool() {
     stop_ = true;
   }
   cv_.notify_all();
-  const std::lock_guard<std::mutex> growth(growth_mu_);
+  // Safe to walk without mu_: ensure_threads() never grows workers_ once
+  // stop_ is set.
   for (std::thread& t : workers_) t.join();
   // Tasks still queued are dropped; submitters that need completion (e.g.
   // parallel_for) run the work themselves and never depend on runners.
@@ -29,81 +28,40 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::ensure_threads(int n) {
   n = std::min(n, kMaxThreads);
-  if (threads() >= n) return;
-  const std::lock_guard<std::mutex> growth(growth_mu_);
-  for (int i = thread_count_.load(std::memory_order_relaxed); i < n; ++i) {
-    queues_[i] = std::make_unique<Queue>();
-    // Publish the slot before the worker (or any scanner) can index it.
-    thread_count_.store(i + 1, std::memory_order_release);
-    workers_.emplace_back([this, i] { worker_loop(i); });
+  const std::lock_guard<std::mutex> lock(mu_);
+  while (!stop_ && static_cast<int>(workers_.size()) < n) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
+}
+
+int ThreadPool::threads() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<int>(workers_.size());
 }
 
 void ThreadPool::submit(std::function<void()> task) {
   AW4A_EXPECTS(task != nullptr);
-  if (threads() == 0) ensure_threads(1);
-  const int n = threads();
-  const int idx = (tl_pool == this)
-                      ? tl_index
-                      : static_cast<int>(rr_.fetch_add(1, std::memory_order_relaxed) %
-                                         static_cast<std::uint32_t>(n));
+  ensure_threads(1);
   {
-    const std::lock_guard<std::mutex> lock(queues_[idx]->m);
-    queues_[idx]->q.push_back(std::move(task));
+    const std::lock_guard<std::mutex> lock(mu_);
+    tasks_.push_back(std::move(task));
   }
-  pending_.fetch_add(1, std::memory_order_release);
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  // Empty critical section: a worker that just found pending_ == 0 either
-  // re-reads it as nonzero or is already inside wait() and gets the notify.
-  { const std::lock_guard<std::mutex> lock(mu_); }
   cv_.notify_one();
 }
 
-bool ThreadPool::try_pop(int self, std::function<void()>& task, int& from) {
-  const int n = threads();
-  if (self >= 0 && self < n) {
-    Queue& own = *queues_[self];
-    const std::lock_guard<std::mutex> lock(own.m);
-    if (!own.q.empty()) {
-      task = std::move(own.q.back());  // LIFO: newest first, cache-hot
-      own.q.pop_back();
-      pending_.fetch_sub(1, std::memory_order_acq_rel);
-      from = self;
-      return true;
-    }
-  }
-  for (int k = 0; k < n; ++k) {
-    const int j = self >= 0 ? (self + 1 + k) % n : k;
-    if (j == self) continue;
-    Queue& victim = *queues_[j];
-    const std::lock_guard<std::mutex> lock(victim.m);
-    if (!victim.q.empty()) {
-      task = std::move(victim.q.front());  // FIFO steal: oldest, least contended
-      victim.q.pop_front();
-      pending_.fetch_sub(1, std::memory_order_acq_rel);
-      from = j;
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(int index) {
+void ThreadPool::worker_loop() {
   tl_pool = this;
-  tl_index = index;
   while (true) {
     std::function<void()> task;
-    int from = -1;
-    if (!try_pop(index, task, from)) {
+    {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] {
-        return stop_ || pending_.load(std::memory_order_acquire) > 0;
-      });
+      cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
       if (stop_) return;
-      continue;
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
     executed_.fetch_add(1, std::memory_order_relaxed);
-    if (from != index) stolen_.fetch_add(1, std::memory_order_relaxed);
     task();
   }
 }
@@ -113,7 +71,6 @@ ThreadPool::Stats ThreadPool::stats() const {
   s.threads = threads();
   s.submitted = submitted_.load(std::memory_order_relaxed);
   s.executed = executed_.load(std::memory_order_relaxed);
-  s.stolen = stolen_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -69,12 +69,6 @@ TEST(ExportCdf, RoundTripsQuantiles) {
   EXPECT_EQ(std::count(content.begin(), content.end(), '\n'), 11);
 }
 
-TEST(Parallel, MapPreservesOrderAndValues) {
-  const auto out = parallel_map<int>(1000, [](std::size_t i) { return static_cast<int>(i * 3); });
-  ASSERT_EQ(out.size(), 1000u);
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], static_cast<int>(i * 3));
-}
-
 TEST(Parallel, ForCoversEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> counts(500);
   parallel_for(counts.size(), [&](std::size_t i) { counts[i].fetch_add(1); });

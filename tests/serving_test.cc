@@ -919,10 +919,12 @@ TEST_F(OriginServerTest, ColdBuildFillsEveryStageHistogram) {
   const auto stats = origin.handle(stats_request);
   for (const char* needle :
        {"\"stage_breakdown\":", "\"stage1_seconds\":", "\"stage2_seconds\":",
-        "\"ssim_seconds\":", "\"encode_seconds\":", "\"trace\":0", "\"p90\":"}) {
+        "\"ssim_seconds\":", "\"encode_seconds\":", "\"trace\":0", "\"p90\":",
+        "\"thread_pool\":", "\"tasks_submitted\":", "\"tasks_executed\":"}) {
     EXPECT_NE(stats.body.find(needle), std::string::npos) << needle << " missing in\n"
                                                           << stats.body;
   }
+  EXPECT_EQ(stats.body.find("\"tasks_stolen\""), std::string::npos) << stats.body;
 }
 
 TEST_F(OriginServerTest, TraceEndpointDumpsSpansWithoutSkewingPageCounters) {

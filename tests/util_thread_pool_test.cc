@@ -1,18 +1,21 @@
-// Contract tests for the persistent work-stealing pool and the parallel_for
-// built on it: worker-count clamp semantics, nested-submission deadlock
-// freedom, error aggregation through the pool path, and cancellation
-// stopping not-yet-claimed work. The existing robustness_test ParallelFor
-// suite (and serving_stress_test under TSan) continues to cover the
-// error-contract and data-race surface; this file pins what is new.
+// Contract tests for the persistent FIFO pool and the parallel_for built on
+// it: worker-count clamp semantics, nested-submission deadlock freedom,
+// error aggregation through the pool path, cancellation stopping
+// not-yet-claimed work, the destructor joining its workers, and growth
+// racing submission. The robustness_test ParallelFor suite (and
+// serving_stress_test under TSan) continues to cover the error-contract and
+// data-race surface.
 #include "util/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <latch>
 #include <memory>
-#include <set>
 #include <thread>
+#include <vector>
 
 #include "util/error.h"
 #include "util/parallel.h"
@@ -248,6 +251,65 @@ TEST(ThreadPoolStats, EnsureThreadsGrowsAndNeverShrinks) {
   EXPECT_GE(grown, 3);
   pool.ensure_threads(1);  // no shrink
   EXPECT_EQ(pool.threads(), grown);
+}
+
+TEST(ThreadPoolLifetime, DestructorJoinsEveryWorker) {
+  // shared() is leaked, so only a local pool reaches ~ThreadPool. It must
+  // wait for the task a worker is running and then join every worker.
+  std::atomic<int> ran{0};
+  std::atomic<bool> blocker_done{false};
+  std::latch parked(1);
+  std::latch release(1);
+  {
+    util::ThreadPool pool;
+    pool.ensure_threads(3);
+    for (int i = 0; i < 16; ++i) pool.submit([&] { ran.fetch_add(1); });
+    pool.submit([&] {
+      parked.count_down();
+      release.wait();
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      blocker_done.store(true);
+    });
+    parked.wait();
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (ran.load() < 16 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    EXPECT_EQ(pool.threads(), 3);
+    EXPECT_EQ(pool.stats().submitted, 17u);
+    release.count_down();
+  }
+  EXPECT_EQ(ran.load(), 16);
+  EXPECT_TRUE(blocker_done.load()) << "the destructor returned before its worker finished";
+}
+
+TEST(ThreadPoolStats, GrowthDuringSubmissionLosesNoTask) {
+  // Four submitters race a fifth thread growing the pool: every task still
+  // runs exactly once, and the counters agree.
+  constexpr int kSubmitters = 4;
+  constexpr int kTasksEach = 500;
+  constexpr int kTotal = kSubmitters * kTasksEach;
+  util::ThreadPool pool;
+  std::atomic<int> ran{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kSubmitters; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kTasksEach; ++i) pool.submit([&] { ran.fetch_add(1); });
+    });
+  }
+  threads.emplace_back([&] {
+    for (int n = 2; n <= 6; ++n) pool.ensure_threads(n);
+  });
+  for (std::thread& t : threads) t.join();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (ran.load() < kTotal && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(ran.load(), kTotal);
+  const auto stats = pool.stats();
+  EXPECT_EQ(stats.submitted, static_cast<std::uint64_t>(kTotal));
+  EXPECT_EQ(stats.executed, stats.submitted);
+  EXPECT_GE(pool.threads(), 6);
 }
 
 TEST(ThreadPoolWork, BodiesRunOnPoolWorkersWhenParallel) {

@@ -1,21 +1,22 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the full test suite in the standard configuration, plus
 # originbench's smoke and oracle tests, plus the robustness, asset-store,
-# rANS-coder, markup, quality, HTTP and property suites under ASan+UBSan
-# (fault injection, eviction churn, attacker-controlled entropy-coded
-# payloads and request heads, the length-prefixed AWML parser on truncated
-# or tampered blobs, the per-build QFS memo's stored views, the bilinear
-# kernel's row cache, the renderer's scaled-image memo and the ladder
-# snapshot/adopt round trip exercise the paths where lifetime and UB bugs
-# hide; the SSIM, raster, PNG-filter and variant suites drive the vector
-# kernels' row-end loads and scalar tails), plus the full suite under UBSan
-# alone (cheap enough to run everything), plus the serving suite, the rANS
-# coder, the thread pool, the pipeline and the request context under TSan
-# (the tier cache, single-flight, and the content-addressed asset store are
-# the concurrent core; the coder's thread-local scratch must stay race-free
-# under the ladder's worker pool; parallel_for's late runners must never
-# touch a returned caller's state; a 4-thread LadderCache::prewarm must
-# match the serial build, and its workers' spans share one trace buffer).
+# rANS-coder, markup, quality, HTTP, property and thread-pool suites under
+# ASan+UBSan (fault injection, eviction churn, attacker-controlled
+# entropy-coded payloads and request heads, the length-prefixed AWML parser
+# on truncated or tampered blobs, the per-build QFS memo's stored views, the
+# bilinear kernel's row cache, the renderer's scaled-image memo, the ladder
+# snapshot/adopt round trip and a local pool's destructor exercise the paths
+# where lifetime and UB bugs hide; the SSIM, raster, PNG-filter and variant
+# suites drive the vector kernels' row-end loads and scalar tails), plus the
+# full suite under UBSan alone (cheap enough to run everything), plus the
+# serving suite, the rANS coder, the thread pool, the pipeline and the
+# request context under TSan (the tier cache, single-flight, and the
+# content-addressed asset store are the concurrent core; the coder's
+# thread-local scratch must stay race-free under the ladder's worker pool;
+# parallel_for's late runners must never touch a returned caller's state; a
+# 4-thread LadderCache::prewarm must match the serial build, and its
+# workers' spans share one trace buffer).
 # Every ctest run carries a per-test timeout so a deadline-propagation bug
 # hangs the suite loudly instead of forever.
 set -euo pipefail
@@ -31,8 +32,8 @@ cmake --build build -j >/dev/null
 python3 -m unittest discover -s originbench -p 'test_*.py'
 
 cmake -B build-asan -S . -DAW4A_SANITIZE=ON >/dev/null
-cmake --build build-asan -j --target robustness_test serving_asset_store_test imaging_ans_test web_markup_test core_quality_test net_http_test property_fuzz_test imaging_resize_test web_render_test imaging_fingerprint_test imaging_ssim_test imaging_raster_test imaging_codec_detail_test imaging_variants_test >/dev/null
-(cd build-asan && ctest --output-on-failure --timeout 300 -R '^(robustness_test|serving_asset_store_test|imaging_ans_test|web_markup_test|core_quality_test|net_http_test|property_fuzz_test|imaging_resize_test|web_render_test|imaging_fingerprint_test|imaging_ssim_test|imaging_raster_test|imaging_codec_detail_test|imaging_variants_test)$')
+cmake --build build-asan -j --target robustness_test serving_asset_store_test imaging_ans_test web_markup_test core_quality_test net_http_test property_fuzz_test imaging_resize_test web_render_test imaging_fingerprint_test imaging_ssim_test imaging_raster_test imaging_codec_detail_test imaging_variants_test util_thread_pool_test >/dev/null
+(cd build-asan && ctest --output-on-failure --timeout 300 -R '^(robustness_test|serving_asset_store_test|imaging_ans_test|web_markup_test|core_quality_test|net_http_test|property_fuzz_test|imaging_resize_test|web_render_test|imaging_fingerprint_test|imaging_ssim_test|imaging_raster_test|imaging_codec_detail_test|imaging_variants_test|util_thread_pool_test)$')
 
 cmake -B build-ubsan -S . -DAW4A_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j >/dev/null
