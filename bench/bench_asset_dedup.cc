@@ -20,7 +20,6 @@
 //   dedup_<pct>/cold_build_ms_off  the same for the reference; on and off
 //                                  passes alternate
 //   dedup_<pct>/exact_hits         content-identical reuse during the pass
-//   dedup_<pct>/semantic_hits      near-duplicate reuse during the pass
 //   dedup_<pct>/footprint_bytes    resident store bytes after the pass
 //   dedup_<pct>/realized_dup_rate  duplicate fraction actually generated
 //
@@ -240,18 +239,15 @@ int main(int argc, char** argv) {
     entries.push_back({prefix + "cold_build_ms_off", "ms", off.wall_ms});
     entries.push_back({prefix + "exact_hits", "count", static_cast<double>(on.store.exact_hits)});
     entries.push_back(
-        {prefix + "semantic_hits", "count", static_cast<double>(on.store.semantic_hits)});
-    entries.push_back(
         {prefix + "footprint_bytes", "bytes", static_cast<double>(on.store.resident_bytes)});
     entries.push_back({prefix + "realized_dup_rate", "ratio", realized});
 
     std::printf(
         "dedup %3d%%  realized %.3f  bytes on/off %.3gMB/%.3gMB (saved %4.1f%%)  "
-        "cold %7.1f/%7.1fms (saved %4.1f%%)  hits %llu+%llu  footprint %.3gMB\n",
+        "cold %7.1f/%7.1fms (saved %4.1f%%)  hits %llu  footprint %.3gMB\n",
         pct, realized, static_cast<double>(on.bytes_built) / 1e6,
         static_cast<double>(off.bytes_built) / 1e6, saved * 100.0, on.wall_ms, off.wall_ms,
         time_saved * 100.0, static_cast<unsigned long long>(on.store.exact_hits),
-        static_cast<unsigned long long>(on.store.semantic_hits),
         static_cast<double>(on.store.resident_bytes) / 1e6);
 
     // Acceptance: the store must never change what is served...

@@ -7,18 +7,6 @@
 
 namespace aw4a::econ {
 
-const char* to_string(OptimizationLevel level) {
-  switch (level) {
-    case OptimizationLevel::kLossless: return "lossless (WebP/minify)";
-    case OptimizationLevel::kImageQuality: return "image quality / some ext. JS";
-    case OptimizationLevel::kNoImages: return "no images";
-    case OptimizationLevel::kNoImagesSomeJs: return "no images + some ext. JS";
-    case OptimizationLevel::kNoImagesExtJs: return "no images + all ext. JS";
-    case OptimizationLevel::kUnusable: return "no images + all JS (unusable)";
-  }
-  return "?";
-}
-
 OptimizationLevel required_optimization_level(const PageShares& shares, double reduction) {
   AW4A_EXPECTS(reduction >= 1.0);
   const double need = 1.0 - 1.0 / reduction;  // fraction of bytes to shed

@@ -20,8 +20,6 @@ enum class OptimizationLevel {
   kUnusable = 5,        ///< images + all JS removed; page unusable
 };
 
-const char* to_string(OptimizationLevel level);
-
 /// Byte composition of a page, as fractions of total transfer size.
 struct PageShares {
   double images = 0.45;

@@ -22,14 +22,6 @@ const char* to_string(ImageFormat f) {
   return "?";
 }
 
-const char* to_string(EntropyBackend b) {
-  switch (b) {
-    case EntropyBackend::kHuffman: return "huffman";
-    case EntropyBackend::kRans: return "rans";
-  }
-  return "?";
-}
-
 namespace detail {
 namespace {
 

@@ -40,8 +40,6 @@ const char* to_string(ImageFormat f);
 /// CPU differ. Lossless codecs (PNG, WebP q>=100) ignore the choice.
 enum class EntropyBackend : std::uint8_t { kHuffman = 0, kRans = 1 };
 
-const char* to_string(EntropyBackend b);
-
 /// Result of an encode: wire size plus what the user would see.
 struct Encoded {
   ImageFormat format = ImageFormat::kJpeg;

@@ -1,10 +1,7 @@
 #include "imaging/fingerprint.h"
 
-#include <algorithm>
 #include <cstring>
 
-#include "imaging/resize.h"
-#include "imaging/ssim.h"
 #include "util/hash.h"
 
 namespace aw4a::imaging {
@@ -68,34 +65,6 @@ std::uint64_t ladder_options_fingerprint(const LadderOptions& options) {
     h = hash_mix(h, options.placeholder_alt_bonus);
   }
   return h;
-}
-
-PlaneF luma_thumbprint(const Raster& raster, int dim) {
-  AW4A_EXPECTS(!raster.empty() && dim > 0);
-  const int w = std::min(dim, raster.width());
-  const int h = std::min(dim, raster.height());
-  if (w == raster.width() && h == raster.height()) return luma_plane(raster);
-  return luma_plane(resize_box(raster, w, h));
-}
-
-std::uint64_t average_hash(const Raster& raster) {
-  AW4A_EXPECTS(!raster.empty());
-  const PlaneF luma = luma_thumbprint(raster, 8);
-  const std::size_t n = luma.v.size();
-  double mean = 0.0;
-  for (const float value : luma.v) mean += value;
-  mean /= static_cast<double>(n);
-  // Rasters smaller than 8x8 yield fewer than 64 cells; unused high bits
-  // stay zero, which is fine — buckets only ever mix equal-shape assets.
-  std::uint64_t bits = 0;
-  for (std::size_t i = 0; i < n && i < 64; ++i) {
-    if (luma.v[i] > mean) bits |= 1ULL << i;
-  }
-  return bits;
-}
-
-double thumbprint_similarity(const PlaneF& a, const PlaneF& b) {
-  return ssim(a, b, SsimOptions{.window = 8, .stride = 1});
 }
 
 }  // namespace aw4a::imaging

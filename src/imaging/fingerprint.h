@@ -1,20 +1,13 @@
 // Content fingerprints for image assets — the keys of the serving asset
 // store's content-addressed dedup (DESIGN.md §12).
 //
-// Two stages, mirroring the store's two-stage lookup:
-//
-//   exact      raster_fingerprint / asset_fingerprint: a stable 64-bit digest
-//              over the decoded raster (dimensions + every pixel) plus the
-//              encode-relevant asset metadata. Two assets with equal
-//              fingerprints enumerate bit-identical variant ladders, because
-//              ladder enumeration is a deterministic function of exactly the
-//              digested inputs (LadderOptions are digested separately).
-//
-//   perceptual average_hash + luma_thumbprint: a cheap structural signature
-//              for near-duplicate detection. The aHash buckets candidates
-//              (same 8x8 mean-thresholded luma), the thumbprint is a small
-//              luma plane scored with the existing SSIM machinery to confirm
-//              a match above the store's threshold.
+// raster_fingerprint / asset_fingerprint give a stable 64-bit digest over the
+// decoded raster (dimensions + every pixel) plus the encode-relevant asset
+// metadata. Two assets with equal fingerprints enumerate bit-identical
+// variant ladders, because ladder enumeration is a deterministic function of
+// exactly the digested inputs (LadderOptions are digested separately). The
+// store keys on this exact digest alone: a near-duplicate is different
+// content and gets its own measurements.
 //
 // Deliberately NOT digested: the asset id (content addressing is the point —
 // the same logo under two ids must collide) and the display dimensions
@@ -39,28 +32,12 @@ std::uint64_t raster_fingerprint(const Raster& raster);
 std::uint64_t asset_fingerprint(const SourceImage& asset);
 
 /// The metadata half of asset_fingerprint alone (dimensions included, pixels
-/// excluded) — what a near-duplicate must match *exactly* before the
-/// perceptual signature is even consulted, so semantic reuse never crosses
-/// formats, quality points, or byte calibrations.
+/// excluded). The store folds it into the recipe half of its key.
 std::uint64_t asset_shape_fingerprint(const SourceImage& asset);
 
 /// Digest of the LadderOptions knobs that shape enumeration output. Folded
 /// into the store key so one shared asset cached under two option sets gets
 /// two entries instead of one wrong one.
 std::uint64_t ladder_options_fingerprint(const LadderOptions& options);
-
-/// Downsampled luma plane (box filter, at most `dim` per side — smaller
-/// rasters keep their own dimensions, and candidates are only ever compared
-/// within one shape fingerprint, i.e. equal dimensions).
-PlaneF luma_thumbprint(const Raster& raster, int dim = 32);
-
-/// 8x8 mean-thresholded average hash of the luma: bit i is set when cell i
-/// is brighter than the mean. Stable under small perturbations (the store's
-/// candidate bucket), row-major from the top-left.
-std::uint64_t average_hash(const Raster& raster);
-
-/// Dense (stride-1) SSIM between two equal-sized thumbprints — the score the
-/// asset store compares against its semantic threshold.
-double thumbprint_similarity(const PlaneF& a, const PlaneF& b);
 
 }  // namespace aw4a::imaging

@@ -521,7 +521,7 @@ std::string OriginServer::stats_json() const {
   }
   {
     // The content-addressed layer under the cache. Partition invariant
-    // mirrored by the tests: lookups == exact_hits + semantic_hits + misses.
+    // mirrored by the tests: lookups == exact_hits + misses.
     const AssetStoreStats a = asset_store_.stats();
     const SingleFlightStats af = asset_store_.flight_stats();
     json.begin("asset_store");
@@ -531,9 +531,7 @@ std::string OriginServer::stats_json() const {
     json.field("bytes", a.resident_bytes);
     json.field("lookups", a.lookups);
     json.field("exact_hits", a.exact_hits);
-    json.field("semantic_hits", a.semantic_hits);
     json.field("misses", a.misses);
-    json.field("probes", a.probes);
     json.field("inserts", a.inserts);
     json.field("evictions", a.evictions);
     json.field("build_failures", a.build_failures);

@@ -45,7 +45,10 @@
 // There is one configuration: cache, single-flight, queue and asset store
 // are always in the path. Each only saves work — a page answer equals the
 // one answer_page_request gives over a fresh Aw4aPipeline::build_tiers
-// ladder, or is a declared degraded/shed answer.
+// ladder, or is a declared degraded/shed answer. For the asset store this
+// holds on every hit: it shares a memo only between bit-identical content
+// under one enumeration recipe, so an adopted ladder is the one a local
+// enumeration would have measured.
 #pragma once
 
 #include <cstdint>

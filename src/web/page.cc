@@ -21,12 +21,6 @@ Bytes WebPage::transfer_size(ObjectType type) const {
   return total;
 }
 
-Bytes WebPage::raw_size() const {
-  Bytes total = 0;
-  for (const auto& o : objects) total += o.raw_bytes;
-  return total;
-}
-
 double WebPage::cached_transfer_size() const {
   std::vector<net::CacheItem> items;
   items.reserve(objects.size());

@@ -53,7 +53,6 @@ struct WebPage {
 
   Bytes transfer_size() const;
   Bytes transfer_size(ObjectType type) const;
-  Bytes raw_size() const;
 
   /// Average transfer per visit under the paper's 12h/2-week schedule
   /// (the "cached page size").

@@ -89,62 +89,6 @@ TEST(LadderOptionsFingerprint, SeesEveryEnumerationKnob) {
 }
 
 // ---------------------------------------------------------------------------
-// Perceptual signature
-// ---------------------------------------------------------------------------
-
-TEST(AverageHash, StableUnderImperceptiblePerturbation) {
-  const SourceImage a = make_asset(ImageClass::kPhoto);
-  SourceImage b = a;
-  b.original.at(3, 3).b ^= 1;
-  EXPECT_EQ(average_hash(a.original), average_hash(b.original))
-      << "a one-bit pixel change must not move the perceptual bucket";
-}
-
-TEST(AverageHash, SeparatesDistinctContent) {
-  // Across a handful of independent assets, the 64-bit aHash should almost
-  // always differ; any collision here would only cost a wasted SSIM probe,
-  // but systematic collisions would defeat bucketing.
-  int distinct = 0;
-  const std::uint64_t base = average_hash(make_asset(ImageClass::kPhoto, 120 * kKB, 1).original);
-  for (std::uint64_t seed = 2; seed <= 6; ++seed) {
-    if (average_hash(make_asset(ImageClass::kPhoto, 120 * kKB, seed).original) != base) {
-      ++distinct;
-    }
-  }
-  EXPECT_GE(distinct, 4);
-}
-
-TEST(LumaThumbprint, ClampsToRasterDimensions) {
-  Raster tiny(5, 3, Pixel{100, 100, 100, 255});
-  const PlaneF thumb = luma_thumbprint(tiny, 32);
-  EXPECT_EQ(thumb.width, 5);
-  EXPECT_EQ(thumb.height, 3);
-
-  const SourceImage a = make_asset(ImageClass::kPhoto);
-  const PlaneF big = luma_thumbprint(a.original, 32);
-  EXPECT_LE(big.width, 32);
-  EXPECT_LE(big.height, 32);
-  EXPECT_EQ(big.v.size(), static_cast<std::size_t>(big.width) * big.height);
-}
-
-TEST(ThumbprintSimilarity, NearDuplicatesScoreAboveThresholdOthersBelow) {
-  const SourceImage a = make_asset(ImageClass::kPhoto);
-  SourceImage near = a;
-  near.original.at(0, 0).r ^= 3;
-  near.original.at(7, 5).g ^= 2;
-
-  const PlaneF ta = luma_thumbprint(a.original, 32);
-  EXPECT_DOUBLE_EQ(thumbprint_similarity(ta, luma_thumbprint(a.original, 32)), 1.0);
-  EXPECT_GE(thumbprint_similarity(ta, luma_thumbprint(near.original, 32)), 0.98);
-
-  const SourceImage other = make_asset(ImageClass::kPhoto, 120 * kKB, 7);
-  const PlaneF tb = luma_thumbprint(other.original, 32);
-  if (ta.width == tb.width && ta.height == tb.height) {
-    EXPECT_LT(thumbprint_similarity(ta, tb), 0.98);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Memo snapshot / adopt round trip
 // ---------------------------------------------------------------------------
 

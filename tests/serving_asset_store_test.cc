@@ -2,30 +2,30 @@
 // cache. The load-bearing properties pinned here:
 //   - exact-fingerprint hits share one build and one memo (bit-identical
 //     families, zero re-encodes),
-//   - the semantic probe collapses near-duplicates but never crosses recipe
-//     or content boundaries it shouldn't,
-//   - eviction keeps the perceptual index exact (a probe can never surface
-//     an evicted entry),
+//   - a near-duplicate, or the same content under another recipe, never
+//     shares a memo: it gets the measurements of its own pixels,
+//   - an evicted key misses and rebuilds,
 //   - concurrent acquires of one content key collapse to one build with no
 //     lost waiters, across *different page identities*, under the flight's
 //     deadline union,
 //   - LadderCache's parallel prewarm through the store yields the same
 //     ladders as serial lazy enumeration,
-//   - the counter partition lookups == exact_hits + semantic_hits + misses
-//     holds in every schedule (the TSan leg runs this whole binary).
+//   - the counter partition lookups == exact_hits + misses holds in every
+//     schedule (the TSan leg runs this whole binary).
 #include "serving/asset_store.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/objective.h"
-#include "imaging/fingerprint.h"
 #include "imaging/variants.h"
 #include "obs/context.h"
 #include "util/rng.h"
@@ -55,7 +55,7 @@ std::shared_ptr<const SourceImage> same_content_other_page(
 }
 
 /// A near-duplicate: one low bit of one channel of one pixel differs, so the
-/// exact fingerprint changes but the perceptual signature does not.
+/// content (and its exact fingerprint) differs while it looks the same.
 std::shared_ptr<const SourceImage> near_duplicate(
     const std::shared_ptr<const SourceImage>& base, int x = 0, int y = 0) {
   SourceImage copy = *base;
@@ -63,8 +63,21 @@ std::shared_ptr<const SourceImage> near_duplicate(
   return std::make_shared<const SourceImage>(std::move(copy));
 }
 
+/// A sparse perturbation: +3 green on every 8th pixel of every 8th row.
+std::shared_ptr<const SourceImage> sparse_green_shift(
+    const std::shared_ptr<const SourceImage>& base) {
+  SourceImage copy = *base;
+  for (int y = 0; y < copy.original.height(); y += 8) {
+    for (int x = 0; x < copy.original.width(); x += 8) {
+      std::uint8_t& g = copy.original.at(x, y).g;
+      g = static_cast<std::uint8_t>(std::min(255, g + 3));
+    }
+  }
+  return std::make_shared<const SourceImage>(std::move(copy));
+}
+
 void expect_partition(const AssetStoreStats& s) {
-  EXPECT_EQ(s.lookups, s.exact_hits + s.semantic_hits + s.misses)
+  EXPECT_EQ(s.lookups, s.exact_hits + s.misses)
       << "every acquire must land in exactly one outcome counter";
 }
 
@@ -114,7 +127,6 @@ TEST(AssetStore, ExactHitSharesOneBuildAndOneMemo) {
   const AssetStoreStats s = store.stats();
   EXPECT_EQ(s.lookups, 2u);
   EXPECT_EQ(s.exact_hits, 1u);
-  EXPECT_EQ(s.semantic_hits, 0u);
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.inserts, 1u);
   EXPECT_EQ(s.resident_entries, 1u);
@@ -136,42 +148,31 @@ TEST(AssetStore, AcquiredMemoMatchesLocalEnumerationBitForBit) {
   expect_same_memo(*memo, local.snapshot());
 }
 
-TEST(AssetStore, SemanticHitCollapsesNearDuplicates) {
+TEST(AssetStore, NearDuplicateGetsItsOwnMeasurements) {
+  // Look-alikes are different content. Each must adopt exactly what its own
+  // pixels measure, never a resident look-alike's memo.
   AssetStore store;
-  const auto asset = make_asset(3);
   const imaging::LadderOptions options;
-  const auto first = store.acquire(asset, options, obs::RequestContext::none());
-  ASSERT_NE(first, nullptr);
-
-  imaging::reset_build_work_stats();
-  const auto dup = store.acquire(near_duplicate(asset), options, obs::RequestContext::none());
-  ASSERT_NE(dup, nullptr);
-  EXPECT_EQ(first.get(), dup.get()) << "a near-duplicate shares the resident memo";
-  EXPECT_EQ(imaging::build_work_stats().encodes, 0u);
+  const auto asset = make_asset(3);
+  const std::pair<const char*, std::shared_ptr<const SourceImage>> views[] = {
+      {"original", asset},
+      {"one-bit near-duplicate", near_duplicate(asset)},
+      {"sparse +3 green", sparse_green_shift(asset)}};
+  for (const auto& [name, view] : views) {
+    SCOPED_TRACE(name);
+    const auto memo = store.acquire(view, options, obs::RequestContext::none());
+    ASSERT_NE(memo, nullptr);
+    imaging::VariantLadder local(view, options);
+    local.warm();
+    expect_same_memo(*memo, local.snapshot());
+  }
 
   const AssetStoreStats s = store.stats();
+  EXPECT_EQ(s.lookups, 3u);
   EXPECT_EQ(s.exact_hits, 0u);
-  EXPECT_EQ(s.semantic_hits, 1u);
-  EXPECT_GE(s.probes, 1u);
-  EXPECT_EQ(s.inserts, 1u);
+  EXPECT_EQ(s.misses, 3u);
+  EXPECT_EQ(s.inserts, 3u);
   expect_partition(s);
-}
-
-TEST(AssetStore, SemanticHitRespectsTheSsimThreshold) {
-  // Verify the acceptance criterion directly: a semantic hit implies the
-  // stored and probed thumbprints score at or above the store's floor.
-  const auto asset = make_asset(4);
-  const auto dup = near_duplicate(asset);
-  const double score = imaging::thumbprint_similarity(
-      imaging::luma_thumbprint(asset->original, AssetStore::kThumbprintDim),
-      imaging::luma_thumbprint(dup->original, AssetStore::kThumbprintDim));
-  EXPECT_GE(score, AssetStore::kSemanticMinSsim);
-
-  AssetStore store;
-  const imaging::LadderOptions options;
-  ASSERT_NE(store.acquire(asset, options, obs::RequestContext::none()), nullptr);
-  ASSERT_NE(store.acquire(dup, options, obs::RequestContext::none()), nullptr);
-  EXPECT_EQ(store.stats().semantic_hits, 1u);
 }
 
 TEST(AssetStore, DistinctContentAndRecipesNeverShare) {
@@ -196,7 +197,6 @@ TEST(AssetStore, DistinctContentAndRecipesNeverShare) {
 
   const AssetStoreStats s = store.stats();
   EXPECT_EQ(s.exact_hits, 0u);
-  EXPECT_EQ(s.semantic_hits, 0u);
   EXPECT_EQ(s.misses, 3u);
   EXPECT_EQ(s.inserts, 3u);
   expect_partition(s);
@@ -220,50 +220,58 @@ TEST(AssetStore, FailedBuildReturnsNullAndCountsTheFailure) {
   expect_partition(s);
 }
 
-TEST(AssetStore, EvictionKeepsThePerceptualIndexExact) {
-  // One shard, room for exactly one resident memo: every insert evicts the
-  // previous entry, which must also drop out of the aHash index. The budget
-  // is measured from a real entry so the test holds for any raster size.
-  Bytes one_entry = 0;
-  {
-    AssetStoreOptions probe;
-    probe.shards = 1;
-    AssetStore sizer(probe);
-    (void)sizer.acquire(make_asset(8), imaging::LadderOptions{}, obs::RequestContext::none());
-    one_entry = sizer.stats().resident_bytes;
-    ASSERT_GT(one_entry, 0u);
-  }
-  AssetStoreOptions opts;
-  opts.capacity_bytes = one_entry + one_entry / 2;
-  opts.shards = 1;
-  AssetStore store(opts);
-  ASSERT_EQ(store.shard_count(), 1u);
+TEST(AssetStore, EvictedKeyMissesAndRebuilds) {
+  // One shard with room for one resident memo: every insert evicts the
+  // previous entry. The budget is measured from the two real entries, so the
+  // test holds for any raster size: each fits alone, the two never together.
   const imaging::LadderOptions options;
   const auto a = make_asset(8);
   const auto b = make_asset(9);
+  Bytes cost_a = 0;
+  Bytes cost_b = 0;
+  {
+    AssetStoreOptions sizing;
+    sizing.shards = 1;
+    AssetStore sizer(sizing);
+    (void)sizer.acquire(a, options, obs::RequestContext::none());
+    cost_a = sizer.stats().resident_bytes;
+    (void)sizer.acquire(b, options, obs::RequestContext::none());
+    cost_b = sizer.stats().resident_bytes - cost_a;
+    ASSERT_GT(cost_a, 0u);
+    ASSERT_GT(cost_b, 0u);
+  }
+  AssetStoreOptions opts;
+  opts.capacity_bytes = std::max(cost_a, cost_b) + std::min(cost_a, cost_b) / 2;
+  opts.shards = 1;
+  AssetStore store(opts);
+  ASSERT_EQ(store.shard_count(), 1u);
 
-  ASSERT_NE(store.acquire(a, options, obs::RequestContext::none()), nullptr);
+  const auto first = store.acquire(a, options, obs::RequestContext::none());
+  ASSERT_NE(first, nullptr);
   ASSERT_NE(store.acquire(b, options, obs::RequestContext::none()), nullptr);  // evicts a
-  EXPECT_GE(store.stats().evictions, 1u);
+  EXPECT_EQ(store.stats().evictions, 1u);
   EXPECT_EQ(store.stats().resident_entries, 1u);
 
-  // A near-duplicate of the EVICTED asset must miss (its bucket is gone) —
-  // a stale index would hand back a dropped memo here.
-  const auto rebuilt = store.acquire(near_duplicate(a), options, obs::RequestContext::none());
+  // The evicted key misses and rebuilds (evicting b); the rebuild measures
+  // what the first build measured.
+  const auto rebuilt = store.acquire(a, options, obs::RequestContext::none());
   ASSERT_NE(rebuilt, nullptr);
-  EXPECT_EQ(store.stats().semantic_hits, 0u);
+  EXPECT_NE(rebuilt.get(), first.get()) << "an evicted key must not be served from the store";
+  expect_same_memo(*rebuilt, *first);
 
-  // The rebuild evicted b; a near-duplicate of the rebuilt content must
-  // still semantic-hit, proving the index tracks residency through churn.
-  const auto dup = store.acquire(near_duplicate(a, 1, 1), options, obs::RequestContext::none());
-  ASSERT_NE(dup, nullptr);
-  EXPECT_EQ(dup.get(), rebuilt.get());
+  // The rebuilt entry is resident again: the same content hits it.
+  const auto hit =
+      store.acquire(same_content_other_page(a), options, obs::RequestContext::none());
+  EXPECT_EQ(hit.get(), rebuilt.get());
 
   const AssetStoreStats s = store.stats();
-  EXPECT_EQ(s.semantic_hits, 1u);
-  EXPECT_EQ(s.resident_entries, 1u);
+  EXPECT_EQ(s.lookups, 4u);
+  EXPECT_EQ(s.exact_hits, 1u);
+  EXPECT_EQ(s.misses, 3u);
   EXPECT_EQ(s.inserts, 3u);
   EXPECT_EQ(s.evictions, 2u);
+  EXPECT_EQ(s.resident_entries, 1u);
+  EXPECT_EQ(s.resident_bytes, cost_a);
   EXPECT_LE(s.resident_bytes, store.capacity_bytes());
   expect_partition(s);
 }
@@ -425,7 +433,7 @@ TEST(AssetStore, StressPartitionHoldsUnderConcurrentChurn) {
   const auto base_a = make_asset(13, 40 * kKB);
   const auto base_b = make_asset(14, 40 * kKB);
   // Per-thread views: exact copies under other page identities plus near
-  // duplicates, so exact hits, semantic hits and misses all occur.
+  // duplicates (distinct content), so exact hits and misses both occur.
   constexpr std::size_t kThreads = 6;
   constexpr int kIterations = 4;
 
@@ -454,7 +462,7 @@ TEST(AssetStore, StressPartitionHoldsUnderConcurrentChurn) {
   // at most the first two per thread may miss (plus flight-racing misses of
   // the same key, which the partition still accounts for).
   EXPECT_LE(s.misses, 2u * kThreads);
-  EXPECT_GE(s.exact_hits + s.semantic_hits, 1u);
+  EXPECT_GE(s.exact_hits, 1u);
   expect_partition(s);
   EXPECT_EQ(store.in_flight(), 0u);
 }

@@ -12,6 +12,7 @@
 #include <latch>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dataset/corpus.h"
@@ -665,9 +666,12 @@ TEST_F(OriginServerTest, StatsEndpointSpeaksJsonOverTheWire) {
   for (const char* needle :
        {"\"sites\":2", "\"requests\":", "\"cache\":", "\"hit_rate\":", "\"builds\":",
         "\"latency_seconds\":", "\"served_page_bytes\":", "\"leads\":1",
-        "\"asset_store\":", "\"exact_hits\":", "\"semantic_hits\":", "\"probes\":"}) {
+        "\"asset_store\":", "\"exact_hits\":", "\"misses\":"}) {
     EXPECT_NE(stats.body.find(needle), std::string::npos) << needle << " missing in\n"
                                                           << stats.body;
+  }
+  for (const char* gone : {"\"semantic_hits\"", "\"probes\""}) {
+    EXPECT_EQ(stats.body.find(gone), std::string::npos) << gone << " in\n" << stats.body;
   }
   // Round-trips the wire: the body survives serialize/parse.
   const auto parsed = net::parse_response(net::serialize(stats));
@@ -719,7 +723,7 @@ TEST_F(OriginServerTest, RequestCountersPartitionEveryOutcome) {
   // every per-image consult lands in exactly one outcome counter.
   const AssetStoreStats a = origin.asset_store_stats();
   EXPECT_GT(a.lookups, 0u) << "the cold builds above must consult the store";
-  EXPECT_EQ(a.lookups, a.exact_hits + a.semantic_hits + a.misses);
+  EXPECT_EQ(a.lookups, a.exact_hits + a.misses);
 }
 
 TEST_F(OriginServerTest, TierKindCountersPartitionTierAnswers) {
@@ -785,8 +789,7 @@ TEST_F(OriginServerTest, MirroredSitesShareBuiltAssetsByContent) {
   EXPECT_GT(after_second.exact_hits, 0u) << "the mirror build must reuse shared families";
   EXPECT_EQ(after_second.inserts, after_first.inserts)
       << "nothing new to build: every asset was already resident";
-  EXPECT_EQ(after_second.lookups,
-            after_second.exact_hits + after_second.semantic_hits + after_second.misses);
+  EXPECT_EQ(after_second.lookups, after_second.exact_hits + after_second.misses);
 
   EXPECT_EQ(first.status, 200);
   EXPECT_EQ(second.status, 200);
@@ -800,7 +803,9 @@ TEST_F(OriginServerTest, AnswersMatchTheUncachedReference) {
   // Everything the origin puts in front of that — tier cache, single-flight,
   // build queue, the content-addressed asset store, stale-while-revalidate —
   // may only save work: status, Content-Length and AW4A-Tier must match the
-  // reference cold, cached, and after a content push.
+  // reference cold, cached, and after a content push. The last site copies
+  // the first page with every image a one-bit near-duplicate of the
+  // original's: distinct content that must get its own measurements.
   dataset::CorpusGenerator gen(dataset::CorpusOptions{
       .seed = 37, .rich = true, .cross_site_duplication_rate = 0.3});
   Rng rng(37);
@@ -810,6 +815,17 @@ TEST_F(OriginServerTest, AnswersMatchTheUncachedReference) {
     corpus.push_back(OriginSite{"ref-" + std::to_string(i) + ".example",
                                 gen.make_page(rng, 300 * kKB, gen.global_profile()), config(),
                                 net::kAllPlans[i % net::kAllPlans.size()]});
+  }
+  {
+    OriginSite near = corpus[0];
+    near.host = "ref-near.example";
+    for (web::WebObject& object : near.page.objects) {
+      if (object.image == nullptr) continue;
+      imaging::SourceImage copy = *object.image;
+      copy.original.at(0, 0).r ^= 1;
+      object.image = std::make_shared<const imaging::SourceImage>(std::move(copy));
+    }
+    corpus.push_back(std::move(near));
   }
   for (const OriginSite& site : corpus) {
     reference.push_back(core::Aw4aPipeline(site.config).build_tiers(site.page));

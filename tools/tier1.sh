@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the full test suite in the standard configuration, plus
-# originbench's smoke and oracle tests, plus the robustness, asset-store,
-# rANS-coder, markup, quality, HTTP, property and thread-pool suites under
-# ASan+UBSan (fault injection, eviction churn, attacker-controlled
+# originbench's smoke and oracle tests, plus the robustness, serving,
+# asset-store, rANS-coder, markup, quality, HTTP, property and thread-pool
+# suites under ASan+UBSan (fault injection, eviction churn, the origin's
+# uncached-reference oracle through the asset store, attacker-controlled
 # entropy-coded payloads and request heads, the length-prefixed AWML parser
 # on truncated or tampered blobs, the per-build QFS memo's stored views, the
 # bilinear kernel's row cache, the renderer's scaled-image memo, the ladder
@@ -32,8 +33,8 @@ cmake --build build -j >/dev/null
 python3 -m unittest discover -s originbench -p 'test_*.py'
 
 cmake -B build-asan -S . -DAW4A_SANITIZE=ON >/dev/null
-cmake --build build-asan -j --target robustness_test serving_asset_store_test imaging_ans_test web_markup_test core_quality_test net_http_test property_fuzz_test imaging_resize_test web_render_test imaging_fingerprint_test imaging_ssim_test imaging_raster_test imaging_codec_detail_test imaging_variants_test util_thread_pool_test >/dev/null
-(cd build-asan && ctest --output-on-failure --timeout 300 -R '^(robustness_test|serving_asset_store_test|imaging_ans_test|web_markup_test|core_quality_test|net_http_test|property_fuzz_test|imaging_resize_test|web_render_test|imaging_fingerprint_test|imaging_ssim_test|imaging_raster_test|imaging_codec_detail_test|imaging_variants_test|util_thread_pool_test)$')
+cmake --build build-asan -j --target robustness_test serving_test serving_asset_store_test imaging_ans_test web_markup_test core_quality_test net_http_test property_fuzz_test imaging_resize_test web_render_test imaging_fingerprint_test imaging_ssim_test imaging_raster_test imaging_codec_detail_test imaging_variants_test util_thread_pool_test >/dev/null
+(cd build-asan && ctest --output-on-failure --timeout 300 -R '^(robustness_test|serving_test|serving_asset_store_test|imaging_ans_test|web_markup_test|core_quality_test|net_http_test|property_fuzz_test|imaging_resize_test|web_render_test|imaging_fingerprint_test|imaging_ssim_test|imaging_raster_test|imaging_codec_detail_test|imaging_variants_test|util_thread_pool_test)$')
 
 cmake -B build-ubsan -S . -DAW4A_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j >/dev/null
