@@ -9,6 +9,7 @@
 
 #include "dataset/corpus.h"
 #include "imaging/synth.h"
+#include "util/hash.h"
 #include "util/rng.h"
 #include "web/render.h"
 
@@ -212,6 +213,39 @@ TEST(SsimEquivalence, LargePlaneDense) {
   const auto [a, b] = correlated_planes(144, 128, 5);
   const SsimOptions dense{.window = 8, .stride = 1};
   EXPECT_NEAR(ssim(a, b, dense), ssim_reference(a, b, dense), 1e-9);
+}
+
+// The served scores, frozen: a digest of the ssim() result bits (default
+// window and stride, the only geometry any caller serves) over every plane
+// shape from 1x1 to 17x17 (windows clamped below 8, clamped tail windows),
+// the ladder-sized widths whose tail windows land in or after the last group
+// of four, and the 448x336 bench plane.
+std::uint64_t digest_scores(const std::vector<std::pair<int, int>>& shapes) {
+  std::uint64_t digest = 0;
+  for (const auto& [width, height] : shapes) {
+    Rng rng(static_cast<std::uint64_t>(width) * 1000 + static_cast<std::uint64_t>(height));
+    PlaneF a(width, height);
+    PlaneF b(width, height);
+    for (std::size_t i = 0; i < a.v.size(); ++i) {
+      a.v[i] = static_cast<float>(rng.uniform(0.0, 255.0));
+      b.v[i] = std::clamp(a.v[i] + static_cast<float>(rng.uniform(-25.0, 25.0)), 0.0f, 255.0f);
+    }
+    digest = hash_mix(digest, static_cast<std::uint64_t>(width));
+    digest = hash_mix(digest, static_cast<std::uint64_t>(height));
+    digest = hash_mix(digest, ssim(a, b));
+  }
+  return digest;
+}
+
+TEST(Ssim, ServedScoresAreFrozen) {
+  std::vector<std::pair<int, int>> small;
+  for (int w = 1; w <= 17; ++w) {
+    for (int h = 1; h <= 17; ++h) small.emplace_back(w, h);
+  }
+  EXPECT_EQ(digest_scores(small), 17707072933424780351ull);
+  EXPECT_EQ(digest_scores({{97, 73}, {98, 74}, {99, 75}, {100, 75}, {101, 76}, {143, 107}}),
+            2205437093048684634ull);
+  EXPECT_EQ(digest_scores({{448, 336}}), 9731262826254883265ull);
 }
 
 // --- Integral-vs-direct dispatch (the strided-SSIM regression fix) ---
