@@ -52,15 +52,6 @@ void BM_Ssim(benchmark::State& state) {
 }
 BENCHMARK(BM_Ssim)->Arg(64)->Arg(128)->Arg(256);
 
-void BM_SsimDense(benchmark::State& state) {
-  const imaging::Raster a = photo(128);
-  const imaging::Raster b = photo(128);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(imaging::ssim(a, b, {.window = 8, .stride = 1}));
-  }
-}
-BENCHMARK(BM_SsimDense);
-
 void BM_ResizeBox(benchmark::State& state) {
   const imaging::Raster img = photo(128);
   for (auto _ : state) {

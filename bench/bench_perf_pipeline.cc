@@ -7,8 +7,8 @@
 //                reconstructed via the public single-shot API) vs. the shared
 //                cross-tier cache, and the shared cache prewarmed on
 //                --workers threads before the per-tier solves
-//   dense SSIM   integral-image ssim() vs. the retained ssim_reference()
-//                at stride 1 and the default stride 4
+//   SSIM         the served ssim() (AVX2 where present) vs. the scalar
+//                ssim_reference(), at the served 8x8 / stride-4 geometry
 //   breakdown    prewarm stage vs. solver stage of the shared build
 //   QFS build    the shared serial build with QFS on (the default config),
 //                every tier's memoized QFS checked against a one-shot score
@@ -23,8 +23,8 @@
 //                bytes or its ladder decode exceeds 1.5x its ladder encode.
 //
 // Every timed pair is also checked for equivalence: tier bytes/QSS must be
-// identical across build modes, and integral SSIM must match the reference
-// to 1e-9 — a perf bench that silently changed answers would be worse than
+// identical across build modes, and the served SSIM must equal the reference
+// exactly — a perf bench that silently changed answers would be worse than
 // a slow one.
 //
 // Writes machine-readable results (stable schema: name, unit, value) to
@@ -34,7 +34,6 @@
 //                                   [--json=BENCH_pipeline.json]
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -218,8 +217,8 @@ int main(int argc, char** argv) {
   }
   entries.push_back({"cold_build_tiers_qfs", "ms", qfs_build_ms});
 
-  // --- SSIM: integral-image vs. the retained reference, dense and strided,
-  // on a JPEG-roundtripped photo (realistic correlated distortion). ---
+  // --- SSIM: the served ssim() vs. the scalar reference, on a
+  // JPEG-roundtripped photo (realistic correlated distortion). ---
   Rng img_rng(42);
   const imaging::Raster photo = imaging::synth_image(img_rng, imaging::ImageClass::kPhoto,
                                                      448, 336);
@@ -227,40 +226,21 @@ int main(int argc, char** argv) {
   const imaging::PlaneF luma_a = imaging::luma_plane(photo);
   const imaging::PlaneF luma_b = imaging::luma_plane(degraded.decoded);
 
-  const imaging::SsimOptions dense{8, 1};
-  const imaging::SsimOptions strided{8, 4};
-  double dense_integral = 0.0, dense_reference = 0.0;
-  double strided_integral = 0.0, strided_reference = 0.0;
-  const double ssim_dense_ms = time_best_ms(options.repeat, [&] {
-    dense_integral = imaging::ssim(luma_a, luma_b, dense);
-  });
-  const double ssim_dense_ref_ms = time_best_ms(options.repeat, [&] {
-    dense_reference = imaging::ssim_reference(luma_a, luma_b, dense);
-  });
+  double served = 0.0, reference = 0.0;
   const double ssim_strided_ms = time_best_ms(options.repeat, [&] {
-    strided_integral = imaging::ssim(luma_a, luma_b, strided);
+    served = imaging::ssim(luma_a, luma_b);
   });
   const double ssim_strided_ref_ms = time_best_ms(options.repeat, [&] {
-    strided_reference = imaging::ssim_reference(luma_a, luma_b, strided);
+    reference = imaging::ssim_reference(luma_a, luma_b);
   });
-  const double msssim_ms = time_best_ms(options.repeat, [&] {
-    (void)imaging::ms_ssim(luma_a, luma_b);
-  });
-  if (std::fabs(dense_integral - dense_reference) > 1e-9 ||
-      std::fabs(strided_integral - strided_reference) > 1e-9) {
-    std::fprintf(stderr, "FAIL: integral SSIM diverged from reference (dense %.17g vs %.17g, "
-                 "strided %.17g vs %.17g)\n",
-                 dense_integral, dense_reference, strided_integral, strided_reference);
+  if (served != reference) {
+    std::fprintf(stderr, "FAIL: served SSIM %.17g differs from the reference %.17g\n", served,
+                 reference);
     ok = false;
   }
-
-  const double dense_speedup = ssim_dense_ms == 0.0 ? 0.0 : ssim_dense_ref_ms / ssim_dense_ms;
-  entries.push_back({"ssim_dense_integral", "ms", ssim_dense_ms});
-  entries.push_back({"ssim_dense_reference", "ms", ssim_dense_ref_ms});
-  entries.push_back({"ssim_dense_speedup", "x", dense_speedup});
+  // Row names kept from the trajectory in BENCH_pipeline.json.
   entries.push_back({"ssim_strided_integral", "ms", ssim_strided_ms});
   entries.push_back({"ssim_strided_reference", "ms", ssim_strided_ref_ms});
-  entries.push_back({"msssim_default", "ms", msssim_ms});
 
   // --- Encode-once quality ladder: N single-shot encodes vs. one prepare()
   // plus N encode_prepared() rungs, on the same photo. The rungs must be
@@ -392,9 +372,8 @@ int main(int argc, char** argv) {
   for (const Entry& e : entries) {
     std::printf("%-34s %10.3f %10s\n", e.name.c_str(), e.value, e.unit.c_str());
   }
-  std::printf("\ncold build: %.1fx faster; dense SSIM: %.1fx faster; "
-              "rANS payload: %.1f%% smaller at equal SSIM\n",
-              build_speedup, dense_speedup, rans_reduction * 100.0);
+  std::printf("\ncold build: %.1fx faster; rANS payload: %.1f%% smaller at equal SSIM\n",
+              build_speedup, rans_reduction * 100.0);
 
   write_json(options.json_path, entries);
   std::printf("wrote %s\n", options.json_path.c_str());

@@ -26,21 +26,4 @@ BaselineResult freebasics_filter(const web::WebPage& page, const FreeBasicsOptio
   return result;
 }
 
-bool freebasics_compliant(const web::WebPage& page, const FreeBasicsOptions& options) {
-  for (const auto& object : page.objects) {
-    switch (object.type) {
-      case web::ObjectType::kJs:
-      case web::ObjectType::kIframe:
-      case web::ObjectType::kMedia:
-        return false;
-      case web::ObjectType::kImage:
-        if (object.transfer_bytes > options.large_image_threshold) return false;
-        break;
-      default:
-        break;
-    }
-  }
-  return true;
-}
-
 }  // namespace aw4a::baselines

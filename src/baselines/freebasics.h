@@ -16,7 +16,4 @@ struct FreeBasicsOptions {
 /// have to serve).
 BaselineResult freebasics_filter(const web::WebPage& page, const FreeBasicsOptions& options = {});
 
-/// True if the page as shipped already complies with the guidelines.
-bool freebasics_compliant(const web::WebPage& page, const FreeBasicsOptions& options = {});
-
 }  // namespace aw4a::baselines

@@ -5,18 +5,6 @@
 
 namespace aw4a::core {
 
-double weighted_quality(std::span<const ObjectiveTerm> terms) {
-  double num = 0.0;
-  double den = 0.0;
-  for (const ObjectiveTerm& t : terms) {
-    AW4A_EXPECTS(t.weight >= 0.0);
-    num += t.weight * t.quality;
-    den += t.weight;
-  }
-  AW4A_EXPECTS(den > 0.0);
-  return num / den;
-}
-
 LadderCache::LadderCache(imaging::LadderOptions options, imaging::AssetLadderSource* assets)
     : options_(std::move(options)), assets_(assets) {}
 

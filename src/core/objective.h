@@ -1,12 +1,10 @@
-// The AW4A optimization problem (paper §6.1, Eqs. 3-4) and shared optimizer
-// plumbing: the generic weighted-quality objective, the result record every
-// solver returns, and the per-page ladder cache that memoizes image variant
-// enumeration across solver passes.
+// Shared optimizer plumbing of the AW4A optimization problem (paper §6.1,
+// Eqs. 3-4): the result record every solver returns, and the per-page ladder
+// cache that memoizes image variant enumeration across solver passes.
 #pragma once
 
 #include <map>
 #include <optional>
-#include <span>
 #include <string>
 
 #include "core/quality.h"
@@ -15,15 +13,6 @@
 #include "web/page.h"
 
 namespace aw4a::core {
-
-/// One term of Eq. 3: an object's developer-assigned weight and its quality.
-struct ObjectiveTerm {
-  double weight = 1.0;
-  double quality = 1.0;
-};
-
-/// Eq. 3: sum(w_i * Q_i) / sum(w_i). Requires a positive weight sum.
-double weighted_quality(std::span<const ObjectiveTerm> terms);
 
 /// What every solver returns.
 struct TranscodeResult {

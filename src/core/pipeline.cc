@@ -68,7 +68,6 @@ TranscodeResult Aw4aPipeline::transcode_to_target(const web::WebPage& page, Byte
   // A cache enumerated under different options would hand the solvers a
   // different variant space than a fresh run — reject the mismatch up front.
   AW4A_EXPECTS(ladders.options().min_ssim == ladder_options().min_ssim);
-  AW4A_EXPECTS(ladders.options().metric == ladder_options().metric);
   AW4A_EXPECTS(ladders.options().entropy_backend == ladder_options().entropy_backend);
   const double started = ctx.now();
   auto elapsed = [&] { return ctx.now() - started; };
@@ -157,14 +156,6 @@ TranscodeResult Aw4aPipeline::transcode_to_target(const web::WebPage& page, Byte
   } catch (const Error& e) {
     return degrade(std::string("stage-2 failed: ") + e.what());
   }
-}
-
-TranscodeResult Aw4aPipeline::transcode_for_country(const web::WebPage& page,
-                                                    const dataset::Country& country,
-                                                    net::PlanType plan) const {
-  const double paw = paw_index(country, plan);
-  const Bytes target = per_url_target(page.transfer_size(), paw);
-  return transcode_to_target(page, target);
 }
 
 std::vector<Tier> Aw4aPipeline::build_tiers(const web::WebPage& page) const {

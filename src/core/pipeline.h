@@ -145,12 +145,6 @@ class Aw4aPipeline {
   /// must be built with exactly these options.
   imaging::LadderOptions ladder_options() const;
 
-  /// Target from the PAW index of a country/plan: the page shrinks to 1/PAW
-  /// of its own size (no-op when PAW <= 1).
-  TranscodeResult transcode_for_country(const web::WebPage& page,
-                                        const dataset::Country& country,
-                                        net::PlanType plan) const;
-
   /// Pre-generates the configured tiers of a page. Each tier is built with
   /// bounded retries; a tier that still fails borrows the result of the
   /// nearest coarser built tier (marked !built). Throws aw4a::Error only

@@ -26,16 +26,12 @@ double mobile_median_kb(double year) {
   return logistic(year, 2100.0, 0.5264, 2015.94);
 }
 
-double desktop_median_kb(double year) {
-  // Desktop pages were already heavy in 2011 (~450 KB) and plateau ~2.3 MB.
-  return logistic(year, 2450.0, 0.42, 2014.6);
-}
-
 std::vector<PageWeightPoint> mobile_page_weight_series() {
   return series(2100.0, 0.5264, 2015.94);
 }
 
 std::vector<PageWeightPoint> desktop_page_weight_series() {
+  // Desktop pages were already heavy in 2011 (~450 KB) and plateau ~2.3 MB.
   return series(2450.0, 0.42, 2014.6);
 }
 

@@ -22,9 +22,6 @@ struct PageWeightPoint {
 /// Median mobile page weight (KB) at a fractional year.
 double mobile_median_kb(double year);
 
-/// Median desktop page weight (KB) at a fractional year.
-double desktop_median_kb(double year);
-
 /// Quarterly series over [2011, 2023].
 std::vector<PageWeightPoint> mobile_page_weight_series();
 std::vector<PageWeightPoint> desktop_page_weight_series();

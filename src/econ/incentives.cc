@@ -35,20 +35,6 @@ MarketOutcome evaluate_market(Rng& rng, const MarketModel& market, double page_b
   return outcome;
 }
 
-std::vector<std::pair<double, double>> revenue_curve(Rng& rng, const MarketModel& market,
-                                                     double original_page_bytes,
-                                                     std::span<const double> reductions) {
-  std::vector<std::pair<double, double>> curve;
-  curve.reserve(reductions.size());
-  for (double r : reductions) {
-    AW4A_EXPECTS(r >= 1.0);
-    Rng run = rng.fork(static_cast<std::uint64_t>(r * 1000));
-    const MarketOutcome outcome = evaluate_market(run, market, original_page_bytes / r);
-    curve.emplace_back(r, outcome.ad_revenue_usd);
-  }
-  return curve;
-}
-
 double quintile_price_share(double average_price_pct, double income_sigma, int quintile,
                             Rng& rng, int samples) {
   AW4A_EXPECTS(average_price_pct > 0.0 && income_sigma >= 0.0);

@@ -47,12 +47,6 @@ struct MarketOutcome {
 MarketOutcome evaluate_market(Rng& rng, const MarketModel& market, double page_bytes,
                               int samples = 20000);
 
-/// Revenue as a function of the tier reduction factor (1 = original page).
-/// Returns (reduction, revenue) pairs; the operator picks the argmax.
-std::vector<std::pair<double, double>> revenue_curve(Rng& rng, const MarketModel& market,
-                                                     double original_page_bytes,
-                                                     std::span<const double> reductions);
-
 /// §3.2: within-country inequality. The paper notes the bottom income
 /// quintile in Pakistan pays ~2.5% of its income for broadband that costs
 /// the *average* earner 0.96% of GNI per capita. Given the country-average

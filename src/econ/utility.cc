@@ -12,18 +12,4 @@ double utility(const UserParams& user, double page_size, double accesses) {
   return user.quality_weight * std::log(page_size) + user.access_weight * std::log(accesses);
 }
 
-double indifference_slope(const UserParams& user, double page_size, double accesses) {
-  AW4A_EXPECTS(page_size > 0.0 && accesses > 0.0);
-  return -(user.access_weight / accesses) / (user.quality_weight / page_size);
-}
-
-bool utility_gain_condition(const UserParams& user, double w0, double a0, double w1,
-                            double a1) {
-  AW4A_EXPECTS(w1 < w0 && a1 > a0);
-  // Willingness to give up quality per access gained vs. what the move costs.
-  const double willingness = (user.access_weight / a0) / (user.quality_weight / w0);
-  const double demanded = (w0 - w1) / (a1 - a0);
-  return willingness > demanded;
-}
-
 }  // namespace aw4a::econ

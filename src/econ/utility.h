@@ -3,8 +3,6 @@
 // User utility is Cobb-Douglas in page quality (proxied by page size W) and
 // the number of affordable Web accesses A:
 //     U(W, A) = a log W + b log A,   a, b > 0.
-// The marginal rate of substitution and the utility-gain condition the paper
-// derives are implemented directly so tests can verify the algebra.
 #pragma once
 
 namespace aw4a::econ {
@@ -17,15 +15,5 @@ struct UserParams {
 
 /// U(W, A) = a log W + b log A. Requires W > 0, A > 0.
 double utility(const UserParams& user, double page_size, double accesses);
-
-/// dW/dA along an indifference curve: -(dU/dA)/(dU/dW) = -(b/A)/(a/W).
-/// The magnitude is how much W the user will give up for one more access.
-double indifference_slope(const UserParams& user, double page_size, double accesses);
-
-/// The paper's §4.1 condition for a utility *gain* when moving from
-/// (W0, A0) to (W1, A1) with W1 < W0, A1 > A0: the willingness to give up
-/// quality, (b/A)/(a/W), must exceed the rate actually demanded, dW/dA.
-bool utility_gain_condition(const UserParams& user, double w0, double a0, double w1,
-                            double a1);
 
 }  // namespace aw4a::econ

@@ -13,15 +13,6 @@
 
 namespace aw4a::imaging {
 
-const char* to_string(ImageFormat f) {
-  switch (f) {
-    case ImageFormat::kJpeg: return "jpeg";
-    case ImageFormat::kPng: return "png";
-    case ImageFormat::kWebp: return "webp";
-  }
-  return "?";
-}
-
 namespace detail {
 namespace {
 

@@ -30,8 +30,6 @@ namespace aw4a::imaging {
 
 enum class ImageFormat { kJpeg, kPng, kWebp };
 
-const char* to_string(ImageFormat f);
-
 /// Entropy back end of the lossy codec family (DESIGN.md §13). kHuffman is
 /// the original analytic optimal-Huffman cost model (no bitstream exists);
 /// kRans produces a real, decodable interleaved-rANS payload whose measured

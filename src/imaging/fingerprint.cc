@@ -43,9 +43,7 @@ std::uint64_t asset_fingerprint(const SourceImage& asset) {
 }
 
 std::uint64_t ladder_options_fingerprint(const LadderOptions& options) {
-  std::uint64_t h =
-      hash_mix(0x6177346c6f707421ULL, static_cast<std::uint64_t>(options.metric));
-  h = hash_mix(h, options.min_ssim);
+  std::uint64_t h = hash_mix(0x6177346c6f707421ULL, options.min_ssim);
   h = hash_mix(h, options.scale_granularity);
   h = hash_mix(h, options.min_scale);
   h = hash_mix(h, static_cast<std::uint64_t>(options.quality_steps.size()));

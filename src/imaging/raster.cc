@@ -1,7 +1,6 @@
 #include "imaging/raster.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace aw4a::imaging {
 
@@ -70,31 +69,6 @@ PlaneF luma_plane(const Raster& img) {
     out.v[i] = 0.299f * r + 0.587f * g + 0.114f * b;
   }
   return out;
-}
-
-PlaneF channel_plane(const Raster& img, int channel) {
-  AW4A_EXPECTS(channel >= 0 && channel <= 3);
-  PlaneF out(img.width(), img.height());
-  const auto& px = img.pixels();
-  for (std::size_t i = 0; i < px.size(); ++i) {
-    const Pixel& p = px[i];
-    const std::uint8_t c = channel == 0 ? p.r : channel == 1 ? p.g : channel == 2 ? p.b : p.a;
-    out.v[i] = static_cast<float>(c);
-  }
-  return out;
-}
-
-double mean_abs_diff(const Raster& a, const Raster& b) {
-  AW4A_EXPECTS(a.width() == b.width() && a.height() == b.height());
-  if (a.pixel_count() == 0) return 0.0;
-  double sum = 0.0;
-  const auto& pa = a.pixels();
-  const auto& pb = b.pixels();
-  for (std::size_t i = 0; i < pa.size(); ++i) {
-    sum += std::abs(int(pa[i].r) - int(pb[i].r)) + std::abs(int(pa[i].g) - int(pb[i].g)) +
-           std::abs(int(pa[i].b) - int(pb[i].b));
-  }
-  return sum / (3.0 * static_cast<double>(pa.size()));
 }
 
 }  // namespace aw4a::imaging

@@ -98,11 +98,4 @@ struct PlaneF {
 /// composited over white first (what a page background shows through).
 PlaneF luma_plane(const Raster& img);
 
-/// Extracts one channel (0=R,1=G,2=B,3=A) as floats in [0,255].
-PlaneF channel_plane(const Raster& img, int channel);
-
-/// Mean absolute difference of two same-sized rasters over RGB (ignores
-/// alpha); used by tests as a coarse distortion check independent of SSIM.
-double mean_abs_diff(const Raster& a, const Raster& b);
-
 }  // namespace aw4a::imaging

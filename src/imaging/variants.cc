@@ -203,10 +203,8 @@ ImageVariant VariantLadder::finish_measurement(const Encoded& enc, ImageFormat f
   // fused pass — identical scores to comparing redisplayed rasters.
   {
     AW4A_SPAN(ctx, "ssim");
-    v.ssim = compare_images(
-        original_luma(),
-        redisplay_luma(enc.decoded, asset_->original.width(), asset_->original.height()),
-        options_.metric);
+    v.ssim = ssim(original_luma(), redisplay_luma(enc.decoded, asset_->original.width(),
+                                                  asset_->original.height()));
   }
   return v;
 }
@@ -296,21 +294,6 @@ const ImageVariant& VariantLadder::webp_full(const obs::RequestContext& ctx) {
   return *webp_full_;
 }
 
-std::optional<ImageVariant> VariantLadder::cheapest_with_ssim_at_least(
-    double target, const obs::RequestContext& ctx) {
-  std::optional<ImageVariant> best = original();
-  auto consider = [&](const ImageVariant& v) {
-    if (v.ssim + 1e-12 >= target && (!best || v.bytes < best->bytes)) best = v;
-  };
-  consider(webp_full(ctx));
-  for (const auto& v : resolution_family(asset_->format, ctx)) consider(v);
-  for (const auto& v : resolution_family(ImageFormat::kWebp, ctx)) consider(v);
-  for (const auto& v : quality_family(asset_->format, ctx)) consider(v);
-  for (const auto& v : quality_family(ImageFormat::kWebp, ctx)) consider(v);
-  if (best && best->ssim + 1e-12 < target) return std::nullopt;  // original below target?!
-  return best;
-}
-
 std::optional<ImageVariant> VariantLadder::cheapest_fullres_with_ssim_at_least(
     double target, const obs::RequestContext& ctx) {
   std::optional<ImageVariant> best = original();
@@ -366,23 +349,6 @@ void VariantLadder::warm(const obs::RequestContext& ctx) {
   webp_full(ctx);
   resolution_family(asset_->format, ctx);
   resolution_family(ImageFormat::kWebp, ctx);
-}
-
-std::vector<ImageVariant> VariantLadder::all_variants() const {
-  std::vector<ImageVariant> out;
-  out.push_back(original());
-  for (const auto& family : res_family_) {
-    if (family) out.insert(out.end(), family->begin(), family->end());
-  }
-  for (const auto& family : qual_family_) {
-    if (family) out.insert(out.end(), family->begin(), family->end());
-  }
-  if (webp_full_) out.push_back(*webp_full_);
-  return out;
-}
-
-Raster VariantLadder::render_variant(const ImageVariant& v) const {
-  return imaging::render_variant(*asset_, v);
 }
 
 ImageVariant placeholder_variant(const SourceImage& asset, const LadderOptions& options,

@@ -83,9 +83,6 @@ struct ImageVariant {
 };
 
 struct LadderOptions {
-  /// Image-quality metric used for every variant measurement (§6.2: the
-  /// framework accepts newer metrics as they appear).
-  QualityMetric metric = QualityMetric::kSsim;
   /// Floor below which variants are not enumerated (a little slack below any
   /// practical Qt so the Bytes Efficiency probe can reach the threshold).
   double min_ssim = 0.60;
@@ -202,16 +199,12 @@ class VariantLadder {
   /// sources, lossy otherwise).
   const ImageVariant& webp_full(const obs::RequestContext& ctx = obs::RequestContext::none());
 
-  /// Cheapest enumerated variant (across both families and formats plus the
-  /// WebP transcode) with ssim >= target; nullopt if none qualifies.
-  std::optional<ImageVariant> cheapest_with_ssim_at_least(
-      double target, const obs::RequestContext& ctx = obs::RequestContext::none());
-
-  /// Same, but restricted to full-resolution variants (quality families and
-  /// the WebP transcode) — the move set of the paper's Grid Search, which
-  /// reduces image *quality* "while maintaining their original dimensions"
-  /// (§7.1). RBR's resolution ladder is excluded on purpose: the two solvers
-  /// searching different spaces is why each can win on some inputs.
+  /// Cheapest full-resolution variant (quality families and the WebP
+  /// transcode) with ssim >= target; nullopt if none qualifies. This is the
+  /// move set of the paper's Grid Search, which reduces image *quality*
+  /// "while maintaining their original dimensions" (§7.1). RBR's resolution
+  /// ladder is excluded on purpose: the two solvers searching different
+  /// spaces is why each can win on some inputs.
   std::optional<ImageVariant> cheapest_fullres_with_ssim_at_least(
       double target, const obs::RequestContext& ctx = obs::RequestContext::none());
 
@@ -220,9 +213,6 @@ class VariantLadder {
   /// only). Higher = more reducible.
   double bytes_efficiency(double ssim_threshold,
                           const obs::RequestContext& ctx = obs::RequestContext::none());
-
-  /// Everything enumerated so far (for Fig. 8 style dumps and tests).
-  std::vector<ImageVariant> all_variants() const;
 
   /// Copies every memoized family into a shareable memo (unset slots stay
   /// unset — snapshot never forces enumeration).
@@ -241,10 +231,6 @@ class VariantLadder {
   /// propagates failures: a store warming an entry must know the memo is
   /// complete before sharing it.
   void warm(const obs::RequestContext& ctx = obs::RequestContext::none());
-
-  /// Re-creates the decoded, redisplayed raster of a variant (used by the
-  /// page renderer; not cached to keep memory bounded).
-  Raster render_variant(const ImageVariant& v) const;
 
  private:
   ImageVariant measure(ImageFormat format, double scale, int quality,

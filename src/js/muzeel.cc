@@ -49,16 +49,4 @@ CoverageReport coverage(const Script& script) {
   return report;
 }
 
-std::set<WidgetId> broken_widgets(const Script& script, const std::set<FunctionId>& live) {
-  const std::vector<FunctionId> roots = all_roots(script);
-  const std::set<FunctionId> runtime = reachable_runtime(script, roots);
-  std::set<WidgetId> broken;
-  for (const JsFunction& f : script.functions) {
-    if (f.visual_widget != 0 && runtime.count(f.id) && !live.count(f.id)) {
-      broken.insert(f.visual_widget);
-    }
-  }
-  return broken;
-}
-
 }  // namespace aw4a::js

@@ -50,8 +50,4 @@ struct CoverageReport {
 /// Computes the coverage summary of one script.
 CoverageReport coverage(const Script& script);
 
-/// Widgets whose behaviour is lost when only `live` functions are served:
-/// the visual widgets of runtime-reachable functions not in `live`.
-std::set<WidgetId> broken_widgets(const Script& script, const std::set<FunctionId>& live);
-
 }  // namespace aw4a::js

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <vector>
 
 #include "util/error.h"
 #include "util/fault.h"
@@ -129,162 +130,6 @@ Bytes gzip_size(std::span<const std::uint8_t> data) {
 Bytes gzip_size(const std::string& text) {
   return gzip_size(std::span<const std::uint8_t>(
       reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
-}
-
-const char* to_string(TextClass c) {
-  switch (c) {
-    case TextClass::kHtml: return "html";
-    case TextClass::kJs: return "js";
-    case TextClass::kCss: return "css";
-    case TextClass::kJson: return "json";
-  }
-  return "?";
-}
-
-namespace {
-
-struct ClassProfile {
-  std::vector<std::string> keywords;   // high-frequency fixed tokens
-  std::string open_comment;
-  std::string close_comment;
-  double comment_density;              // fraction of lines that are comments
-  int indent_max;                      // max indentation depth (2 spaces each)
-  int idents;                          // per-document identifier dictionary size
-  double block_repeat_prob;            // chance a whole previous line repeats
-};
-
-const ClassProfile& profile(TextClass cls) {
-  static const ClassProfile html{
-      {"<div class=\"", "</div>", "<span>", "</span>", "<a href=\"", "</a>", "<li>", "</li>",
-       "<p>", "</p>", "<img src=\"", "\" />", "<section id=\"", "</section>"},
-      "<!--", "-->", 0.05, 6, 40, 0.35};
-  static const ClassProfile js{
-      {"function ", "return ", "var ", "const ", "let ", "if (", ") {", "} else {",
-       "document.getElementById(", "addEventListener(", "window.", "this.", "=== ", "&& "},
-      "/*", "*/", 0.12, 4, 120, 0.18};
-  static const ClassProfile css{
-      {"margin:", "padding:", "display:", "color:", "background:", "font-size:", "border:",
-       "width:", "height:", "position:", "flex:", "px;", "em;", "!important;"},
-      "/*", "*/", 0.08, 2, 60, 0.30};
-  static const ClassProfile json{
-      {"\"id\":", "\"name\":", "\"value\":", "\"type\":", "\"url\":", "\"items\":", "true",
-       "false", "null", "},{", "\":[", "\"]}"},
-      "", "", 0.0, 3, 30, 0.25};
-  switch (cls) {
-    case TextClass::kHtml: return html;
-    case TextClass::kJs: return js;
-    case TextClass::kCss: return css;
-    case TextClass::kJson: return json;
-  }
-  return js;
-}
-
-}  // namespace
-
-std::string synth_text(Rng& rng, TextClass cls, Bytes raw_size) {
-  AW4A_EXPECTS(raw_size > 0);
-  const ClassProfile& prof = profile(cls);
-
-  // Per-document identifier dictionary (Zipf-ranked).
-  std::vector<std::string> idents;
-  idents.reserve(static_cast<std::size_t>(prof.idents));
-  static const char* syllables[] = {"ba", "ce", "di", "fo", "gu", "ha", "ki", "lo",
-                                    "me", "nu", "pa", "re", "si", "to", "vu", "wa"};
-  for (int i = 0; i < prof.idents; ++i) {
-    std::string id;
-    const int parts = static_cast<int>(rng.uniform_int(2, 4));
-    for (int p = 0; p < parts; ++p) id += syllables[rng.uniform_int(0, 15)];
-    idents.push_back(std::move(id));
-  }
-
-  std::string out;
-  out.reserve(raw_size + 128);
-  std::vector<std::string> recent_lines;
-  while (out.size() < raw_size) {
-    std::string line;
-    const int depth = static_cast<int>(rng.uniform_int(0, prof.indent_max));
-    line.append(static_cast<std::size_t>(2 * depth), ' ');
-    if (!prof.open_comment.empty() && rng.bernoulli(prof.comment_density)) {
-      line += prof.open_comment;
-      line += " note ";
-      line += idents[rng.zipf(idents.size(), 1.1) - 1];
-      line += ' ';
-      line += prof.close_comment;
-    } else if (!recent_lines.empty() && rng.bernoulli(prof.block_repeat_prob)) {
-      // Re-emit a recent line verbatim: the repetition LZ77 feeds on.
-      line = recent_lines[static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(recent_lines.size()) - 1))];
-    } else {
-      const int tokens = static_cast<int>(rng.uniform_int(3, 9));
-      for (int t = 0; t < tokens; ++t) {
-        if (rng.bernoulli(0.55)) {
-          line += prof.keywords[static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<std::int64_t>(prof.keywords.size()) - 1))];
-        } else {
-          line += idents[rng.zipf(idents.size(), 1.1) - 1];
-          line += rng.bernoulli(0.3) ? "." : " ";
-        }
-      }
-      recent_lines.push_back(line);
-      if (recent_lines.size() > 24) recent_lines.erase(recent_lines.begin());
-    }
-    line += '\n';
-    out += line;
-  }
-  out.resize(raw_size);
-  return out;
-}
-
-std::string minify(const std::string& body, TextClass cls) {
-  const ClassProfile& prof = profile(cls);
-  std::string out;
-  out.reserve(body.size());
-  std::size_t i = 0;
-  const bool has_comments = !prof.open_comment.empty();
-  while (i < body.size()) {
-    if (has_comments && body.compare(i, prof.open_comment.size(), prof.open_comment) == 0) {
-      const std::size_t close = body.find(prof.close_comment, i + prof.open_comment.size());
-      if (close == std::string::npos) break;  // unterminated trailing comment: drop rest
-      i = close + prof.close_comment.size();
-      continue;
-    }
-    const char c = body[i];
-    if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-      // Collapse whitespace runs to a single space, and drop it entirely at
-      // line starts (indentation).
-      std::size_t j = i;
-      bool had_newline = false;
-      while (j < body.size() &&
-             (body[j] == ' ' || body[j] == '\t' || body[j] == '\n' || body[j] == '\r')) {
-        had_newline |= (body[j] == '\n');
-        ++j;
-      }
-      if (!out.empty() && !had_newline) out += ' ';
-      i = j;
-      continue;
-    }
-    out += c;
-    ++i;
-  }
-  return out;
-}
-
-TextWire text_wire_sizes(Rng& rng, TextClass cls, Bytes raw_size) {
-  const std::string body = synth_text(rng, cls, raw_size);
-  const std::string mini = minify(body, cls);
-  return TextWire{
-      .raw = body.size(),
-      .minified = mini.size(),
-      .gzip = gzip_size(body),
-      .min_gzip = gzip_size(mini),
-  };
-}
-
-Bytes FontModel::subset_size(double glyph_keep, bool strip_metadata) const {
-  AW4A_EXPECTS(glyph_keep > 0.0 && glyph_keep <= 1.0);
-  const Bytes glyphs =
-      static_cast<Bytes>(static_cast<double>(glyph_bytes) * glyph_keep + 0.5);
-  return glyphs + (strip_metadata ? 0 : metadata_bytes);
 }
 
 }  // namespace aw4a::net

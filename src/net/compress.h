@@ -1,21 +1,17 @@
-// Transfer-size accounting: a real (if small) LZ77 + Huffman-cost compressor,
-// synthetic text bodies to run it on, and a whitespace/comment minifier.
+// Transfer-size accounting: a real (if small) LZ77 + Huffman-cost compressor.
 //
 // The paper measures *network transfer size* — the compressed bytes on the
-// wire — for every object. We therefore generate actual byte streams for
-// text-like resources (HTML/JS/CSS) and compute their deflate-like cost with a
+// wire — for every object. Byte streams that travel deflated (the PNG and
+// lossless-WebP filter streams, the markup-rewrite blob) are costed with a
 // genuine LZ77 parse + entropy-coded size estimate, instead of multiplying by
-// a made-up constant. Binary resources (images, fonts) carry their own codec
-// cost from aw4a::imaging and a font model here.
+// a made-up constant.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "util/bytes.h"
-#include "util/rng.h"
 
 namespace aw4a::net {
 
@@ -27,47 +23,5 @@ Bytes gzip_size(std::span<const std::uint8_t> data);
 
 /// Convenience overload for text.
 Bytes gzip_size(const std::string& text);
-
-/// The classes of text content we synthesize; they differ in token dictionary,
-/// token length, comment/whitespace density, and repetition structure, which
-/// yields realistic per-class compression ratios (HTML compresses better than
-/// minified JS, etc.).
-enum class TextClass { kHtml, kJs, kCss, kJson };
-
-const char* to_string(TextClass c);
-
-/// Generates a synthetic body of roughly `raw_size` bytes (within ~1%) in the
-/// given class. Structure: Zipf-distributed identifiers from a per-document
-/// dictionary, punctuation/templating per class, comments and indentation that
-/// a minifier can strip, and repeated block structures that LZ77 can match.
-std::string synth_text(Rng& rng, TextClass cls, Bytes raw_size);
-
-/// Minifies a synthetic body: strips comments, collapses runs of whitespace,
-/// and drops indentation. This is a real transformation of the bytes (the
-/// result can be re-compressed with gzip_size) — Stage-1 of AW4A uses it.
-std::string minify(const std::string& body, TextClass cls);
-
-/// Summary of how a text object travels on the wire.
-struct TextWire {
-  Bytes raw;        ///< uncompressed source bytes
-  Bytes minified;   ///< after minification
-  Bytes gzip;       ///< gzip(raw)
-  Bytes min_gzip;   ///< gzip(minify(raw)) — the best Stage-1 result
-};
-
-/// Runs the full pipeline on a synthesized body.
-TextWire text_wire_sizes(Rng& rng, TextClass cls, Bytes raw_size);
-
-/// WebFont wire-size model: fonts are already compressed containers (WOFF2),
-/// so gzip barely helps; subsetting removes a glyph fraction. `glyph_keep` in
-/// (0,1] scales the glyph table, metadata (hinting/kerning) is `metadata`
-/// bytes that optional-metadata stripping removes.
-struct FontModel {
-  Bytes glyph_bytes;
-  Bytes metadata_bytes;
-
-  Bytes wire_size() const { return glyph_bytes + metadata_bytes; }
-  Bytes subset_size(double glyph_keep, bool strip_metadata) const;
-};
 
 }  // namespace aw4a::net

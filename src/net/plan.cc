@@ -1,7 +1,5 @@
 #include "net/plan.h"
 
-#include "util/error.h"
-
 namespace aw4a::net {
 
 const char* plan_code(PlanType p) {
@@ -29,11 +27,6 @@ Bytes plan_data_allowance(PlanType p) {
     case PlanType::kDataVoiceHighUsage: return 2000 * kMB;
   }
   return 0;
-}
-
-double accesses_per_month(Bytes data_allowance, double avg_page_bytes) {
-  AW4A_EXPECTS(avg_page_bytes > 0.0);
-  return static_cast<double>(data_allowance) / avg_page_bytes;
 }
 
 }  // namespace aw4a::net

@@ -30,7 +30,4 @@ Bytes plan_data_allowance(PlanType p);
 /// UN Broadband Commission affordability target: price <= 2% of GNI/capita.
 inline constexpr double kAffordabilityTargetPct = 2.0;
 
-/// Expected Web accesses per month for a data allowance and average page size.
-double accesses_per_month(Bytes data_allowance, double avg_page_bytes);
-
 }  // namespace aw4a::net

@@ -85,24 +85,6 @@ double Rng::normal(double mean, double sigma) {
 
 double Rng::lognormal(double mu, double sigma) { return std::exp(normal(mu, sigma)); }
 
-double Rng::pareto(double x_m, double alpha) {
-  AW4A_EXPECTS(x_m > 0.0 && alpha > 0.0);
-  double u;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return x_m / std::pow(u, 1.0 / alpha);
-}
-
-double Rng::exponential(double lambda) {
-  AW4A_EXPECTS(lambda > 0.0);
-  double u;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return -std::log(u) / lambda;
-}
-
 bool Rng::bernoulli(double p) {
   AW4A_EXPECTS(p >= 0.0 && p <= 1.0);
   return uniform() < p;
@@ -135,20 +117,6 @@ std::size_t Rng::zipf(std::size_t n, double s) {
     if (x < 0.0) return k;
   }
   return n;
-}
-
-std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {
-  AW4A_EXPECTS(k <= n);
-  std::vector<std::size_t> all(n);
-  for (std::size_t i = 0; i < n; ++i) all[i] = i;
-  // Partial Fisher-Yates: the first k slots become the sample.
-  for (std::size_t i = 0; i < k; ++i) {
-    const auto j = static_cast<std::size_t>(
-        uniform_int(static_cast<std::int64_t>(i), static_cast<std::int64_t>(n) - 1));
-    std::swap(all[i], all[j]);
-  }
-  all.resize(k);
-  return all;
 }
 
 std::uint64_t stable_hash(std::string_view s) {

@@ -50,12 +50,6 @@ class Rng {
   /// Log-normal parameterized by the mean/sigma of the underlying normal.
   double lognormal(double mu, double sigma);
 
-  /// Pareto with scale x_m > 0 and shape alpha > 0 (heavy-tailed sizes).
-  double pareto(double x_m, double alpha);
-
-  /// Exponential with rate lambda > 0.
-  double exponential(double lambda);
-
   /// True with probability p in [0, 1].
   bool bernoulli(double p);
 
@@ -75,9 +69,6 @@ class Rng {
       swap(v[i - 1], v[j]);
     }
   }
-
-  /// Samples `k` distinct indices from [0, n) (k <= n), in random order.
-  std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k);
 
  private:
   std::uint64_t s_[4];

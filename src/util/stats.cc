@@ -52,23 +52,6 @@ double ci95_halfwidth(std::span<const double> xs) {
   return 1.96 * stdev(xs) / std::sqrt(static_cast<double>(xs.size()));
 }
 
-double correlation(std::span<const double> xs, std::span<const double> ys) {
-  AW4A_EXPECTS(xs.size() == ys.size());
-  if (xs.size() < 2) return 0.0;
-  const double mx = mean(xs);
-  const double my = mean(ys);
-  double sxy = 0.0;
-  double sxx = 0.0;
-  double syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    sxy += (xs[i] - mx) * (ys[i] - my);
-    sxx += (xs[i] - mx) * (xs[i] - mx);
-    syy += (ys[i] - my) * (ys[i] - my);
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
 double ecdf_at(std::span<const double> xs, double x) {
   if (xs.empty()) return 0.0;
   std::size_t n = 0;
@@ -81,11 +64,6 @@ double ecdf_at(std::span<const double> xs, double x) {
 Ecdf::Ecdf(std::vector<double> values) : sorted_(std::move(values)) {
   AW4A_EXPECTS(!sorted_.empty());
   std::sort(sorted_.begin(), sorted_.end());
-}
-
-double Ecdf::operator()(double x) const {
-  const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
-  return static_cast<double>(it - sorted_.begin()) / static_cast<double>(sorted_.size());
 }
 
 double Ecdf::quantile(double q) const {
@@ -104,24 +82,6 @@ std::vector<Ecdf::Point> Ecdf::curve(std::size_t points) const {
     out.push_back({quantile(q), q});
   }
   return out;
-}
-
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::stdev() const {
-  if (n_ < 2) return 0.0;
-  return std::sqrt(m2_ / static_cast<double>(n_ - 1));
 }
 
 std::string summarize(std::span<const double> xs) {

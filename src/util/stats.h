@@ -28,9 +28,6 @@ double max_of(std::span<const double> xs);
 /// Half-width of the normal-approximation 95% confidence interval of the mean.
 double ci95_halfwidth(std::span<const double> xs);
 
-/// Pearson correlation of two equal-length samples (0 if degenerate).
-double correlation(std::span<const double> xs, std::span<const double> ys);
-
 /// Fraction of the sample <= x (empirical CDF evaluated at a point).
 double ecdf_at(std::span<const double> xs, double x);
 
@@ -40,14 +37,10 @@ class Ecdf {
  public:
   explicit Ecdf(std::vector<double> values);
 
-  /// P(X <= x).
-  double operator()(double x) const;
-
   /// Smallest sample value v with P(X <= v) >= q, q in (0, 1].
   double quantile(double q) const;
 
   std::size_t size() const { return sorted_.size(); }
-  const std::vector<double>& sorted_values() const { return sorted_; }
 
   /// Evenly spaced (x, F(x)) pairs suitable for plotting/printing.
   struct Point {
@@ -58,24 +51,6 @@ class Ecdf {
 
  private:
   std::vector<double> sorted_;
-};
-
-/// Running aggregate for streaming summaries (Welford's algorithm).
-class RunningStats {
- public:
-  void add(double x);
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double stdev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// One-line "mean=... sd=... p50=... min..max" summary for logs.

@@ -18,16 +18,6 @@ void TextTable::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void TextTable::add_row_values(const std::string& label, std::span<const double> values,
-                               int precision) {
-  AW4A_EXPECTS(values.size() + 1 == header_.size());
-  std::vector<std::string> cells;
-  cells.reserve(values.size() + 1);
-  cells.push_back(label);
-  for (double v : values) cells.push_back(fmt(v, precision));
-  add_row(std::move(cells));
-}
-
 std::string TextTable::render(int indent) const {
   std::vector<std::size_t> widths(header_.size());
   for (std::size_t c = 0; c < header_.size(); ++c) widths[c] = header_[c].size();

@@ -20,12 +20,6 @@ class TextTable {
   /// Adds a row; must have the same number of cells as the header.
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience: formats doubles with the given precision.
-  void add_row_values(const std::string& label, std::span<const double> values,
-                      int precision = 3);
-
-  std::size_t rows() const { return rows_.size(); }
-
   /// Renders with padded columns, a header underline, and `indent` leading
   /// spaces on every line.
   std::string render(int indent = 0) const;

@@ -1,7 +1,5 @@
 #include "web/bot.h"
 
-#include <algorithm>
-
 #include "util/error.h"
 
 namespace aw4a::web {
@@ -14,15 +12,6 @@ std::vector<BotEvent> enumerate_events(const WebPage& page) {
       events.push_back(BotEvent{object.id, binding});
     }
   }
-  return events;
-}
-
-std::vector<BotEvent> enumerate_events_subset(const WebPage& page,
-                                              std::span<const js::EventKind> allowed) {
-  std::vector<BotEvent> events = enumerate_events(page);
-  std::erase_if(events, [&](const BotEvent& e) {
-    return std::find(allowed.begin(), allowed.end(), e.binding.kind) == allowed.end();
-  });
   return events;
 }
 

@@ -29,9 +29,4 @@ std::vector<BotEvent> enumerate_events(const WebPage& page);
 /// Dynamic state after triggering `event` on the served page.
 RenderState state_after_event(const ServedPage& served, const BotEvent& event);
 
-/// Events of `page` restricted to DOM event kinds in `allowed` — models
-/// browsers (e.g. Opera Mini) that support only a subset of events.
-std::vector<BotEvent> enumerate_events_subset(const WebPage& page,
-                                              std::span<const js::EventKind> allowed);
-
 }  // namespace aw4a::web

@@ -26,35 +26,6 @@ const char* to_string(Tag tag) {
   return "?";
 }
 
-bool is_container(Tag tag) {
-  switch (tag) {
-    case Tag::kBody:
-    case Tag::kHeader:
-    case Tag::kNav:
-    case Tag::kMain:
-    case Tag::kSection:
-    case Tag::kArticle:
-    case Tag::kFooter:
-    case Tag::kDiv:
-    case Tag::kRow:
-      return true;
-    default:
-      return false;
-  }
-}
-
-std::size_t DomNode::size() const {
-  std::size_t total = 1;
-  for (const DomNode& child : children) total += child.size();
-  return total;
-}
-
-std::size_t DomNode::count(Tag t) const {
-  std::size_t total = tag == t ? 1 : 0;
-  for (const DomNode& child : children) total += child.count(t);
-  return total;
-}
-
 namespace {
 
 struct LayoutContext {

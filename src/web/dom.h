@@ -39,9 +39,6 @@ enum class Tag {
 
 const char* to_string(Tag tag);
 
-/// True for tags that may have children.
-bool is_container(Tag tag);
-
 struct DomNode {
   Tag tag = Tag::kDiv;
   /// For kImg / kAdSlot: the WebObject shown.
@@ -53,11 +50,6 @@ struct DomNode {
   /// Deterministic texture seed for the renderer.
   std::uint32_t style_seed = 0;
   std::vector<DomNode> children;
-
-  /// Total nodes in this subtree (including this one).
-  std::size_t size() const;
-  /// Nodes with the given tag in this subtree.
-  std::size_t count(Tag t) const;
 };
 
 struct LayoutOptions {

@@ -70,19 +70,6 @@ Bytes ServedPage::transfer_size() const {
   return total;
 }
 
-Bytes ServedPage::transfer_size(ObjectType type) const {
-  AW4A_EXPECTS(page != nullptr);
-  // Under a rewrite the single file is markup: all bytes account as kHtml.
-  if (rewrite != nullptr) {
-    return type == ObjectType::kHtml ? rewrite->transfer_bytes : 0;
-  }
-  Bytes total = 0;
-  for (const auto& o : page->objects) {
-    if (o.type == type) total += object_transfer(o);
-  }
-  return total;
-}
-
 bool ServedPage::is_dropped(std::uint64_t object_id) const {
   if (dropped.count(object_id)) return true;
   if (const auto it = images.find(object_id); it != images.end()) return it->second.dropped;

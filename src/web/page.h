@@ -96,7 +96,6 @@ struct ServedPage {
 
   /// Transfer size after all decisions.
   Bytes transfer_size() const;
-  Bytes transfer_size(ObjectType type) const;
 
   /// Bytes of one object under the current decisions.
   Bytes object_transfer(const WebObject& object) const;

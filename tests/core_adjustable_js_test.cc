@@ -67,8 +67,8 @@ TEST(AdjustableJs, FloorMatchesMuzeel) {
   apply_adjustable_js(adjustable, 1);
   web::ServedPage muzeel = web::serve_original(page);
   apply_muzeel(muzeel);
-  EXPECT_EQ(adjustable.transfer_size(web::ObjectType::kJs),
-            muzeel.transfer_size(web::ObjectType::kJs));
+  // Both touch only scripts, so equal page bytes mean equal script bytes.
+  EXPECT_EQ(adjustable.transfer_size(), muzeel.transfer_size());
 }
 
 TEST(AdjustableJs, SafeFunctionsRemovedBeforeRiskyOnes) {

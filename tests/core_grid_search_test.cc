@@ -94,7 +94,7 @@ TEST(GridSearch, TightTimeoutReportsTimedOut) {
   LadderCache ladders;
   // Pre-warm ladders so the timeout applies to the search itself.
   for (const auto* img : rich_images(page)) {
-    (void)ladders.ladder_for(*img).cheapest_with_ssim_at_least(0.9);
+    (void)ladders.ladder_for(*img).cheapest_fullres_with_ssim_at_least(0.9);
   }
   GridSearchOptions options;
   options.timeout_seconds = 1e-9;

@@ -57,24 +57,14 @@ TEST(Pipeline, QualityThresholdFlowsThrough) {
   EXPECT_GE(result.quality.qss, 0.95 - 1e-6);
 }
 
-TEST(Pipeline, CountryTargetUsesPaw) {
-  const web::WebPage page = rich_page(43);
-  const dataset::Country* honduras = dataset::find_country("Honduras");
-  ASSERT_NE(honduras, nullptr);
-  const double paw = paw_index(*honduras, net::PlanType::kDataOnly);
-  ASSERT_GT(paw, 1.0);
-  const Aw4aPipeline pipeline;
-  const auto result =
-      pipeline.transcode_for_country(page, *honduras, net::PlanType::kDataOnly);
-  EXPECT_EQ(result.target_bytes, per_url_target(page.transfer_size(), paw));
-}
-
 TEST(Pipeline, AffordableCountryGetsNoReductionTarget) {
   const web::WebPage page = rich_page(44);
   const dataset::Country* usa = dataset::find_country("United States");
   ASSERT_NE(usa, nullptr);
+  const Bytes target =
+      per_url_target(page.transfer_size(), paw_index(*usa, net::PlanType::kDataOnly));
   const Aw4aPipeline pipeline;
-  const auto result = pipeline.transcode_for_country(page, *usa, net::PlanType::kDataOnly);
+  const auto result = pipeline.transcode_to_target(page, target);
   EXPECT_TRUE(result.met_target);
   EXPECT_EQ(result.target_bytes, page.transfer_size());
 }

@@ -239,12 +239,6 @@ TEST(Quality, EvaluateBundlesBoth) {
   EXPECT_DOUBLE_EQ(skip.qfs, 1.0);
 }
 
-TEST(Objective, WeightedQualityMatchesEq3) {
-  const std::vector<ObjectiveTerm> terms{{2.0, 1.0}, {1.0, 0.4}, {1.0, 0.8}};
-  EXPECT_NEAR(weighted_quality(terms), (2.0 + 0.4 + 0.8) / 4.0, 1e-12);
-  EXPECT_THROW((void)weighted_quality({}), LogicError);
-}
-
 TEST(Objective, LadderCacheMemoizes) {
   const web::WebPage page = rich_page();
   const auto images = rich_images(page);

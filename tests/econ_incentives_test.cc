@@ -52,15 +52,18 @@ TEST(Incentives, RevenueProportionalToAccessesAndCpm) {
 }
 
 TEST(Incentives, RevenueCurveMonotoneInDevelopingMarket) {
+  // Revenue per tier reduction factor (1 = original page), one rng stream
+  // per tier.
   Rng rng(4);
-  const double reductions[] = {1.0, 1.5, 3.0, 6.0};
-  const auto curve = revenue_curve(rng, developing(), 2.47e6, reductions);
-  ASSERT_EQ(curve.size(), 4u);
-  for (std::size_t i = 1; i < curve.size(); ++i) {
-    EXPECT_GE(curve[i].second, curve[i - 1].second * 0.95)
-        << "revenue should not collapse as tiers deepen";
+  std::vector<double> revenue;
+  for (const double r : {1.0, 1.5, 3.0, 6.0}) {
+    Rng run = rng.fork(static_cast<std::uint64_t>(r * 1000));
+    revenue.push_back(evaluate_market(run, developing(), 2.47e6 / r).ad_revenue_usd);
   }
-  EXPECT_GT(curve.back().second, curve.front().second);
+  for (std::size_t i = 1; i < revenue.size(); ++i) {
+    EXPECT_GE(revenue[i], revenue[i - 1] * 0.95) << "revenue should not collapse as tiers deepen";
+  }
+  EXPECT_GT(revenue.back(), revenue.front());
 }
 
 TEST(Incentives, DeterministicPerRng) {
@@ -101,8 +104,6 @@ TEST(Incentives, ValidatesInputs) {
   Rng rng(8);
   const MarketModel market = developing();
   EXPECT_THROW((void)evaluate_market(rng, market, 0.0), LogicError);
-  const double bad_reductions[] = {0.5};
-  EXPECT_THROW((void)revenue_curve(rng, market, 1e6, bad_reductions), LogicError);
   EXPECT_THROW((void)quintile_price_share(1.0, 0.9, 0, rng), LogicError);
   EXPECT_THROW((void)quintile_price_share(1.0, 0.9, 6, rng), LogicError);
 }

@@ -24,29 +24,6 @@ TEST(Utility, ConcaveInBothArguments) {
   EXPECT_GT(d1, d2);
 }
 
-TEST(Utility, IndifferenceSlopeMatchesFormula) {
-  const UserParams u{.quality_weight = 2.0, .access_weight = 1.0};
-  // dW/dA = -(b/A)/(a/W) = -(1/A) * (W/2).
-  EXPECT_NEAR(indifference_slope(u, 4.0, 8.0), -(1.0 / 8.0) / (2.0 / 4.0), 1e-12);
-}
-
-TEST(Utility, GainConditionConsistentWithUtility) {
-  // For users where the condition holds, utility must actually increase
-  // across the (small) move, and vice versa for a strongly failing case.
-  const UserParams access_lover{.quality_weight = 0.1, .access_weight = 0.9};
-  const UserParams quality_lover{.quality_weight = 0.9, .access_weight = 0.1};
-  const double w0 = 2.47;
-  const double a0 = 100;
-  const double w1 = 2.40;
-  const double a1 = 110;
-  EXPECT_EQ(utility_gain_condition(access_lover, w0, a0, w1, a1),
-            utility(access_lover, w1, a1) > utility(access_lover, w0, a0));
-  const double w2 = 0.6;
-  const double a2 = 102;  // large quality loss, tiny access gain
-  EXPECT_FALSE(utility_gain_condition(quality_lover, w0, a0, w2, a2));
-  EXPECT_LT(utility(quality_lover, w2, a2), utility(quality_lover, w0, a0));
-}
-
 TEST(UserStudy, ChoicesSumToOne) {
   Rng rng(1);
   const auto bundles = usable_site_bundles();

@@ -390,9 +390,9 @@ TEST(ImagingAnsCodec, LevelsRoundTripAcrossLadder) {
       EXPECT_EQ(parsed.width, expected.width);
       EXPECT_EQ(parsed.height, expected.height);
       // Bit-exact coefficient levels: the entropy backend is lossless.
-      EXPECT_EQ(parsed.luma, expected.luma) << to_string(format) << " q" << q;
-      EXPECT_EQ(parsed.cb, expected.cb) << to_string(format) << " q" << q;
-      EXPECT_EQ(parsed.cr, expected.cr) << to_string(format) << " q" << q;
+      EXPECT_EQ(parsed.luma, expected.luma) << static_cast<int>(format) << " q" << q;
+      EXPECT_EQ(parsed.cb, expected.cb) << static_cast<int>(format) << " q" << q;
+      EXPECT_EQ(parsed.cr, expected.cr) << static_cast<int>(format) << " q" << q;
     }
   }
 }
@@ -407,7 +407,7 @@ TEST(ImagingAnsCodec, DecodedRasterBitExact) {
       ASSERT_EQ(decoded.width(), enc.decoded.width());
       ASSERT_EQ(decoded.height(), enc.decoded.height());
       EXPECT_TRUE(decoded.pixels() == enc.decoded.pixels())
-          << to_string(format) << " q" << q;
+          << static_cast<int>(format) << " q" << q;
     }
   }
 }
@@ -421,7 +421,7 @@ TEST(ImagingAnsCodec, BackendsDecodeIdentically) {
       const Encoded huff = encode_with(format, img, q, EntropyBackend::kHuffman);
       const Encoded rans = encode_with(format, img, q, EntropyBackend::kRans);
       EXPECT_TRUE(huff.decoded.pixels() == rans.decoded.pixels())
-          << to_string(format) << " q" << q;
+          << static_cast<int>(format) << " q" << q;
     }
   }
 }

@@ -44,13 +44,13 @@ Raster alpha_raster() {
 void expect_identical(const Encoded& single, const Encoded& factored, ImageFormat format,
                       int quality) {
   ASSERT_EQ(single.bytes, factored.bytes)
-      << to_string(format) << " q=" << quality << ": wire bytes diverged";
+      << static_cast<int>(format) << " q=" << quality << ": wire bytes diverged";
   ASSERT_EQ(single.header_bytes, factored.header_bytes)
-      << to_string(format) << " q=" << quality;
-  ASSERT_EQ(single.quality, factored.quality) << to_string(format) << " q=" << quality;
-  ASSERT_EQ(single.format, factored.format) << to_string(format) << " q=" << quality;
+      << static_cast<int>(format) << " q=" << quality;
+  ASSERT_EQ(single.quality, factored.quality) << static_cast<int>(format) << " q=" << quality;
+  ASSERT_EQ(single.format, factored.format) << static_cast<int>(format) << " q=" << quality;
   ASSERT_TRUE(single.decoded.pixels() == factored.decoded.pixels())
-      << to_string(format) << " q=" << quality << ": decoded raster diverged";
+      << static_cast<int>(format) << " q=" << quality << ": decoded raster diverged";
 }
 
 class EncodeOnceTest : public ::testing::TestWithParam<ImageFormat> {
@@ -98,10 +98,19 @@ TEST_P(EncodeOnceTest, RungOrderDoesNotMatter) {
   expect_identical(first, again, format, 75);
 }
 
+std::string format_name(const ::testing::TestParamInfo<ImageFormat>& info) {
+  switch (info.param) {
+    case ImageFormat::kJpeg: return "jpeg";
+    case ImageFormat::kPng: return "png";
+    case ImageFormat::kWebp: return "webp";
+  }
+  return "unknown";
+}
+
 INSTANTIATE_TEST_SUITE_P(AllFormats, EncodeOnceTest,
                          ::testing::Values(ImageFormat::kJpeg, ImageFormat::kWebp,
                                            ImageFormat::kPng),
-                         [](const auto& info) { return to_string(info.param); });
+                         format_name);
 
 // --- Fault-point parity between the single-shot and factored paths ---
 

@@ -58,7 +58,7 @@ TEST(Resize, ReduceResolutionScalesDimensions) {
   EXPECT_EQ(half.height(), 30);
   // Scale 1.0 is a no-op copy.
   const Raster same = reduce_resolution(img, 1.0);
-  EXPECT_EQ(mean_abs_diff(img, same), 0.0);
+  EXPECT_TRUE(img.pixels() == same.pixels());
 }
 
 TEST(Resize, ReduceResolutionNeverBelowOnePixel) {
@@ -90,7 +90,7 @@ TEST(Resize, RedisplayRoundTripDegradesGracefully) {
 TEST(Resize, RedisplayNoOpWhenSameSize) {
   Rng rng(5);
   const Raster img = synth_image(rng, ImageClass::kLogo, 30, 30);
-  EXPECT_EQ(mean_abs_diff(redisplay(img, 30, 30), img), 0.0);
+  EXPECT_TRUE(redisplay(img, 30, 30).pixels() == img.pixels());
 }
 
 TEST(Resize, BilinearDigestIsFrozen) {

@@ -88,22 +88,12 @@ TEST(Ssim, HandlesImagesSmallerThanWindow) {
   EXPECT_LT(ssim(a, b), 1.0);
 }
 
-TEST(Ssim, StrideApproximatesDense) {
-  Rng rng(6);
-  const Raster a = synth_image(rng, ImageClass::kPhoto, 96, 96);
-  const Raster b = synth_image(rng, ImageClass::kPhoto, 96, 96);
-  const double dense = ssim(a, b, {.window = 8, .stride = 1});
-  const double strided = ssim(a, b, {.window = 8, .stride = 4});
-  EXPECT_NEAR(dense, strided, 0.03);
-}
-
 TEST(Ssim, IdenticalInputsScoreExactlyOne) {
   // QFS scores a pixel-identical screenshot pair 1.0 without calling ssim();
-  // that is exact only if ssim(x, x) is exactly 1.0 on every dispatch side
-  // (integral tables, the direct path, and its AVX2 lanes where the CPU has
-  // them) — not merely within rounding. Inputs: noise, flat black/white/gray
-  // (the zero-variance windows whose raw variance can round negative), and a
-  // rendered page (the inputs QFS actually compares).
+  // that is exact only if ssim(x, x) is exactly 1.0 on the scalar path and
+  // its AVX2 lanes alike — not merely within rounding. Inputs: noise, flat
+  // black/white/gray (the zero-variance windows whose raw variance can round
+  // negative), and a rendered page (the inputs QFS actually compares).
   std::vector<std::pair<const char*, Raster>> inputs;
   Rng rng(2029);
   Raster noise(180, 600);
@@ -124,32 +114,17 @@ TEST(Ssim, IdenticalInputsScoreExactlyOne) {
   for (const auto& [name, x] : inputs) {
     const Raster copy = x;
     const PlaneF luma = luma_plane(x);
-    for (const SsimOptions opts : {SsimOptions{.window = 8, .stride = 1},
-                                   SsimOptions{.window = 8, .stride = 4}}) {
-      SCOPED_TRACE(std::string(name) + " stride " + std::to_string(opts.stride));
-      EXPECT_EQ(ssim_uses_integral(x.width(), x.height(), opts), opts.stride == 1);
-      EXPECT_EQ(ssim(x, x, opts), 1.0);
-      EXPECT_EQ(ssim(x, copy, opts), 1.0);
-      // The window arithmetic itself, with no identical-input shortcut: the
-      // direct path (and the AVX2 lanes, bit-identical to it) also lands
-      // on exactly 1.0.
-      EXPECT_EQ(ssim_reference(luma, luma, opts), 1.0);
-    }
+    SCOPED_TRACE(name);
+    EXPECT_EQ(ssim(x, x), 1.0);
+    EXPECT_EQ(ssim(x, copy), 1.0);
+    // The window arithmetic itself, with no identical-input shortcut: the
+    // reference (and the AVX2 lanes, bit-identical to it) also lands on
+    // exactly 1.0.
+    EXPECT_EQ(ssim_reference(luma, luma), 1.0);
   }
 }
 
-class SsimWindowTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(SsimWindowTest, IdentityHoldsForAllWindows) {
-  Rng rng(7);
-  const Raster img = synth_image(rng, ImageClass::kScreenshot, 48, 48);
-  EXPECT_DOUBLE_EQ(ssim(img, img, {.window = GetParam(), .stride = 2}), 1.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(Windows, SsimWindowTest, ::testing::Values(4, 8, 11, 16));
-
-// --- Equivalence of the integral-image implementation with the retained
-// direct-summation reference (the pre-rewrite algorithm). ---
+// --- Equivalence of ssim() with the scalar reference. ---
 
 // Two correlated planes of the given size: a synthetic photo's luma and a
 // perturbed copy, so variance/covariance terms are all exercised.
@@ -165,54 +140,17 @@ std::pair<PlaneF, PlaneF> correlated_planes(int width, int height, int seed = 11
   return {std::move(a), std::move(b)};
 }
 
-class SsimStrideEquivalenceTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(SsimStrideEquivalenceTest, MatchesReferenceImplementation) {
-  const auto [a, b] = correlated_planes(96, 80);
-  const SsimOptions opts{.window = 8, .stride = GetParam()};
-  EXPECT_NEAR(ssim(a, b, opts), ssim_reference(a, b, opts), 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Strides, SsimStrideEquivalenceTest, ::testing::Values(1, 3, 4, 8));
-
-TEST(SsimEquivalence, OddPlaneSizes) {
-  for (const auto [w, h] : {std::pair{37, 53}, std::pair{61, 19}, std::pair{101, 23}}) {
-    const auto [a, b] = correlated_planes(w, h, 100 + w);
-    for (const int stride : {1, 3, 4}) {
-      const SsimOptions opts{.window = 8, .stride = stride};
-      EXPECT_NEAR(ssim(a, b, opts), ssim_reference(a, b, opts), 1e-9)
-          << w << "x" << h << " stride " << stride;
-    }
-  }
-}
-
-TEST(SsimEquivalence, WindowLargerThanPlaneClamps) {
-  const auto [a, b] = correlated_planes(12, 9, 31);
-  // window 16 > both dims: both implementations must clamp to min(w, h).
-  const SsimOptions opts{.window = 16, .stride = 2};
-  EXPECT_NEAR(ssim(a, b, opts), ssim_reference(a, b, opts), 1e-9);
-}
-
 TEST(SsimEquivalence, ConstantAndFlatPlanes) {
   const PlaneF flat_a(40, 40, 128.0f);
   const PlaneF flat_b(40, 40, 64.0f);
   // Zero-variance windows: the stabilized formula must agree exactly.
-  EXPECT_NEAR(ssim(flat_a, flat_b), ssim_reference(flat_a, flat_b), 1e-9);
+  EXPECT_EQ(ssim(flat_a, flat_b), ssim_reference(flat_a, flat_b));
   EXPECT_DOUBLE_EQ(ssim(flat_a, flat_a), 1.0);
 
   // One plane flat, one textured: covariance is ~0, variance one-sided.
   const auto [textured, unused] = correlated_planes(40, 40, 77);
   (void)unused;
-  for (const int stride : {1, 4}) {
-    const SsimOptions opts{.window = 8, .stride = stride};
-    EXPECT_NEAR(ssim(flat_a, textured, opts), ssim_reference(flat_a, textured, opts), 1e-9);
-  }
-}
-
-TEST(SsimEquivalence, LargePlaneDense) {
-  const auto [a, b] = correlated_planes(144, 128, 5);
-  const SsimOptions dense{.window = 8, .stride = 1};
-  EXPECT_NEAR(ssim(a, b, dense), ssim_reference(a, b, dense), 1e-9);
+  EXPECT_EQ(ssim(flat_a, textured), ssim_reference(flat_a, textured));
 }
 
 // The served scores, frozen: a digest of the ssim() result bits (default
@@ -248,58 +186,22 @@ TEST(Ssim, ServedScoresAreFrozen) {
   EXPECT_EQ(digest_scores({{448, 336}}), 9731262826254883265ull);
 }
 
-// --- Integral-vs-direct dispatch (the strided-SSIM regression fix) ---
-
-TEST(SsimDispatch, BenchPlaneCrossesOverBetweenStride4AndStride1) {
-  // The calibration case: on the 448x336 bench plane with the 8x8 window,
-  // stride 4 visits 1/16th of the window positions and the direct path wins;
-  // dense stride 1 amortizes the tables.
-  EXPECT_FALSE(ssim_uses_integral(448, 336, SsimOptions{.window = 8, .stride = 4}));
-  EXPECT_TRUE(ssim_uses_integral(448, 336, SsimOptions{.window = 8, .stride = 1}));
-  EXPECT_TRUE(ssim_uses_integral(448, 336, SsimOptions{.window = 8, .stride = 2}));
-}
-
-TEST(SsimDispatch, TinyPlanesWhereEveryPixelIsWindowedUseIntegral) {
-  // Stride 1 on any plane touches every pixel win^2 times directly; tables
-  // always win there regardless of plane size.
-  EXPECT_TRUE(ssim_uses_integral(16, 16, SsimOptions{.window = 8, .stride = 1}));
-  EXPECT_TRUE(ssim_uses_integral(64, 64, SsimOptions{.window = 8, .stride = 1}));
-}
-
-TEST(SsimDispatch, VerySparseGridsUseDirect) {
-  EXPECT_FALSE(ssim_uses_integral(448, 336, SsimOptions{.window = 8, .stride = 16}));
-  EXPECT_FALSE(ssim_uses_integral(1024, 768, SsimOptions{.window = 8, .stride = 32}));
-}
-
 TEST(SsimDispatch, DirectPathIsBitIdenticalToReference) {
   // The direct path may run four windows per AVX2 register; every lane must
   // execute the reference's chains in the reference's order, so equality is
   // exact — EXPECT_EQ on the doubles, not a tolerance. Sizes exercise the
   // vector groups, the scalar remainder (width not a multiple of 4 windows),
-  // and the clamped tail window on both axes. The ladder-sized planes (the
-  // 96-144 px originals whose redisplayed variants get scored) put the
-  // clamped tail window inside the last group of four (97, 98, 99 wide), in
-  // the scalar remainder (101, 143), or end a regular group's contiguous
-  // loads on the row's last float (100).
+  // the clamped tail window on both axes, planes barely larger than one
+  // window (12x9) and one smaller than it (7x5 shrinks the window to 5x5).
+  // The ladder-sized planes (the 96-144 px originals whose redisplayed
+  // variants get scored) put the clamped tail window inside the last group
+  // of four (97, 98, 99 wide), in the scalar remainder (101, 143), or end a
+  // regular group's contiguous loads on the row's last float (100).
   for (const auto& [w, h] : {std::pair{160, 120}, {163, 121}, {57, 43}, {448, 336}, {97, 73},
-                             {101, 76}, {143, 107}, {98, 74}, {99, 75}, {100, 75}}) {
+                             {101, 76}, {143, 107}, {98, 74}, {99, 75}, {100, 75}, {37, 53},
+                             {61, 19}, {101, 23}, {12, 9}, {7, 5}}) {
     const auto [a, b] = correlated_planes(w, h, 31);
-    for (const int stride : {3, 4, 7, 16}) {
-      const SsimOptions opts{.window = 8, .stride = stride};
-      if (ssim_uses_integral(w, h, opts)) continue;  // direct path only
-      EXPECT_EQ(ssim(a, b, opts), ssim_reference(a, b, opts))
-          << w << "x" << h << " stride " << stride;
-    }
-  }
-}
-
-TEST(SsimDispatch, BothSidesOfTheCrossoverAgreeNumerically) {
-  // The dispatch must be invisible except as time: pin agreement right at
-  // the strides where the path flips on a realistic plane.
-  const auto [a, b] = correlated_planes(160, 120, 9);
-  for (const int stride : {1, 2, 4, 8}) {
-    const SsimOptions opts{.window = 8, .stride = stride};
-    EXPECT_NEAR(ssim(a, b, opts), ssim_reference(a, b, opts), 1e-9) << "stride " << stride;
+    EXPECT_EQ(ssim(a, b), ssim_reference(a, b)) << w << "x" << h;
   }
 }
 

@@ -65,7 +65,7 @@ TEST(Integration, PawReductionActuallyEqualizesAccesses) {
   double original_total = 0;
   for (const auto& page : pages) {
     const auto result =
-        pipeline.transcode_for_country(page, *country, net::PlanType::kDataVoiceLowUsage);
+        pipeline.transcode_to_target(page, core::per_url_target(page.transfer_size(), paw));
     reduced_total += static_cast<double>(result.result_bytes);
     original_total += static_cast<double>(page.transfer_size());
   }

@@ -67,23 +67,6 @@ TEST(Muzeel, IdempotentOnCleanScripts) {
   EXPECT_EQ(second.reduced.functions.size(), first.reduced.functions.size());
 }
 
-TEST(Muzeel, BrokenWidgetsReflectLiveSet) {
-  const Script s = fixture();
-  // Serve everything: nothing broken.
-  std::set<FunctionId> all;
-  for (const auto& f : s.functions) all.insert(f.id);
-  EXPECT_TRUE(broken_widgets(s, all).empty());
-  // Remove f7: its widget 300 is runtime-reachable but unserved.
-  std::set<FunctionId> without7 = all;
-  without7.erase(7);
-  EXPECT_EQ(broken_widgets(s, without7), (std::set<WidgetId>{300}));
-  // Removing the dead f5/f6 breaks nothing.
-  std::set<FunctionId> without_dead = all;
-  without_dead.erase(5);
-  without_dead.erase(6);
-  EXPECT_TRUE(broken_widgets(s, without_dead).empty());
-}
-
 TEST(Muzeel, SyntheticScriptsShrinkAndMostlyDontBreak) {
   int broken_scripts = 0;
   Bytes total_before = 0;

@@ -37,81 +37,5 @@ TEST(GzipSize, DeterministicAndMonotoneInRepeats) {
   EXPECT_LT(gzip_size(ten), 3 * gzip_size(two));
 }
 
-class SynthTextTest : public ::testing::TestWithParam<TextClass> {};
-
-TEST_P(SynthTextTest, HitsRequestedSize) {
-  Rng rng(7);
-  const Bytes target = 40 * kKB;
-  const std::string body = synth_text(rng, GetParam(), target);
-  EXPECT_EQ(body.size(), target);
-}
-
-TEST_P(SynthTextTest, CompressesToPlausibleWebRatio) {
-  Rng rng(8);
-  const std::string body = synth_text(rng, GetParam(), 60 * kKB);
-  const double ratio = static_cast<double>(body.size()) / static_cast<double>(gzip_size(body));
-  // Web text gzips at roughly 2.5-9x.
-  EXPECT_GT(ratio, 2.0) << to_string(GetParam());
-  EXPECT_LT(ratio, 12.0) << to_string(GetParam());
-}
-
-TEST_P(SynthTextTest, MinifyShrinksRawAndNeverGrowsGzip) {
-  Rng rng(9);
-  const std::string body = synth_text(rng, GetParam(), 50 * kKB);
-  const std::string mini = minify(body, GetParam());
-  EXPECT_LT(mini.size(), body.size());
-  EXPECT_LE(gzip_size(mini), gzip_size(body) + 64);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllClasses, SynthTextTest,
-                         ::testing::Values(TextClass::kHtml, TextClass::kJs, TextClass::kCss,
-                                           TextClass::kJson),
-                         [](const auto& info) { return to_string(info.param); });
-
-TEST(Minify, StripsCommentsAndIndentation) {
-  const std::string body = "  /* a comment */  const x = 1;\n    const y = 2;\n";
-  const std::string mini = minify(body, TextClass::kJs);
-  EXPECT_EQ(mini.find("comment"), std::string::npos);
-  EXPECT_NE(mini.find("const x = 1;"), std::string::npos);
-  EXPECT_EQ(mini.find("  "), std::string::npos);  // no double spaces survive
-}
-
-TEST(Minify, HandlesUnterminatedComment) {
-  const std::string body = "x = 1; /* never closed";
-  const std::string mini = minify(body, TextClass::kJs);
-  EXPECT_NE(mini.find("x = 1;"), std::string::npos);
-  EXPECT_EQ(mini.find("never"), std::string::npos);
-}
-
-TEST(TextWire, PipelineOrdering) {
-  Rng rng(10);
-  const TextWire wire = text_wire_sizes(rng, TextClass::kJs, 80 * kKB);
-  EXPECT_EQ(wire.raw, 80 * kKB);
-  EXPECT_LT(wire.minified, wire.raw);
-  EXPECT_LT(wire.gzip, wire.raw);
-  EXPECT_LE(wire.min_gzip, wire.gzip + 64);
-}
-
-// Calibration pin for Stage-1's default minify_gain (0.93): the real
-// minify+gzip pipeline lands in [0.80, 0.99] of plain gzip across classes.
-TEST(TextWire, MinifyGainCalibration) {
-  Rng rng(11);
-  for (TextClass cls : {TextClass::kHtml, TextClass::kJs, TextClass::kCss}) {
-    const TextWire wire = text_wire_sizes(rng, cls, 100 * kKB);
-    const double gain = static_cast<double>(wire.min_gzip) / static_cast<double>(wire.gzip);
-    EXPECT_GT(gain, 0.70) << to_string(cls);
-    EXPECT_LT(gain, 1.01) << to_string(cls);
-  }
-}
-
-TEST(FontModel, SubsettingAndMetadata) {
-  const FontModel font{.glyph_bytes = 80 * kKB, .metadata_bytes = 12 * kKB};
-  EXPECT_EQ(font.wire_size(), 92 * kKB);
-  EXPECT_EQ(font.subset_size(1.0, false), 92 * kKB);
-  EXPECT_EQ(font.subset_size(1.0, true), 80 * kKB);
-  EXPECT_EQ(font.subset_size(0.5, true), 40 * kKB);
-  EXPECT_THROW((void)font.subset_size(0.0, true), LogicError);
-}
-
 }  // namespace
 }  // namespace aw4a::net

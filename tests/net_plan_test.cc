@@ -21,13 +21,6 @@ TEST(Plan, Allowances) {
   EXPECT_EQ(plan_data_allowance(PlanType::kDataVoiceLowUsage), 500 * kMB);
 }
 
-TEST(Plan, AccessesPerMonth) {
-  // 2 GB at the 2.47 MB global mean page: ~810 accesses (paper §3.1 math).
-  const double accesses = accesses_per_month(2000 * kMB, 2.47e6);
-  EXPECT_NEAR(accesses, 809.7, 0.5);
-  EXPECT_THROW((void)accesses_per_month(kMB, 0.0), LogicError);
-}
-
 TEST(Plan, AffordabilityTargetIsTwoPercent) {
   EXPECT_DOUBLE_EQ(kAffordabilityTargetPct, 2.0);
 }

@@ -58,10 +58,6 @@ TEST_P(PropertyTest, ServedPageAccountingIsAdditiveUnderRandomDecisions) {
   Bytes manual = 0;
   for (const auto& o : page.objects) manual += served.object_transfer(o);
   EXPECT_EQ(served.transfer_size(), manual);
-
-  Bytes by_type = 0;
-  for (web::ObjectType t : web::kAllObjectTypes) by_type += served.transfer_size(t);
-  EXPECT_EQ(by_type, manual);
 }
 
 // --- metric bounds -----------------------------------------------------------

@@ -55,8 +55,18 @@ TEST_F(GoldenValues, CorpusPageIsByteStable) {
 }
 
 TEST_F(GoldenValues, GzipOfFixedTextIsStable) {
+  // A 20 KB JS-like body: seeded lines of keywords and identifiers.
   Rng rng(99);
-  const std::string body = net::synth_text(rng, net::TextClass::kJs, 20000);
+  static const char* kTokens[] = {"function ", "return ", "const ", "if (", ") {",
+                                  "} else {", "this.", "window.", "=== ", "foo",
+                                  "bar", "baz", "qux"};
+  std::string body;
+  while (body.size() < 20000) {
+    const int tokens = static_cast<int>(rng.uniform_int(3, 9));
+    for (int t = 0; t < tokens; ++t) body += kTokens[rng.uniform_int(0, 12)];
+    body += '\n';
+  }
+  body.resize(20000);
   const Bytes first = net::gzip_size(body);
   EXPECT_EQ(net::gzip_size(body), first);
   EXPECT_GT(first, 1000u);   // sanity: real compression happened

@@ -81,18 +81,6 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(stdev(xs), 2.0, 0.1);
 }
 
-TEST(Rng, ParetoIsHeavyTailedAboveScale) {
-  Rng rng(8);
-  for (int i = 0; i < 1000; ++i) EXPECT_GE(rng.pareto(2.0, 1.5), 2.0);
-}
-
-TEST(Rng, ExponentialMean) {
-  Rng rng(9);
-  std::vector<double> xs(20000);
-  for (auto& x : xs) x = rng.exponential(0.5);
-  EXPECT_NEAR(mean(xs), 2.0, 0.1);
-}
-
 TEST(Rng, BernoulliFrequency) {
   Rng rng(10);
   int hits = 0;
@@ -122,15 +110,6 @@ TEST(Rng, ZipfRankOneMostFrequent) {
   EXPECT_GT(counts[1], counts[2]);
   EXPECT_GT(counts[2], counts[4]);
   EXPECT_EQ(counts[0], 0);  // ranks are 1-based
-}
-
-TEST(Rng, SampleIndicesDistinctAndBounded) {
-  Rng rng(14);
-  const auto sample = rng.sample_indices(20, 10);
-  EXPECT_EQ(sample.size(), 10u);
-  std::set<std::size_t> unique(sample.begin(), sample.end());
-  EXPECT_EQ(unique.size(), 10u);
-  for (auto i : sample) EXPECT_LT(i, 20u);
 }
 
 TEST(Rng, ShufflePreservesElements) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -42,17 +44,6 @@ TEST(Stats, PercentileRejectsBadArgs) {
   EXPECT_THROW((void)percentile(xs, 101.0), LogicError);
 }
 
-TEST(Stats, CorrelationSignAndDegenerate) {
-  const std::vector<double> x{1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> y{2.0, 4.0, 6.0, 8.0};
-  EXPECT_NEAR(correlation(x, y), 1.0, 1e-12);
-  std::vector<double> ny(y);
-  for (auto& v : ny) v = -v;
-  EXPECT_NEAR(correlation(x, ny), -1.0, 1e-12);
-  const std::vector<double> flat{5.0, 5.0, 5.0, 5.0};
-  EXPECT_EQ(correlation(x, flat), 0.0);
-}
-
 TEST(Stats, EcdfAtAndQuantileAreInverse) {
   const std::vector<double> xs{1.0, 2.0, 3.0, 4.0, 5.0};
   EXPECT_DOUBLE_EQ(ecdf_at(xs, 3.0), 0.6);
@@ -61,7 +52,6 @@ TEST(Stats, EcdfAtAndQuantileAreInverse) {
   const Ecdf cdf(xs);
   EXPECT_DOUBLE_EQ(cdf.quantile(0.6), 3.0);
   EXPECT_DOUBLE_EQ(cdf.quantile(1.0), 5.0);
-  EXPECT_DOUBLE_EQ(cdf(3.0), 0.6);
 }
 
 TEST(Stats, EcdfCurveMonotone) {
@@ -75,21 +65,6 @@ TEST(Stats, EcdfCurveMonotone) {
     EXPECT_LT(curve[i - 1].p, curve[i].p);
   }
   EXPECT_DOUBLE_EQ(curve.back().p, 1.0);
-}
-
-TEST(Stats, RunningStatsMatchesBatch) {
-  Rng rng(2);
-  std::vector<double> xs(3000);
-  RunningStats rs;
-  for (auto& x : xs) {
-    x = rng.lognormal(1.0, 0.7);
-    rs.add(x);
-  }
-  EXPECT_NEAR(rs.mean(), mean(xs), 1e-9);
-  EXPECT_NEAR(rs.stdev(), stdev(xs), 1e-9);
-  EXPECT_DOUBLE_EQ(rs.min(), min_of(xs));
-  EXPECT_DOUBLE_EQ(rs.max(), max_of(xs));
-  EXPECT_EQ(rs.count(), xs.size());
 }
 
 TEST(Stats, Ci95ShrinksWithSampleSize) {
@@ -115,7 +90,8 @@ class PercentileMonotone : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(PercentileMonotone, Holds) {
   Rng rng(GetParam());
   std::vector<double> xs(100);
-  for (auto& x : xs) x = rng.pareto(1.0, 1.1);
+  // Heavy-tailed: Pareto(x_m = 1, alpha = 1.1) by inverse CDF.
+  for (auto& x : xs) x = 1.0 / std::pow(1.0 - rng.uniform(), 1.0 / 1.1);
   double prev = percentile(xs, 0);
   for (double p = 5; p <= 100; p += 5) {
     const double cur = percentile(xs, p);

@@ -23,16 +23,6 @@ TEST(TextTable, RendersAlignedColumns) {
   EXPECT_EQ(header_col % (out.find('\n') + 1), row_col % (out.find('\n') + 1));
 }
 
-TEST(TextTable, AddRowValuesFormats) {
-  TextTable t({"name", "a", "b"});
-  const double vals[] = {1.5, 2.0};
-  t.add_row_values("x", vals, 2);
-  EXPECT_EQ(t.rows(), 1u);
-  const std::string out = t.render();
-  EXPECT_NE(out.find("1.5"), std::string::npos);
-  EXPECT_NE(out.find("2"), std::string::npos);
-}
-
 TEST(TextTable, RejectsMismatchedRow) {
   TextTable t({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), LogicError);

@@ -22,28 +22,7 @@ DomNode img(std::uint64_t id) {
   return node;
 }
 
-TEST(Dom, SizeAndCount) {
-  DomNode body;
-  body.tag = Tag::kBody;
-  DomNode section;
-  section.tag = Tag::kSection;
-  section.children.push_back(p(100));
-  section.children.push_back(img(1));
-  body.children.push_back(std::move(section));
-  body.children.push_back(p(50));
-  EXPECT_EQ(body.size(), 5u);
-  EXPECT_EQ(body.count(Tag::kP), 2u);
-  EXPECT_EQ(body.count(Tag::kImg), 1u);
-  EXPECT_EQ(body.count(Tag::kFooter), 0u);
-}
-
-TEST(Dom, ContainerClassification) {
-  EXPECT_TRUE(is_container(Tag::kBody));
-  EXPECT_TRUE(is_container(Tag::kRow));
-  EXPECT_FALSE(is_container(Tag::kImg));
-  EXPECT_FALSE(is_container(Tag::kP));
-  EXPECT_STREQ(to_string(Tag::kArticle), "article");
-}
+TEST(Dom, TagNames) { EXPECT_STREQ(to_string(Tag::kArticle), "article"); }
 
 TEST(Layout, VerticalStackingNoSiblingOverlap) {
   DomNode body;

@@ -147,10 +147,6 @@ TEST(Markup, ApplyRewriteCollapsesTransferToTheBlob) {
   ASSERT_NE(served.rewrite, nullptr);
   EXPECT_EQ(served.transfer_size(), served.rewrite->transfer_bytes);
   EXPECT_LT(served.transfer_size(), original);
-  // The single file IS the page: all bytes account to the document type.
-  EXPECT_EQ(served.transfer_size(ObjectType::kHtml), served.rewrite->transfer_bytes);
-  EXPECT_EQ(served.transfer_size(ObjectType::kImage), 0u);
-  EXPECT_EQ(served.transfer_size(ObjectType::kJs), 0u);
 
   for (const WebObject& o : page.objects) {
     switch (o.type) {

@@ -59,9 +59,7 @@ TEST(ServedPage, IdentityServingMatchesOriginal) {
   const WebPage page = inventory_page();
   const ServedPage served = serve_original(page);
   EXPECT_EQ(served.transfer_size(), page.transfer_size());
-  for (ObjectType t : kAllObjectTypes) {
-    EXPECT_EQ(served.transfer_size(t), page.transfer_size(t));
-  }
+  for (const auto& o : page.objects) EXPECT_EQ(served.object_transfer(o), o.transfer_bytes);
 }
 
 TEST(ServedPage, DropZeroesObject) {

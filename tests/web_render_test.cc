@@ -29,7 +29,7 @@ TEST(Render, DeterministicForSameInputs) {
   const ServedPage served = serve_original(page);
   const auto a = render_page(served);
   const auto b = render_page(served);
-  EXPECT_EQ(imaging::mean_abs_diff(a, b), 0.0);
+  EXPECT_TRUE(a.pixels() == b.pixels());
 }
 
 TEST(Render, DroppingImagesChangesScreenshot) {
@@ -107,7 +107,7 @@ TEST(Render, ToggledWidgetChangesPixels) {
   toggled.toggled.insert(widget_block->widget);
   const auto before = render_page(served);
   const auto after = render_page(served, toggled);
-  EXPECT_GT(imaging::mean_abs_diff(before, after), 0.0);
+  EXPECT_FALSE(before.pixels() == after.pixels());
 }
 
 TEST(Bot, EnumeratesEventsOfRichPage) {
@@ -119,14 +119,6 @@ TEST(Bot, EnumeratesEventsOfRichPage) {
     ASSERT_NE(o, nullptr);
     EXPECT_NE(o->script, nullptr);
   }
-}
-
-TEST(Bot, EventSubsetFilters) {
-  const WebPage page = rich_page(9);
-  const js::EventKind only_click[] = {js::EventKind::kClick};
-  const auto clicks = enumerate_events_subset(page, only_click);
-  for (const auto& e : clicks) EXPECT_EQ(e.binding.kind, js::EventKind::kClick);
-  EXPECT_LE(clicks.size(), enumerate_events(page).size());
 }
 
 TEST(Bot, DroppedScriptProducesNoStateChange) {

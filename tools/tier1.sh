@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the full test suite in the standard configuration, plus
-# originbench's smoke and oracle tests, plus the robustness, serving,
+# originbench's smoke and oracle tests, plus the src/ reachability gate
+# (tools/reach.sh), plus the robustness, serving,
 # asset-store, rANS-coder, markup, quality, HTTP, property and thread-pool
 # suites under ASan+UBSan (fault injection, eviction churn, the origin's
 # uncached-reference oracle through the asset store, attacker-controlled
@@ -32,6 +33,11 @@ cmake --build build -j >/dev/null
 # so an API or answer change that breaks the benchmark fails here.
 python3 -m unittest discover -s originbench -p 'test_*.py'
 
+# Reachability: every strong src/ function must be linked by an example, a
+# bench or originbench, unless tools/reach_allow.txt names it with a reason
+# (an -O0 build of the whole tree plus originbench, a few minutes).
+tools/reach.sh
+
 cmake -B build-asan -S . -DAW4A_SANITIZE=ON >/dev/null
 cmake --build build-asan -j --target robustness_test serving_test serving_asset_store_test imaging_ans_test web_markup_test core_quality_test net_http_test property_fuzz_test imaging_resize_test web_render_test imaging_fingerprint_test imaging_ssim_test imaging_raster_test imaging_codec_detail_test imaging_variants_test util_thread_pool_test >/dev/null
 (cd build-asan && ctest --output-on-failure --timeout 300 -R '^(robustness_test|serving_test|serving_asset_store_test|imaging_ans_test|web_markup_test|core_quality_test|net_http_test|property_fuzz_test|imaging_resize_test|web_render_test|imaging_fingerprint_test|imaging_ssim_test|imaging_raster_test|imaging_codec_detail_test|imaging_variants_test|util_thread_pool_test)$')
@@ -45,7 +51,7 @@ cmake --build build-tsan -j --target serving_test serving_stress_test serving_ov
 (cd build-tsan && ctest --output-on-failure --timeout 300 -R '^(serving_(test|stress_test|overload_test|asset_store_test)|imaging_ans_test|util_thread_pool_test|core_pipeline_test|obs_context_test)$')
 
 # Release-mode perf smoke: the cold-build fast path must keep its speedups
-# (bench_perf_pipeline exits nonzero if any build mode, the integral SSIM,
+# (bench_perf_pipeline exits nonzero if any build mode, the served SSIM,
 # the factored encode ladder, or a tier's memoized QFS diverges from its
 # reference) and the serving build plane must keep its overload contract
 # (bench_serve_overload exits nonzero when 4x overload produces any non-200
@@ -75,7 +81,7 @@ trap 'rm -rf "$fresh_dir"' EXIT
 python3 tools/bench_guard.py \
   --committed BENCH_pipeline.json --fresh "$fresh_dir/BENCH_pipeline.json" \
   --metric cold_build_tiers_shared_cache --metric cold_build_tiers_qfs \
-  --metric ssim_dense_integral \
+  --metric ssim_strided_integral \
   --metric encode_ladder_rans --metric decode_ladder_huffman \
   --metric decode_ladder_rans --metric rans_payload_reduction \
   --metric 'rans_decode_mb_per_s:higher'
