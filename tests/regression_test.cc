@@ -10,6 +10,7 @@
 #include "imaging/codec.h"
 #include "imaging/ssim.h"
 #include "imaging/synth.h"
+#include "imaging/variants.h"
 #include "net/compress.h"
 #include "util/hash.h"
 #include "util/rng.h"
@@ -183,6 +184,42 @@ TEST_F(GoldenValues, TierQualityIsFrozen) {
       }
     }
     EXPECT_EQ(h, kDigest[c]) << configs[c].first;
+  }
+}
+
+std::uint64_t digest(std::uint64_t h, const imaging::ImageVariant& v) {
+  h = hash_mix(h, static_cast<std::uint64_t>(v.format));
+  h = hash_mix(h, v.scale);
+  h = hash_mix(h, static_cast<std::uint64_t>(v.quality));
+  h = hash_mix(h, static_cast<std::uint64_t>(v.bytes));
+  h = hash_mix(h, v.ssim);
+  h = hash_mix(h, static_cast<std::uint64_t>(v.kind));
+  return hash_mix(h, static_cast<std::uint64_t>(v.alt_chars));
+}
+
+TEST_F(GoldenValues, DefaultLadderFamiliesAreFrozen) {
+  // The default ladder's rung grid (resolution steps, scale floor, quality
+  // steps) and placeholder similarity, pinned through every family a
+  // default-options ladder enumerates for a seeded photo and a seeded logo.
+  const imaging::ImageClass classes[] = {imaging::ImageClass::kPhoto,
+                                         imaging::ImageClass::kLogo};
+  const std::uint64_t kDigest[] = {12601918227026597008ull, 10175590457426429680ull};
+  for (std::size_t c = 0; c < std::size(classes); ++c) {
+    Rng rng(4242 + c);
+    auto asset = std::make_shared<const imaging::SourceImage>(
+        imaging::make_source_image(rng, classes[c], from_kb(60)));
+    imaging::VariantLadder ladder(asset);
+    std::uint64_t h = 0;
+    for (const imaging::ImageFormat f :
+         {imaging::ImageFormat::kJpeg, imaging::ImageFormat::kWebp, imaging::ImageFormat::kPng}) {
+      for (const imaging::ImageVariant& v : ladder.resolution_family(f)) h = digest(h, v);
+      for (const imaging::ImageVariant& v : ladder.quality_family(f)) h = digest(h, v);
+    }
+    h = digest(h, ladder.webp_full());
+    for (const std::size_t alt : {0, 40, 200}) {
+      h = digest(h, imaging::placeholder_variant(*asset, ladder.options(), alt));
+    }
+    EXPECT_EQ(h, kDigest[c]) << imaging::to_string(classes[c]);
   }
 }
 
