@@ -58,29 +58,6 @@ MediaReductionOutcome apply_media_reduction(web::ServedPage& served, Bytes targe
     if (served.transfer_size() <= target_bytes) break;
   }
 
-  // Drop rung: rendition floors exhausted and the target still unmet — shed
-  // whole clips, biggest current footprint first, until the target is met.
-  if (options.allow_drop && served.transfer_size() > target_bytes) {
-    struct DropEntry {
-      const web::WebObject* object;
-      Bytes current;
-    };
-    std::vector<DropEntry> droppable;
-    for (const auto& object : served.page->objects) {
-      if (object.type != web::ObjectType::kMedia || object.media == nullptr) continue;
-      if (served.is_dropped(object.id)) continue;
-      droppable.push_back({&object, served.object_transfer(object)});
-    }
-    std::sort(droppable.begin(), droppable.end(),
-              [](const DropEntry& a, const DropEntry& b) { return a.current > b.current; });
-    for (const DropEntry& e : droppable) {
-      served.dropped.insert(e.object->id);
-      served.media.erase(e.object->id);
-      ++outcome.clips_dropped;
-      if (served.transfer_size() <= target_bytes) break;
-    }
-  }
-
   outcome.bytes_after = served.transfer_size();
   outcome.met_target = outcome.bytes_after <= target_bytes;
   return outcome;

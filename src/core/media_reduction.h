@@ -14,19 +14,12 @@ struct MediaReductionOptions {
   /// Minimum acceptable rendition quality (relative to the shipped one).
   double quality_floor = 0.7;
   bool enabled = false;
-  /// The drop rung of the heterogeneous ladder (DESIGN.md §14): when even
-  /// every clip at its floor rendition leaves the target unmet, remove clips
-  /// entirely (biggest savings first) — the ultra-low tiers' behavior, where
-  /// a poster frame placeholder replaces playback. Off by default so
-  /// image-era configs never drop media.
-  bool allow_drop = false;
 };
 
 struct MediaReductionOutcome {
   bool met_target = false;
   Bytes bytes_after = 0;
   int clips_reduced = 0;
-  int clips_dropped = 0;
 };
 
 /// Steps clips down their rendition ladders until `target_bytes` is met or

@@ -8,6 +8,12 @@
 #include "util/table.h"
 
 namespace aw4a::core {
+namespace {
+
+/// Tries per tier in build_tiers: one transient fault is retried at once.
+constexpr int kTierBuildAttempts = 2;
+
+}  // namespace
 
 const char* to_string(TierKind kind) {
   switch (kind) {
@@ -20,7 +26,6 @@ const char* to_string(TierKind kind) {
 
 Aw4aPipeline::Aw4aPipeline(DeveloperConfig config) : config_(std::move(config)) {
   AW4A_EXPECTS(config_.min_image_ssim > 0.0 && config_.min_image_ssim < 1.0);
-  AW4A_EXPECTS(config_.tier_build_attempts >= 1);
 }
 
 imaging::LadderOptions Aw4aPipeline::ladder_options() const {
@@ -30,11 +35,9 @@ imaging::LadderOptions Aw4aPipeline::ladder_options() const {
   options.min_ssim = std::max(0.0, config_.min_image_ssim - 0.15);
   options.entropy_backend = config_.entropy_backend;
   // Ultra-low tiers extend the rung space with the placeholder rung; with
-  // both tiers off these three fields keep their defaults, so image-only
-  // configs enumerate (and fingerprint) exactly the pre-§14 ladder.
+  // both tiers off it stays off, so image-only configs enumerate (and
+  // fingerprint) exactly the pre-§14 ladder.
   options.placeholder_rung = config_.ultra_low.any();
-  options.placeholder_base_similarity = config_.ultra_low.placeholder_base_similarity;
-  options.placeholder_alt_bonus = config_.ultra_low.placeholder_alt_bonus;
   return options;
 }
 
@@ -169,8 +172,6 @@ std::vector<Tier> Aw4aPipeline::build_tiers(const web::WebPage& page,
   std::vector<Tier> tiers;
   tiers.reserve(config_.tier_reductions.size());
   const Bytes original = page.transfer_size();
-  RetryOptions retry;
-  retry.max_attempts = config_.tier_build_attempts;
 
   // One ladder cache for the whole build: every tier searches the identical
   // variant space (only the byte target differs), so sharing makes tiers
@@ -193,7 +194,7 @@ std::vector<Tier> Aw4aPipeline::build_tiers(const web::WebPage& page,
             return with_context(
                 label, [&] { return transcode_to_target(page, target, ladders, ctx); });
           },
-          retry);
+          kTierBuildAttempts);
       if (tier.result.degraded) tier.note = tier.result.degradation_reason;
       ++built_count;
     } catch (const Error& e) {
@@ -245,7 +246,8 @@ std::vector<Tier> Aw4aPipeline::build_tiers(const web::WebPage& page,
     tier.kind = kind;
     try {
       tier.result = retry_transient(
-          [&] { return with_context(to_string(kind), [&] { return build(); }); }, retry);
+          [&] { return with_context(to_string(kind), [&] { return build(); }); },
+          kTierBuildAttempts);
       tier.requested_reduction = std::max(1.0, tier.result.reduction_factor());
       if (tier.result.degraded) tier.note = tier.result.degradation_reason;
     } catch (const Error& e) {

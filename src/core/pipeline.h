@@ -45,9 +45,6 @@ struct DeveloperConfig {
   /// fails), the Stage-1 anytime result is returned with `degraded` set — a
   /// deadline is never surfaced as a DeadlineExceeded to the serving path.
   double stage2_deadline_seconds = -1.0;
-  /// Attempts per tier in build_tiers (transient faults are retried with
-  /// deterministic backoff; see util/retry.h).
-  int tier_build_attempts = 2;
   /// Entropy coder of the lossy codec family for every variant measured
   /// under this config (DESIGN.md §13): kHuffman is the analytic cost
   /// model, kRans actually entropy-codes the coefficients (fewer bytes at
@@ -57,7 +54,7 @@ struct DeveloperConfig {
   imaging::EntropyBackend entropy_backend = imaging::EntropyBackend::kHuffman;
   /// The ultra-low tiers below the image ladder (DESIGN.md §14). Both off by
   /// default: every pre-existing image-only config builds a bit-identical
-  /// ladder. All four knobs are part of the serving config fingerprint.
+  /// ladder. Both knobs are part of the serving config fingerprint.
   struct UltraLowTierOptions {
     /// Append the text-only tier: Stage-1, every image replaced by its
     /// alt-text placeholder rung, media/iframes shed; scripts are kept, so
@@ -66,9 +63,6 @@ struct DeveloperConfig {
     /// Append the markup-rewrite tier: the whole page collapsed into one
     /// self-contained AWML blob (web/markup.h) — the deepest rung.
     bool markup_rewrite = false;
-    /// Placeholder similarity model (imaging::LadderOptions pass-through).
-    double placeholder_base_similarity = 0.22;
-    double placeholder_alt_bonus = 0.16;
 
     bool any() const { return text_only || markup_rewrite; }
   };

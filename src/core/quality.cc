@@ -47,9 +47,8 @@ bool same_view(const web::ServedPage& view, const web::ServedPage& served) {
 
 }  // namespace
 
-QfsCache::QfsCache(const web::WebPage& page, web::RenderOptions render)
+QfsCache::QfsCache(const web::WebPage& page)
     : page_(&page),
-      render_(render),
       events_(web::enumerate_events(page)),
       original_(web::serve_original(page)) {
   original_state_of_event_.reserve(events_.size());
@@ -105,9 +104,8 @@ double QfsCache::render_and_score(const web::ServedPage& view) {
       continue;
     }
     const imaging::Raster shot_orig =
-        web::render_page(original_, original_states_[original_state], render_, &scaled_);
-    const imaging::Raster shot_served =
-        web::render_page(view, served_state, render_, &scaled_);
+        web::render_page(original_, original_states_[original_state], &scaled_);
+    const imaging::Raster shot_served = web::render_page(view, served_state, &scaled_);
     // Most events leave the two screenshots pixel-identical, and ssim()
     // scores identical inputs exactly 1.0 (pinned by a test), so comparing
     // bytes first changes no score — it only skips two luma extractions.
@@ -120,9 +118,9 @@ double QfsCache::render_and_score(const web::ServedPage& view) {
   return total / static_cast<double>(events_.size());
 }
 
-double compute_qfs(const web::ServedPage& served, const web::RenderOptions& render) {
+double compute_qfs(const web::ServedPage& served) {
   AW4A_EXPECTS(served.page != nullptr);
-  return QfsCache(*served.page, render).score(served);
+  return QfsCache(*served.page).score(served);
 }
 
 double overall_quality(double qss, double qfs, const QualityWeights& weights) {

@@ -40,7 +40,7 @@ double compute_qss(const web::ServedPage& served);
 /// the pair that needs them. Not thread-safe; one build owns one cache.
 class QfsCache {
  public:
-  explicit QfsCache(const web::WebPage& page, web::RenderOptions render = {});
+  explicit QfsCache(const web::WebPage& page);
 
   /// QFS of `served`, which must be a decision over page(). For each event
   /// on the *original* page, render post-event screenshots of original and
@@ -61,7 +61,6 @@ class QfsCache {
   double render_and_score(const web::ServedPage& view);
 
   const web::WebPage* page_;
-  web::RenderOptions render_;
   std::vector<web::BotEvent> events_;
   web::ServedPage original_;
   /// Distinct post-event states of the original, and each event's index
@@ -73,7 +72,7 @@ class QfsCache {
 };
 
 /// One-shot QFS: a fresh QfsCache, scored once.
-double compute_qfs(const web::ServedPage& served, const web::RenderOptions& render = {});
+double compute_qfs(const web::ServedPage& served);
 
 /// Weighted combination, normalized by the weight sum.
 double overall_quality(double qss, double qfs, const QualityWeights& weights = {});

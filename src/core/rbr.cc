@@ -90,22 +90,19 @@ RbrOutcome rank_based_reduce(web::ServedPage& served, Bytes target_bytes, Ladder
 
   // WebP conversion pass (paper: convert PNGs when SSIM stays above Qt and
   // the Bytes Efficiency is better in WebP).
-  if (options.webp_pass) {
-    for (const web::WebObject* object : rich_images(page)) {
-      if (ctx.expired()) break;  // anytime: keep what we have
-      if (served.is_dropped(object->id) || served.images.count(object->id)) continue;
-      if (object->image->format != imaging::ImageFormat::kPng) continue;
-      auto& ladder = ladders.ladder_for(*object, ctx);
-      const imaging::ImageVariant& webp = ladder.webp_full(ctx);
-      if (webp.ssim + 1e-12 >= options.quality_threshold &&
-          webp.bytes < object->transfer_bytes) {
-        served.images[object->id] = web::ServedImage{.variant = webp, .dropped = false};
-        ++outcome.images_touched;
-        if (done()) {
-          outcome.met_target = true;
-          outcome.bytes_after = current_total();
-          return outcome;
-        }
+  for (const web::WebObject* object : rich_images(page)) {
+    if (ctx.expired()) break;  // anytime: keep what we have
+    if (served.is_dropped(object->id) || served.images.count(object->id)) continue;
+    if (object->image->format != imaging::ImageFormat::kPng) continue;
+    auto& ladder = ladders.ladder_for(*object, ctx);
+    const imaging::ImageVariant& webp = ladder.webp_full(ctx);
+    if (webp.ssim + 1e-12 >= options.quality_threshold && webp.bytes < object->transfer_bytes) {
+      served.images[object->id] = web::ServedImage{.variant = webp, .dropped = false};
+      ++outcome.images_touched;
+      if (done()) {
+        outcome.met_target = true;
+        outcome.bytes_after = current_total();
+        return outcome;
       }
     }
   }

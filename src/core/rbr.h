@@ -23,8 +23,6 @@ struct RbrOptions {
   /// Heuristic weights (paper default: equal).
   double area_weight = 0.5;
   double bytes_efficiency_weight = 0.5;
-  /// Apply the PNG->WebP conversion pass before ranking.
-  bool webp_pass = true;
 };
 
 struct RbrOutcome {

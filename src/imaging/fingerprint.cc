@@ -44,24 +44,13 @@ std::uint64_t asset_fingerprint(const SourceImage& asset) {
 
 std::uint64_t ladder_options_fingerprint(const LadderOptions& options) {
   std::uint64_t h = hash_mix(0x6177346c6f707421ULL, options.min_ssim);
-  h = hash_mix(h, options.scale_granularity);
-  h = hash_mix(h, options.min_scale);
-  h = hash_mix(h, static_cast<std::uint64_t>(options.quality_steps.size()));
-  for (const int q : options.quality_steps) h = hash_mix(h, static_cast<std::uint64_t>(q));
   // The entropy backend changes every measured byte count, so ladders (and
   // therefore AssetStore recipes, which embed this fingerprint) must never
   // mix backends.
   h = hash_mix(h, static_cast<std::uint64_t>(options.entropy_backend));
-  // The heterogeneous rung knobs (DESIGN.md §14): enabling the placeholder
-  // rung — or moving its similarity floor — changes the candidate space every
+  // The placeholder rung (DESIGN.md §14) changes the candidate space every
   // solver sees, so mixed-rung configs must never alias image-only ones.
-  // Folded in only when enabled, so every pre-existing image-only fingerprint
-  // is bit-identical to before the refactor.
-  if (options.placeholder_rung) {
-    h = hash_mix(h, std::uint64_t{0x6177346578726e67ULL});
-    h = hash_mix(h, options.placeholder_base_similarity);
-    h = hash_mix(h, options.placeholder_alt_bonus);
-  }
+  if (options.placeholder_rung) h = hash_mix(h, std::uint64_t{0x6177346578726e67ULL});
   return h;
 }
 

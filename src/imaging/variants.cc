@@ -12,6 +12,13 @@
 namespace aw4a::imaging {
 namespace {
 
+/// The ladder's rung grid. Resolution step of the RBR family (paper:
+/// "resolution granularity") and the smallest scale it explores.
+constexpr double kScaleGranularity = 0.1;
+constexpr double kMinScale = 0.1;
+/// Quality steps of the Grid Search family (at full resolution).
+constexpr int kQualitySteps[] = {92, 85, 75, 65, 55, 45, 35};
+
 int raster_dim_for(ImageClass cls, Rng& rng) {
   // Proxy raster sizes per class; kept modest so ladder enumeration stays
   // fast, large enough for meaningful SSIM windows.
@@ -53,26 +60,22 @@ const char* encode_span_name(ImageFormat format) {
 // fault (crashed worker, injected fault) is retried once before the error
 // escapes to the tier-build ladder. The prepare/encode_prepared pair gets
 // the same treatment — each fires the codec's fault point per invocation.
+constexpr int kCodecAttempts = 2;
+
 Encoded encode_retrying(ImageFormat format, const Raster& raster, int quality,
                         EntropyBackend backend = EntropyBackend::kHuffman) {
-  RetryOptions retry;
-  retry.max_attempts = 2;
   return retry_transient([&] { return codec_for(format).encode(raster, quality, backend); },
-                         retry);
+                         kCodecAttempts);
 }
 
 Codec::PreparedPtr prepare_retrying(ImageFormat format, const Raster& raster) {
-  RetryOptions retry;
-  retry.max_attempts = 2;
-  return retry_transient([&] { return codec_for(format).prepare(raster); }, retry);
+  return retry_transient([&] { return codec_for(format).prepare(raster); }, kCodecAttempts);
 }
 
 Encoded encode_prepared_retrying(ImageFormat format, const Codec::Prepared& prep, int quality,
                                  EntropyBackend backend = EntropyBackend::kHuffman) {
-  RetryOptions retry;
-  retry.max_attempts = 2;
   return retry_transient(
-      [&] { return codec_for(format).encode_prepared(prep, quality, backend); }, retry);
+      [&] { return codec_for(format).encode_prepared(prep, quality, backend); }, kCodecAttempts);
 }
 
 // Ladder-measurement work counters (build_work_stats). Bumped at the
@@ -132,10 +135,8 @@ SourceImage make_source_image(Rng& rng, ImageClass cls, Bytes target_wire_bytes)
 }
 
 VariantLadder::VariantLadder(std::shared_ptr<const SourceImage> asset, LadderOptions options)
-    : asset_(std::move(asset)), options_(std::move(options)) {
+    : asset_(std::move(asset)), options_(options) {
   AW4A_EXPECTS(asset_ != nullptr);
-  AW4A_EXPECTS(options_.scale_granularity > 0.0 && options_.scale_granularity < 1.0);
-  AW4A_EXPECTS(options_.min_scale > 0.0 && options_.min_scale < 1.0);
 }
 
 ImageVariant VariantLadder::original() const {
@@ -239,8 +240,7 @@ const std::vector<ImageVariant>& VariantLadder::resolution_family(
     // slot unset, so a later (un-deadlined) call re-enumerates the full
     // family instead of serving a truncated one.
     std::vector<ImageVariant> family;
-    for (double s = 1.0 - options_.scale_granularity; s >= options_.min_scale - 1e-9;
-         s -= options_.scale_granularity) {
+    for (double s = 1.0 - kScaleGranularity; s >= kMinScale - 1e-9; s -= kScaleGranularity) {
       ImageVariant v = measure(format, s, asset_->ship_quality, ctx);
       const double ssim_v = v.ssim;
       family.push_back(std::move(v));
@@ -263,7 +263,7 @@ const std::vector<ImageVariant>& VariantLadder::quality_family(ImageFormat forma
       // pays nothing. encode_prepared() is bit-identical to encode(), per
       // the Codec contract.
       Codec::PreparedPtr prep;
-      for (int q : options_.quality_steps) {
+      for (const int q : kQualitySteps) {
         if (q >= asset_->ship_quality) continue;  // upcoding never helps
         if (!prep) {
           ctx.check("imaging.quality_family");
@@ -351,7 +351,7 @@ void VariantLadder::warm(const obs::RequestContext& ctx) {
   resolution_family(ImageFormat::kWebp, ctx);
 }
 
-ImageVariant placeholder_variant(const SourceImage& asset, const LadderOptions& options,
+ImageVariant placeholder_variant(const SourceImage& asset, const LadderOptions& /*options*/,
                                  std::size_t alt_text_chars) {
   // Pure arithmetic: no encode, no RNG, no memoization needed. The wire cost
   // is the placeholder markup (a sized box + border) plus the alt text, which
@@ -369,8 +369,7 @@ ImageVariant placeholder_variant(const SourceImage& asset, const LadderOptions& 
   v.bytes = kMarkupBytes + alt_bytes;
   const double described =
       std::min(1.0, static_cast<double>(alt_text_chars) / 80.0);
-  v.ssim = std::min(1.0, options.placeholder_base_similarity +
-                             options.placeholder_alt_bonus * described);
+  v.ssim = std::min(1.0, kPlaceholderBaseSimilarity + kPlaceholderAltBonus * described);
   return v;
 }
 

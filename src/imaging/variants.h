@@ -86,12 +86,6 @@ struct LadderOptions {
   /// Floor below which variants are not enumerated (a little slack below any
   /// practical Qt so the Bytes Efficiency probe can reach the threshold).
   double min_ssim = 0.60;
-  /// Resolution step of the RBR family (paper: "resolution granularity").
-  double scale_granularity = 0.1;
-  /// Smallest resolution scale explored.
-  double min_scale = 0.1;
-  /// Quality steps of the Grid Search family (at full resolution).
-  std::vector<int> quality_steps = {92, 85, 75, 65, 55, 45, 35};
   /// Entropy coder of the lossy codecs for every measured variant. Part of
   /// ladder identity: mixed into ladder_options_fingerprint(), so TierCache
   /// entries and AssetStore recipes never mix backends.
@@ -101,15 +95,16 @@ struct LadderOptions {
   /// every fingerprint-pinned image-only config — is bit-identical to the
   /// pre-heterogeneous ladder. Mixed into ladder_options_fingerprint().
   bool placeholder_rung = false;
-  /// Analytic similarity floor of a bare placeholder box (no alt text). Far
-  /// below any practical Qt, so placeholders only enter candidate sets when a
-  /// solver is explicitly run with an ultra-low threshold.
-  double placeholder_base_similarity = 0.22;
-  /// Similarity credit for descriptive alt text, applied as
-  /// base + bonus * min(1, alt_chars/80): a described image placeholder
-  /// carries more of the original's meaning than an anonymous gray box.
-  double placeholder_alt_bonus = 0.16;
 };
+
+/// Analytic similarity floor of a bare placeholder box (no alt text). Far
+/// below any practical Qt, so placeholders only enter candidate sets when a
+/// solver is explicitly run with an ultra-low threshold.
+inline constexpr double kPlaceholderBaseSimilarity = 0.22;
+/// Similarity credit for descriptive alt text, applied as
+/// base + bonus * min(1, alt_chars/80): a described image placeholder
+/// carries more of the original's meaning than an anonymous gray box.
+inline constexpr double kPlaceholderAltBonus = 0.16;
 
 /// Re-creates the decoded, redisplayed raster of a variant of `asset` — what
 /// the user's screen shows (used by the page renderer and QFS).
@@ -117,9 +112,10 @@ Raster render_variant(const SourceImage& asset, const ImageVariant& v);
 
 /// The placeholder rung of `asset`: pure arithmetic, no encode, no RNG. The
 /// byte cost is the markup of a placeholder box plus the (compressible) alt
-/// text; the quality point is the analytic similarity floor from `options`,
-/// raised by descriptive alt text. Deterministic in (asset, options,
-/// alt_text_chars) only — safe to compute outside the memoized families.
+/// text; the quality point is kPlaceholderBaseSimilarity, raised by
+/// descriptive alt text (kPlaceholderAltBonus). Deterministic in (asset,
+/// alt_text_chars) only — the rung is the same under every `options` — and
+/// safe to compute outside the memoized families.
 ImageVariant placeholder_variant(const SourceImage& asset, const LadderOptions& options,
                                  std::size_t alt_text_chars);
 
@@ -182,8 +178,8 @@ class VariantLadder {
   // nothing — the next call re-attempts from scratch, so results are
   // independent of when a deadline fired.
 
-  /// Resolution family in `format`: scale 1-g, 1-2g, ... (SSIM-measured).
-  /// Stops at min_scale or when SSIM drops below min_ssim.
+  /// Resolution family in `format`: scale 0.9, 0.8, ... (SSIM-measured).
+  /// Stops at scale 0.1 or when SSIM drops below min_ssim.
   const std::vector<ImageVariant>& resolution_family(
       ImageFormat format, const obs::RequestContext& ctx = obs::RequestContext::none());
 

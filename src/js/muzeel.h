@@ -39,12 +39,6 @@ struct CoverageReport {
   Bytes total_bytes = 0;
   Bytes dead_bytes = 0;
   Bytes risky_bytes = 0;
-
-  double dead_fraction() const {
-    return total_bytes == 0 ? 0.0
-                            : static_cast<double>(dead_bytes) /
-                                  static_cast<double>(total_bytes);
-  }
 };
 
 /// Computes the coverage summary of one script.

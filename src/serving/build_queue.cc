@@ -8,18 +8,9 @@
 
 namespace aw4a::serving {
 
-namespace {
-
-double steady_seconds() {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
-BuildQueue::BuildQueue(BuildQueueOptions options) : options_(std::move(options)) {
-  AW4A_EXPECTS(options_.workers >= 1);
-  clock_ = options_.clock ? options_.clock : std::function<double()>(&steady_seconds);
+BuildQueue::BuildQueue(BuildQueueOptions options, std::function<double()> clock)
+    : options_(options), clock_(std::move(clock)) {
+  AW4A_EXPECTS(options_.workers >= 1 && clock_);
   // Real threads up front: a queue promising `workers`-way build concurrency
   // must not find a one-thread pool under a cold-start burst.
   util::ThreadPool::shared().ensure_threads(options_.workers);

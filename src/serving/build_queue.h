@@ -54,8 +54,6 @@ struct BuildQueueOptions {
   std::size_t capacity = 64;
   /// Maximum builds running concurrently on the shared ThreadPool.
   int workers = 4;
-  /// Monotonic seconds for queue-wait timing; null = steady_clock.
-  std::function<double()> clock;
 };
 
 /// Counter totals of one BuildQueue. admitted partitions into completed +
@@ -76,7 +74,9 @@ class BuildQueue {
  public:
   using BuildFn = std::function<LadderPtr()>;
 
-  explicit BuildQueue(BuildQueueOptions options = {});
+  /// `clock` (monotonic seconds, non-null) times queue waits; the origin
+  /// passes its own so requests and queue share one timeline.
+  BuildQueue(BuildQueueOptions options, std::function<double()> clock);
   /// Fails every queued job, then waits for running builds to finish (they
   /// complete normally — their results may already be wired to a cache).
   ~BuildQueue();

@@ -34,13 +34,6 @@ constexpr int kRetryAfterSeconds = 1;
 /// The AW4A-Degraded reason of a shed answer.
 const std::string kShedReason = "build queue saturated: request shed";
 
-/// One timeline for TTLs, deadlines and queue expiry: the queue runs on the
-/// origin's clock unless it was given its own.
-BuildQueueOptions on_clock(BuildQueueOptions options, const std::function<double()>& clock) {
-  if (!options.clock) options.clock = clock;
-  return options;
-}
-
 /// Append-only JSON emitter — objects and scalar fields, nothing else.
 /// Exactly what /aw4a/stats needs, without a JSON dependency.
 class JsonWriter {
@@ -149,7 +142,7 @@ OriginServer::OriginServer(std::vector<OriginSite> sites, OriginOptions options)
     : clock_(options.clock ? std::move(options.clock) : std::function<double()>(steady_seconds)),
       cache_(options.cache),
       asset_store_(std::move(options.asset_store)),
-      queue_(on_clock(std::move(options.build_queue), clock_)) {
+      queue_(options.build_queue, clock_) {
   sites_.reserve(sites.size());
   for (OriginSite& origin : sites) {
     origin.host = lower(origin.host);
@@ -294,7 +287,7 @@ LadderPtr OriginServer::ladder_for(const Site& site, const obs::RequestContext& 
   *source = LadderSource::kBuilt;
   try {
     bool stale = false;
-    if (LadderPtr resident = cache_.fetch(key, clock_(), ctx, &stale)) {
+    if (LadderPtr resident = cache_.fetch(key, ctx, &stale)) {
       if (stale) {
         // Stale-while-revalidate: answer at cache speed from the old
         // ladder; the rebuild rides the queue behind this response.
@@ -316,7 +309,7 @@ LadderPtr OriginServer::ladder_for(const Site& site, const obs::RequestContext& 
     // another build may have landed. This is what makes "one build per key"
     // exact instead of merely likely.
     try {
-      if (LadderPtr resident = cache_.fetch(key, clock_(), build_ctx)) return resident;
+      if (LadderPtr resident = cache_.fetch(key, build_ctx)) return resident;
     } catch (const TransientError&) {
       bump(metrics_.cache_bypasses);
       return run_build(site, build_ctx);
@@ -324,7 +317,7 @@ LadderPtr OriginServer::ladder_for(const Site& site, const obs::RequestContext& 
     LadderPtr built = run_build(site, build_ctx);
     if (built == nullptr) return built;  // shed: nothing to cache
     try {
-      cache_.insert(key, built, clock_(), build_ctx);
+      cache_.insert(key, built, build_ctx);
     } catch (const TransientError&) {
       bump(metrics_.cache_bypasses);
     }
@@ -375,7 +368,7 @@ void OriginServer::maybe_queue_refresh(const Site& site, const TierKey& key) con
       [this, key](LadderPtr built) {
         if (built != nullptr) {
           try {
-            cache_.replace(key, built, clock_());
+            cache_.replace(key, built);
           } catch (const TransientError&) {
             bump(metrics_.cache_bypasses);
           }
@@ -476,7 +469,6 @@ std::string OriginServer::stats_json() const {
   json.field("hit_rate", c.hit_rate());
   json.field("inserts", c.inserts);
   json.field("evictions", c.evictions);
-  json.field("expirations", c.expirations);
   json.field("admission_rejects", c.admission_rejects);
   json.field("stale_marks", c.stale_marks);
   json.field("stale_hits", c.stale_hits);

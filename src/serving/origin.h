@@ -81,12 +81,11 @@ struct OriginSite {
 
 struct OriginOptions {
   TierCacheOptions cache;
-  /// Monotonic seconds for TTL and build timing; null = steady_clock.
-  /// Injectable so TTL tests don't sleep.
+  /// Monotonic seconds for deadlines, queue waits and build timing; null =
+  /// steady_clock. Injectable so deadline tests don't sleep. The build queue
+  /// runs on this clock too, so requests and queue share one timeline.
   std::function<double()> clock;
-  /// Bounds and concurrency of the build plane. `build_queue.clock` is
-  /// filled from `clock` when unset, so injectable-clock tests drive queue
-  /// expiry and TTLs off one timeline.
+  /// Bounds and concurrency of the build plane.
   BuildQueueOptions build_queue;
   /// Capacity and sharding of the content-addressed store. The store can
   /// only save work, never change a request's outcome (exact hits adopt

@@ -39,7 +39,6 @@ std::uint64_t config_fingerprint(const core::DeveloperConfig& config) {
   h = mix(h, static_cast<std::uint64_t>(config.measure_qfs));
   h = mix(h, static_cast<std::uint64_t>(config.js_strategy));
   h = mix(h, config.stage2_deadline_seconds);
-  h = mix(h, static_cast<std::uint64_t>(config.tier_build_attempts));
   // The entropy backend changes every measured byte count, so tiers built
   // under different backends must never be served interchangeably.
   h = mix(h, static_cast<std::uint64_t>(config.entropy_backend));
@@ -51,8 +50,6 @@ std::uint64_t config_fingerprint(const core::DeveloperConfig& config) {
     h = mix(h, std::uint64_t{0x6177347574696c21ULL});
     h = mix(h, static_cast<std::uint64_t>(config.ultra_low.text_only));
     h = mix(h, static_cast<std::uint64_t>(config.ultra_low.markup_rewrite));
-    h = mix(h, config.ultra_low.placeholder_base_similarity);
-    h = mix(h, config.ultra_low.placeholder_alt_bonus);
   }
   return h;
 }
@@ -62,7 +59,6 @@ TierCacheStats& TierCacheStats::operator+=(const TierCacheStats& other) {
   misses += other.misses;
   inserts += other.inserts;
   evictions += other.evictions;
-  expirations += other.expirations;
   admission_rejects += other.admission_rejects;
   stale_marks += other.stale_marks;
   stale_hits += other.stale_hits;
@@ -72,30 +68,17 @@ TierCacheStats& TierCacheStats::operator+=(const TierCacheStats& other) {
 }
 
 TierCache::TierCache(TierCacheOptions options)
-    : options_(options),
-      shards_(std::bit_ceil(std::max<std::size_t>(std::size_t{1}, options.shards))) {
-  AW4A_EXPECTS(options_.capacity_bytes >= shards_.size());
-  shard_capacity_ = options_.capacity_bytes / shards_.size();
+    : shards_(std::bit_ceil(std::max<std::size_t>(std::size_t{1}, options.shards))) {
+  AW4A_EXPECTS(options.capacity_bytes >= shards_.size());
+  shard_capacity_ = options.capacity_bytes / shards_.size();
 }
 
 TierCache::Shard& TierCache::shard_of(const TierKey& key) {
   return shards_[TierKeyHash{}(key) & (shards_.size() - 1)];
 }
 
-double TierCache::effective_ttl(const TierKey& key) const {
-  if (options_.ttl_seconds <= 0.0) return 0.0;
-  if (options_.ttl_jitter <= 0.0) return options_.ttl_seconds;
-  // Remix the key hash (not the raw shard hash — its low bits pick the
-  // shard) into a uniform in [0, 1), then spread the lifetime across
-  // [1 - jitter, 1 + jitter]. Pure in the key: an entry's lifetime never
-  // moves between fetches, it just differs from its neighbors'.
-  const std::uint64_t h = mix(0x6a69747465726564ULL, TierKeyHash{}(key));
-  const double uniform = static_cast<double>(h >> 11) * 0x1.0p-53;
-  return options_.ttl_seconds * (1.0 + options_.ttl_jitter * (2.0 * uniform - 1.0));
-}
-
-LadderPtr TierCache::fetch(const TierKey& key, double now_seconds,
-                           const obs::RequestContext& ctx, bool* stale_out) {
+LadderPtr TierCache::fetch(const TierKey& key, const obs::RequestContext& ctx,
+                           bool* stale_out) {
   AW4A_SPAN(ctx, "serving.cache.fetch");
   if (stale_out != nullptr) *stale_out = false;
   // Outside the lock: a poisoned shard fails the lookup, never deadlocks it.
@@ -107,15 +90,6 @@ LadderPtr TierCache::fetch(const TierKey& key, double now_seconds,
     ++shard.counters.misses;
     return nullptr;
   }
-  const double ttl = effective_ttl(key);
-  if (ttl > 0.0 && now_seconds - resident->inserted_at >= ttl) {
-    // TTL outranks staleness: a stale entry whose refresh never landed
-    // (queue kept shedding, builds kept failing) still ages out.
-    shard.lru.erase(key);
-    ++shard.counters.expirations;
-    ++shard.counters.misses;
-    return nullptr;
-  }
   ++shard.counters.hits;
   if (resident->stale) {
     ++shard.counters.stale_hits;
@@ -124,8 +98,7 @@ LadderPtr TierCache::fetch(const TierKey& key, double now_seconds,
   return resident->ladder;
 }
 
-void TierCache::admit_locked(Shard& shard, const TierKey& key, LadderPtr ladder,
-                             double now_seconds) {
+void TierCache::admit_locked(Shard& shard, const TierKey& key, LadderPtr ladder) {
   // Charge at least one byte so a pathological zero-cost ladder still
   // participates in eviction accounting.
   const Bytes cost = std::max<Bytes>(ladder->cost_bytes, 1);
@@ -137,24 +110,22 @@ void TierCache::admit_locked(Shard& shard, const TierKey& key, LadderPtr ladder,
     shard.lru.evict_lru();
     ++shard.counters.evictions;
   }
-  shard.lru.insert(key, Resident{std::move(ladder), now_seconds}, cost);
+  shard.lru.insert(key, Resident{std::move(ladder)}, cost);
   ++shard.counters.inserts;
 }
 
-bool TierCache::insert(const TierKey& key, LadderPtr ladder, double now_seconds,
-                       const obs::RequestContext& ctx) {
+bool TierCache::insert(const TierKey& key, LadderPtr ladder, const obs::RequestContext& ctx) {
   AW4A_SPAN(ctx, "serving.cache.insert");
   AW4A_EXPECTS(ladder != nullptr && !ladder->tiers.empty());
   AW4A_FAULT_POINT("serving.cache.shard");
   Shard& shard = shard_of(key);
   const std::lock_guard lock(shard.mutex);
   if (shard.lru.peek(key) != nullptr) return false;  // lost the build race
-  admit_locked(shard, key, std::move(ladder), now_seconds);
+  admit_locked(shard, key, std::move(ladder));
   return true;
 }
 
-bool TierCache::replace(const TierKey& key, LadderPtr ladder, double now_seconds,
-                        const obs::RequestContext& ctx) {
+bool TierCache::replace(const TierKey& key, LadderPtr ladder, const obs::RequestContext& ctx) {
   AW4A_SPAN(ctx, "serving.cache.insert");
   AW4A_EXPECTS(ladder != nullptr && !ladder->tiers.empty());
   AW4A_FAULT_POINT("serving.cache.shard");
@@ -163,7 +134,7 @@ bool TierCache::replace(const TierKey& key, LadderPtr ladder, double now_seconds
   // Drop the (typically stale) resident silently: a refresh landing is not
   // an invalidation event, the entry is simply renewed.
   shard.lru.erase(key);
-  admit_locked(shard, key, std::move(ladder), now_seconds);
+  admit_locked(shard, key, std::move(ladder));
   return true;
 }
 

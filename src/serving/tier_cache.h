@@ -4,7 +4,9 @@
 // Keying: (site id, DeveloperConfig fingerprint, plan). The fingerprint
 // covers every §5.4 knob that changes tier output, so a config push simply
 // stops matching the old entries — no version plumbing, the stale ladders
-// age out of the LRU.
+// age out of the LRU. Entries never expire by age: a site's page and config
+// are fixed at construction, so an entry stays correct until a content push
+// flags it stale (mark_stale_site) or the LRU evicts it.
 //
 // Concurrency: the key space is split across power-of-two shards, each a
 // mutex + intrusive LRU (util/lru.h) + its own counters, so serving threads
@@ -14,7 +16,7 @@
 //
 // Admission: insert() is only ever called with a successfully built,
 // non-empty ladder. Failed builds are served degraded and rebuilt on the
-// next request — caching a failure would pin the outage for a TTL.
+// next request — caching a failure would pin the outage until eviction.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +69,6 @@ struct TierCacheStats {
   std::uint64_t misses = 0;
   std::uint64_t inserts = 0;
   std::uint64_t evictions = 0;          ///< capacity evictions
-  std::uint64_t expirations = 0;        ///< TTL drops (each also counts a miss)
   std::uint64_t admission_rejects = 0;  ///< ladders larger than a whole shard
   std::uint64_t stale_marks = 0;        ///< entries flagged by mark_stale_site
   std::uint64_t stale_hits = 0;         ///< hits on stale entries (also hits)
@@ -86,22 +87,13 @@ struct TierCacheOptions {
   Bytes capacity_bytes = 256 * kMB;
   /// Rounded up to a power of two. 1 is valid (a single mutexed cache).
   std::size_t shards = 8;
-  /// Entries older than this are dropped at lookup time; 0 disables expiry.
-  double ttl_seconds = 0.0;
-  /// Deterministic per-entry TTL spread: entry lifetime is
-  /// ttl_seconds * [1 - ttl_jitter, 1 + ttl_jitter], keyed on the entry
-  /// hash. A corpus inserted together (prewarm, mass rebuild) then expires
-  /// spread out instead of stampeding the build queue in one beat. 0
-  /// restores exact expiry (tests pinning the TTL boundary set this).
-  double ttl_jitter = 0.1;
 };
 
 class TierCache {
  public:
   explicit TierCache(TierCacheOptions options = {});
 
-  /// The resident ladder (recency refreshed) or nullptr. `now_seconds`
-  /// drives TTL expiry — pass one monotonic clock consistently. The
+  /// The resident ladder (recency refreshed) or nullptr. The
   /// "serving.cache.shard" fault point can throw TransientError here;
   /// callers treat that as a miss-and-bypass, never a failed request.
   /// `ctx` only feeds tracing (a "serving.cache.fetch" span) — a cache probe
@@ -109,8 +101,7 @@ class TierCache {
   /// whether the returned ladder was flagged by mark_stale_site — the
   /// stale-while-revalidate signal (a stale hit is still a hit: the caller
   /// serves it and queues a refresh).
-  LadderPtr fetch(const TierKey& key, double now_seconds,
-                  const obs::RequestContext& ctx = obs::RequestContext::none(),
+  LadderPtr fetch(const TierKey& key, const obs::RequestContext& ctx = obs::RequestContext::none(),
                   bool* stale_out = nullptr);
 
   /// Admits a built ladder, evicting least-recently-used entries to fit.
@@ -120,13 +111,13 @@ class TierCache {
   /// empty shard is not admitted (admission_rejects); the call still
   /// returns true. Pre: ladder is non-null with at least one tier.
   /// `ctx` only feeds tracing ("serving.cache.insert").
-  bool insert(const TierKey& key, LadderPtr ladder, double now_seconds,
+  bool insert(const TierKey& key, LadderPtr ladder,
               const obs::RequestContext& ctx = obs::RequestContext::none());
 
   /// Replaces the resident ladder for `key` (or inserts if absent) — the
   /// stale-while-revalidate refresh completion. Same admission rules as
   /// insert(), but an existing entry is overwritten, not kept.
-  bool replace(const TierKey& key, LadderPtr ladder, double now_seconds,
+  bool replace(const TierKey& key, LadderPtr ladder,
                const obs::RequestContext& ctx = obs::RequestContext::none());
 
   /// Stale-while-revalidate invalidation: flags every resident ladder of
@@ -143,7 +134,6 @@ class TierCache {
  private:
   struct Resident {
     LadderPtr ladder;
-    double inserted_at = 0.0;
     bool stale = false;  ///< mark_stale_site flag; cleared by replace()
   };
   struct Shard {
@@ -153,12 +143,9 @@ class TierCache {
   };
 
   Shard& shard_of(const TierKey& key);
-  /// This entry's jittered lifetime (0 when TTL is off).
-  double effective_ttl(const TierKey& key) const;
   /// Shared eviction + admission tail of insert()/replace(). Shard lock held.
-  void admit_locked(Shard& shard, const TierKey& key, LadderPtr ladder, double now_seconds);
+  void admit_locked(Shard& shard, const TierKey& key, LadderPtr ladder);
 
-  TierCacheOptions options_;
   Bytes shard_capacity_ = 0;
   std::deque<Shard> shards_;  // deque: Shard is immovable (mutex member)
 };

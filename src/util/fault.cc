@@ -31,7 +31,7 @@ struct Registry {
 
   Registry() {
     // The canonical production fault points, pre-registered so
-    // known_points() is complete before any code path executes.
+    // stats() lists them all before any code path executes.
     static const char* const kBuiltin[] = {
         "codec.jpeg.encode",  "codec.png.encode",   "codec.webp.encode",
         "js.muzeel.eliminate", "dataset.corpus.make_page",
@@ -208,16 +208,6 @@ void reset() {
   detail::g_any_armed.store(false, std::memory_order_relaxed);
 }
 
-std::vector<std::string> known_points() {
-  detail::Registry& r = detail::registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  std::vector<std::string> names;
-  names.reserve(r.points.size());
-  for (const auto& p : r.points) names.push_back(p.name);
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
 std::vector<PointStats> stats() {
   detail::Registry& r = detail::registry();
   const std::lock_guard<std::mutex> lock(r.mutex);
@@ -230,15 +220,6 @@ std::vector<PointStats> stats() {
   std::sort(out.begin(), out.end(),
             [](const PointStats& a, const PointStats& b) { return a.name < b.name; });
   return out;
-}
-
-std::uint64_t fire_count(std::string_view name) {
-  detail::Registry& r = detail::registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  for (const auto& p : r.points) {
-    if (p.name == name) return p.fires.load(std::memory_order_relaxed);
-  }
-  return 0;
 }
 
 }  // namespace aw4a::fault

@@ -87,15 +87,10 @@ void set_seed(std::uint64_t seed);
 /// Disarms every point and zeroes all counters (names stay registered).
 void reset();
 
-/// Every registered point name, sorted. The canonical production points are
-/// pre-registered so sweeps see them before any code path executes.
-std::vector<std::string> known_points();
-
-/// Counters for every registered point, sorted by name.
+/// Counters for every registered point, sorted by name. The canonical
+/// production points are pre-registered so sweeps see them before any code
+/// path executes.
 std::vector<PointStats> stats();
-
-/// Fires of one point (0 if unknown).
-std::uint64_t fire_count(std::string_view name);
 
 namespace detail {
 

@@ -10,7 +10,7 @@
 //
 // LruMap is deliberately policy-free: no TTL, no capacity, no locking. The
 // device cache layers staleness-by-max-age on top; the tier cache layers
-// TTL + a mutex per shard. Eviction *order* is exactly "least recently
+// stale flags + a mutex per shard. Eviction *order* is exactly "least recently
 // touched first", which matches the old min(last_used) scan because every
 // touch was (and is) strictly ordered — simulation outputs are byte-identical
 // across the rewrite (pinned in tests/net_cache_test.cc).

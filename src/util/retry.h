@@ -1,55 +1,34 @@
-// Bounded retry with exponential backoff for TransientError.
+// Bounded retry for TransientError.
 //
 // The serving path wraps flaky work units (codec encodes, tier builds) in
-// retry_transient: a TransientError (e.g. an injected fault) is retried up
-// to max_attempts times; every other exception — Infeasible, LogicError,
-// DeadlineExceeded — propagates immediately, because retrying cannot fix a
-// constraint, a bug, or an exhausted clock.
-//
-// Determinism: the backoff schedule is a pure function of the options, and
-// the "sleep" is an injected callback (null by default — this repository is
-// a simulation, real waiting would only slow tests down). A caller that
-// wants wall-clock backoff passes a sleeper; a test that wants to assert the
-// schedule passes a recorder.
+// retry_transient: a TransientError (e.g. an injected fault) is retried at
+// once, up to max_attempts tries in all; every other exception —
+// Infeasible, LogicError, DeadlineExceeded — propagates immediately, because
+// retrying cannot fix a constraint, a bug, or an exhausted clock. There is
+// no backoff: this repository is a simulation, and waiting would only slow
+// builds down without changing a single byte they produce.
 #pragma once
 
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "util/error.h"
 
 namespace aw4a {
 
-struct RetryOptions {
-  /// Total tries, including the first (>= 1).
-  int max_attempts = 3;
-  /// Backoff before the second attempt; doubles (times multiplier) after.
-  double initial_backoff_seconds = 0.05;
-  double backoff_multiplier = 2.0;
-  /// Invoked with each backoff delay. Null = no waiting (simulation mode).
-  std::function<void(double)> sleep = {};
-};
-
-/// Runs `fn`, retrying on TransientError. On exhaustion the last transient
-/// error is rethrown (type preserved) with an "after N attempts" context
-/// frame. `backoffs_out`, when given, records the delays that were applied.
+/// Runs `fn`, retrying on TransientError, `max_attempts` tries in all
+/// (>= 1). On exhaustion the last transient error is rethrown (type
+/// preserved) with a "gave up after N attempts" context frame.
 template <typename F>
-auto retry_transient(F&& fn, const RetryOptions& options = {},
-                     std::vector<double>* backoffs_out = nullptr) -> decltype(fn()) {
-  AW4A_EXPECTS(options.max_attempts >= 1);
-  double backoff = options.initial_backoff_seconds;
+auto retry_transient(F&& fn, int max_attempts) -> decltype(fn()) {
+  AW4A_EXPECTS(max_attempts >= 1);
   for (int attempt = 1;; ++attempt) {
     try {
       return fn();
     } catch (TransientError& e) {
-      if (attempt >= options.max_attempts) {
+      if (attempt >= max_attempts) {
         e.add_context("gave up after " + std::to_string(attempt) + " attempts");
         throw;
       }
-      if (backoffs_out != nullptr) backoffs_out->push_back(backoff);
-      if (options.sleep) options.sleep(backoff);
-      backoff *= options.backoff_multiplier;
     }
   }
 }

@@ -29,7 +29,7 @@ const char* to_string(Tag tag) {
 namespace {
 
 struct LayoutContext {
-  const LayoutOptions* options;
+  int viewport_w;
   const ImageDims* image_dims;
   std::vector<LayoutBlock>* blocks;
 };
@@ -38,15 +38,14 @@ struct LayoutContext {
 /// returns the height consumed.
 int layout_node(const DomNode& node, int x, int y, int width, const LayoutContext& ctx) {
   AW4A_EXPECTS(width > 0);
-  const LayoutOptions& opt = *ctx.options;
   switch (node.tag) {
     case Tag::kP: {
       // Wrapping model: height scales with text amount and inversely with
       // the column width.
       const double width_factor =
-          static_cast<double>(opt.viewport_w - 2 * opt.padding) / static_cast<double>(width);
+          static_cast<double>(ctx.viewport_w - 2 * kLayoutPadding) / static_cast<double>(width);
       const int height = std::max(
-          12, static_cast<int>(std::lround(node.text_chars / 100.0 * opt.px_per_100_chars *
+          12, static_cast<int>(std::lround(node.text_chars / 100.0 * kTextPxPer100Chars *
                                            width_factor)));
       ctx.blocks->push_back(LayoutBlock{LayoutBlock::Kind::kText,
                                         {x, y, width, height},
@@ -98,23 +97,22 @@ int layout_node(const DomNode& node, int x, int y, int width, const LayoutContex
     case Tag::kRow: {
       if (node.children.empty()) return 0;
       const int n = static_cast<int>(node.children.size());
-      const int cell_gap = opt.gap;
-      const int cell_w = std::max(16, (width - cell_gap * (n - 1)) / n);
+      const int cell_w = std::max(16, (width - kLayoutGap * (n - 1)) / n);
       int tallest = 0;
       int cx = x;
       for (const DomNode& child : node.children) {
         tallest = std::max(tallest, layout_node(child, cx, y, cell_w, ctx));
-        cx += cell_w + cell_gap;
+        cx += cell_w + kLayoutGap;
       }
       return tallest;
     }
     default: {  // vertical container
-      const int inner_x = x + opt.padding;
-      const int inner_w = std::max(16, width - 2 * opt.padding);
+      const int inner_x = x + kLayoutPadding;
+      const int inner_w = std::max(16, width - 2 * kLayoutPadding);
       int cy = y;
       bool first = true;
       for (const DomNode& child : node.children) {
-        if (!first) cy += opt.gap;
+        if (!first) cy += kLayoutGap;
         first = false;
         cy += layout_node(child, inner_x, cy, inner_w, ctx);
       }
@@ -127,11 +125,11 @@ int layout_node(const DomNode& node, int x, int y, int width, const LayoutContex
 
 LayoutResult layout_dom(const DomNode& root, const LayoutOptions& options,
                         const ImageDims& image_dims) {
-  AW4A_EXPECTS(options.viewport_w > 2 * options.padding);
+  AW4A_EXPECTS(options.viewport_w > 2 * kLayoutPadding);
   LayoutResult result;
-  LayoutContext ctx{&options, &image_dims, &result.blocks};
-  const int height = layout_node(root, 0, options.gap, options.viewport_w, ctx);
-  result.page_height = std::max(320, height + 2 * options.gap);
+  LayoutContext ctx{options.viewport_w, &image_dims, &result.blocks};
+  const int height = layout_node(root, 0, kLayoutGap, options.viewport_w, ctx);
+  result.page_height = std::max(320, height + 2 * kLayoutGap);
   return result;
 }
 

@@ -54,12 +54,15 @@ struct DomNode {
 
 struct LayoutOptions {
   int viewport_w = 360;
-  int padding = 8;  ///< horizontal padding inside containers
-  int gap = 6;      ///< vertical gap between siblings
-  /// Pixels of paragraph height per 100 characters at the full content width
-  /// (narrower columns wrap to proportionally taller blocks).
-  double px_per_100_chars = 14.0;
 };
+
+/// Horizontal padding inside containers (CSS pixels).
+inline constexpr int kLayoutPadding = 8;
+/// Vertical gap between siblings, and between cells of a row (CSS pixels).
+inline constexpr int kLayoutGap = 6;
+/// Pixels of paragraph height per 100 characters at the full content width
+/// (narrower columns wrap to proportionally taller blocks).
+inline constexpr double kTextPxPer100Chars = 14.0;
 
 /// Resolves an image object to its natural display (w, h) in CSS pixels.
 using ImageDims = std::function<std::pair<int, int>(std::uint64_t object_id)>;

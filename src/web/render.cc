@@ -15,9 +15,8 @@ using imaging::Raster;
 
 struct Canvas {
   Raster img;
-  double scale;
 
-  int sx(int css) const { return static_cast<int>(std::lround(css * scale)); }
+  int sx(int css) const { return static_cast<int>(std::lround(css * kCanvasScale)); }
 
   void rect(const Rect& r, Pixel p) { img.fill_rect(sx(r.x), sx(r.y), sx(r.w), sx(r.h), p); }
 
@@ -132,15 +131,13 @@ bool widget_functional(const ServedPage& served, js::WidgetId widget) {
 }
 
 imaging::Raster render_page(const ServedPage& served, const RenderState& state,
-                            const RenderOptions& options, ScaledOriginals* originals) {
+                            ScaledOriginals* originals) {
   AW4A_EXPECTS(served.page != nullptr);
-  AW4A_EXPECTS(options.canvas_scale > 0.0 && options.canvas_scale <= 2.0);
   const WebPage& page = *served.page;
 
-  Canvas canvas{Raster(std::max(1, static_cast<int>(page.viewport_w * options.canvas_scale)),
-                       std::max(1, static_cast<int>(page.page_height * options.canvas_scale)),
-                       Pixel{255, 255, 255, 255}),
-                options.canvas_scale};
+  Canvas canvas{Raster(std::max(1, static_cast<int>(page.viewport_w * kCanvasScale)),
+                       std::max(1, static_cast<int>(page.page_height * kCanvasScale)),
+                       Pixel{255, 255, 255, 255})};
 
   // CSS gone => unstyled document: everything collapses to a left-aligned
   // column at half width; fonts gone => fallback text metrics.

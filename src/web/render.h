@@ -19,10 +19,8 @@
 
 namespace aw4a::web {
 
-struct RenderOptions {
-  /// Canvas pixels per CSS pixel (0.5 keeps screenshot SSIM fast).
-  double canvas_scale = 0.5;
-};
+/// Canvas pixels per CSS pixel (0.5 keeps screenshot SSIM fast).
+inline constexpr double kCanvasScale = 0.5;
 
 /// Dynamic page state produced by user interaction (toggled widgets).
 struct RenderState {
@@ -62,7 +60,6 @@ bool widget_functional(const ServedPage& served, js::WidgetId widget);
 /// With `originals`, image blocks that show their original raster take the
 /// scaled copy from it; the pixels are the same either way.
 imaging::Raster render_page(const ServedPage& served, const RenderState& state = {},
-                            const RenderOptions& options = {},
                             ScaledOriginals* originals = nullptr);
 
 }  // namespace aw4a::web

@@ -87,8 +87,8 @@ TEST(JsCoverage, ReportSumsAndClassifies) {
   EXPECT_LE(report.risky_functions, report.dead_functions);
   EXPECT_EQ(report.total_bytes, script.total_bytes());
   EXPECT_LE(report.risky_bytes, report.dead_bytes);
-  EXPECT_GT(report.dead_fraction(), 0.0);
-  EXPECT_LT(report.dead_fraction(), 1.0);
+  EXPECT_GT(report.dead_bytes, 0u);
+  EXPECT_LT(report.dead_bytes, report.total_bytes);
   // Coverage agrees with Muzeel's actual removal.
   const auto muzeel = js::muzeel_eliminate(script);
   EXPECT_EQ(report.dead_bytes, muzeel.removed_bytes);
@@ -105,7 +105,7 @@ TEST(JsCoverage, FullyLiveScriptHasNoDeadBytes) {
   script.init_functions = {1};
   const auto report = js::coverage(script);
   EXPECT_EQ(report.dead_functions, 0u);
-  EXPECT_DOUBLE_EQ(report.dead_fraction(), 0.0);
+  EXPECT_EQ(report.dead_bytes, 0u);
 }
 
 }  // namespace

@@ -79,13 +79,13 @@ TEST(LadderOptionsFingerprint, SeesEveryEnumerationKnob) {
   ssim.min_ssim = 0.7;
   EXPECT_NE(ladder_options_fingerprint(base), ladder_options_fingerprint(ssim));
 
-  LadderOptions scale = base;
-  scale.scale_granularity = 0.2;
-  EXPECT_NE(ladder_options_fingerprint(base), ladder_options_fingerprint(scale));
+  LadderOptions backend = base;
+  backend.entropy_backend = EntropyBackend::kRans;
+  EXPECT_NE(ladder_options_fingerprint(base), ladder_options_fingerprint(backend));
 
-  LadderOptions steps = base;
-  steps.quality_steps.push_back(25);
-  EXPECT_NE(ladder_options_fingerprint(base), ladder_options_fingerprint(steps));
+  LadderOptions rung = base;
+  rung.placeholder_rung = true;
+  EXPECT_NE(ladder_options_fingerprint(base), ladder_options_fingerprint(rung));
 }
 
 // ---------------------------------------------------------------------------

@@ -190,7 +190,7 @@ TEST(AssetStore, DistinctContentAndRecipesNeverShare) {
   // Same content, different enumeration recipe: a separate entry — adopting
   // across LadderOptions would hand a solver families it never asked for.
   imaging::LadderOptions coarse = options;
-  coarse.scale_granularity = 0.25;
+  coarse.min_ssim = 0.5;
   const auto c = store.acquire(asset, coarse, obs::RequestContext::none());
   ASSERT_NE(c, nullptr);
   EXPECT_NE(a.get(), c.get());

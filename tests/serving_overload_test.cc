@@ -39,6 +39,11 @@ LadderPtr fake_ladder() {
   return ladder;
 }
 
+double steady_seconds() {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 class BuildQueueOverloadTest : public ::testing::Test {
  protected:
   void SetUp() override { fault::reset(); }
@@ -48,7 +53,7 @@ class BuildQueueOverloadTest : public ::testing::Test {
 TEST_F(BuildQueueOverloadTest, BoundNeverExceededAndCountersPartition) {
   constexpr std::size_t kCapacity = 4;
   constexpr int kCallers = 32;
-  BuildQueue queue(BuildQueueOptions{.capacity = kCapacity, .workers = 2, .clock = {}});
+  BuildQueue queue(BuildQueueOptions{.capacity = kCapacity, .workers = 2}, steady_seconds);
 
   std::atomic<bool> release{false};
   std::atomic<int> finished{0};
@@ -104,14 +109,18 @@ TEST_F(BuildQueueOverloadTest, BoundNeverExceededAndCountersPartition) {
 TEST_F(BuildQueueOverloadTest, ExpiredQueuedJobIsDroppedNotBuilt) {
   std::atomic<double> now{0.0};
   const auto clock = [&now] { return now.load(); };
-  BuildQueue queue(BuildQueueOptions{.capacity = 4, .workers = 1, .clock = clock});
+  BuildQueue queue(BuildQueueOptions{.capacity = 4, .workers = 1}, clock);
   const obs::RequestContext base = obs::RequestContext().with_clock(clock);
 
-  // Job A occupies the only worker until released.
+  // Job A occupies the only worker until released. Wait for its build to
+  // start, not just for a runner to be counted: a runner that has not yet
+  // picked A would pick B first (earlier deadline) and build it.
   std::atomic<bool> release{false};
+  std::atomic<bool> a_started{false};
   std::atomic<int> b_builds{0};
   std::thread a_caller([&] {
     const LadderPtr ladder = queue.run(0, base, [&]() -> LadderPtr {
+      a_started.store(true, std::memory_order_release);
       while (!release.load(std::memory_order_acquire)) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
@@ -119,7 +128,7 @@ TEST_F(BuildQueueOverloadTest, ExpiredQueuedJobIsDroppedNotBuilt) {
     });
     EXPECT_NE(ladder, nullptr);
   });
-  while (queue.stats().running == 0) {
+  while (!a_started.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
@@ -160,7 +169,7 @@ TEST_F(BuildQueueOverloadTest, ExpiredQueuedJobIsDroppedNotBuilt) {
 }
 
 TEST_F(BuildQueueOverloadTest, DetachedSubmitCompletesOrShedsCleanly) {
-  BuildQueue queue(BuildQueueOptions{.capacity = 2, .workers = 1, .clock = {}});
+  BuildQueue queue(BuildQueueOptions{.capacity = 2, .workers = 1}, steady_seconds);
   std::atomic<int> done_calls{0};
   std::atomic<bool> got_result{false};
   ASSERT_TRUE(queue.submit_detached(

@@ -32,14 +32,14 @@ TierKey key_of(std::uint64_t site) { return TierKey{site, 1, net::PlanType::kDat
 /// double-check, build, admit. Returns the ladder every caller ended up with.
 LadderPtr cached_build(TierCache& cache, SingleFlight<TierKey, TierLadder, TierKeyHash>& flight,
                        const TierKey& key, std::atomic<std::uint64_t>& builds) {
-  if (LadderPtr resident = cache.fetch(key, 0.0)) return resident;
+  if (LadderPtr resident = cache.fetch(key)) return resident;
   return flight.run(key, [&]() -> LadderPtr {
-    if (LadderPtr resident = cache.fetch(key, 0.0)) return resident;
+    if (LadderPtr resident = cache.fetch(key)) return resident;
     builds.fetch_add(1, std::memory_order_relaxed);
     auto ladder = std::make_shared<TierLadder>();
     ladder->tiers.resize(1);
     ladder->cost_bytes = 1000;
-    cache.insert(key, ladder, 0.0);
+    cache.insert(key, ladder);
     return ladder;
   });
 }
@@ -142,11 +142,11 @@ TEST(ServingStress, EvictionChurnStaysCoherent) {
       Rng rng = Rng(77).fork(t);
       for (std::size_t i = 0; i < kIterations; ++i) {
         const TierKey key = key_of(static_cast<std::uint64_t>(rng.uniform_int(0, kKeys - 1)));
-        if (cache.fetch(key, 0.0) == nullptr) {
+        if (cache.fetch(key) == nullptr) {
           auto ladder = std::make_shared<TierLadder>();
           ladder->tiers.resize(1);
           ladder->cost_bytes = 1000;
-          cache.insert(key, ladder, 0.0);
+          cache.insert(key, ladder);
         }
         if (i % 97 == 0) cache.mark_stale_site(key.site_id);
       }

@@ -1,4 +1,4 @@
-// The multi-site serving subsystem: TierCache policy (LRU bytes, TTL,
+// The multi-site serving subsystem: TierCache policy (LRU bytes,
 // admission, stale marking), config fingerprinting, SingleFlight semantics,
 // and OriginServer routing / lazy builds / metrics / the stats endpoint.
 // Concurrency hammering lives in serving_stress_test.cc; this file pins the
@@ -44,10 +44,10 @@ TierKey key_of(std::uint64_t site, std::uint64_t fingerprint = 1,
 
 TEST(TierCache, MissInsertHitRoundTrip) {
   TierCache cache(TierCacheOptions{.capacity_bytes = kMB, .shards = 2});
-  EXPECT_EQ(cache.fetch(key_of(1), 0.0), nullptr);
+  EXPECT_EQ(cache.fetch(key_of(1)), nullptr);
   const LadderPtr ladder = fake_ladder(100);
-  EXPECT_TRUE(cache.insert(key_of(1), ladder, 0.0));
-  EXPECT_EQ(cache.fetch(key_of(1), 1.0).get(), ladder.get());
+  EXPECT_TRUE(cache.insert(key_of(1), ladder));
+  EXPECT_EQ(cache.fetch(key_of(1)).get(), ladder.get());
   const TierCacheStats stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
@@ -59,127 +59,78 @@ TEST(TierCache, MissInsertHitRoundTrip) {
 
 TEST(TierCache, KeysSeparateSitesConfigsAndPlans) {
   TierCache cache(TierCacheOptions{.capacity_bytes = kMB, .shards = 1});
-  ASSERT_TRUE(cache.insert(key_of(1, 10, net::PlanType::kDataOnly), fake_ladder(1), 0.0));
-  EXPECT_EQ(cache.fetch(key_of(2, 10, net::PlanType::kDataOnly), 0.0), nullptr);
-  EXPECT_EQ(cache.fetch(key_of(1, 11, net::PlanType::kDataOnly), 0.0), nullptr);
-  EXPECT_EQ(cache.fetch(key_of(1, 10, net::PlanType::kDataVoiceHighUsage), 0.0), nullptr);
-  EXPECT_NE(cache.fetch(key_of(1, 10, net::PlanType::kDataOnly), 0.0), nullptr);
+  ASSERT_TRUE(cache.insert(key_of(1, 10, net::PlanType::kDataOnly), fake_ladder(1)));
+  EXPECT_EQ(cache.fetch(key_of(2, 10, net::PlanType::kDataOnly)), nullptr);
+  EXPECT_EQ(cache.fetch(key_of(1, 11, net::PlanType::kDataOnly)), nullptr);
+  EXPECT_EQ(cache.fetch(key_of(1, 10, net::PlanType::kDataVoiceHighUsage)), nullptr);
+  EXPECT_NE(cache.fetch(key_of(1, 10, net::PlanType::kDataOnly)), nullptr);
 }
 
 TEST(TierCache, EvictsLeastRecentlyUsedByBytes) {
   // One shard so the byte budget is a single pool.
   TierCache cache(TierCacheOptions{.capacity_bytes = 1000, .shards = 1});
-  ASSERT_TRUE(cache.insert(key_of(1), fake_ladder(600), 0.0));
-  ASSERT_TRUE(cache.insert(key_of(2), fake_ladder(300), 0.0));
-  ASSERT_NE(cache.fetch(key_of(1), 0.0), nullptr);  // 1 is now most recent
-  ASSERT_TRUE(cache.insert(key_of(3), fake_ladder(300), 0.0));
-  EXPECT_EQ(cache.fetch(key_of(2), 0.0), nullptr) << "LRU entry should be gone";
-  EXPECT_NE(cache.fetch(key_of(1), 0.0), nullptr);
-  EXPECT_NE(cache.fetch(key_of(3), 0.0), nullptr);
+  ASSERT_TRUE(cache.insert(key_of(1), fake_ladder(600)));
+  ASSERT_TRUE(cache.insert(key_of(2), fake_ladder(300)));
+  ASSERT_NE(cache.fetch(key_of(1)), nullptr);  // 1 is now most recent
+  ASSERT_TRUE(cache.insert(key_of(3), fake_ladder(300)));
+  EXPECT_EQ(cache.fetch(key_of(2)), nullptr) << "LRU entry should be gone";
+  EXPECT_NE(cache.fetch(key_of(1)), nullptr);
+  EXPECT_NE(cache.fetch(key_of(3)), nullptr);
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_LE(cache.stats().resident_bytes, 1000u);
-}
-
-TEST(TierCache, TtlExpiresAtFetchTime) {
-  // Jitter off: this test pins the exact TTL boundary.
-  TierCache cache(TierCacheOptions{
-      .capacity_bytes = kMB, .shards = 1, .ttl_seconds = 10.0, .ttl_jitter = 0.0});
-  ASSERT_TRUE(cache.insert(key_of(1), fake_ladder(10), /*now=*/100.0));
-  EXPECT_NE(cache.fetch(key_of(1), 105.0), nullptr) << "within TTL";
-  EXPECT_EQ(cache.fetch(key_of(1), 110.0), nullptr) << "TTL boundary is exclusive";
-  EXPECT_EQ(cache.stats().expirations, 1u);
-  // The expired slot is free again.
-  EXPECT_TRUE(cache.insert(key_of(1), fake_ladder(10), 110.0));
-  EXPECT_NE(cache.fetch(key_of(1), 115.0), nullptr);
-}
-
-TEST(TierCache, TtlJitterSpreadsExpiryDeterministically) {
-  // 32 entries inserted in the same instant with a ±10% jittered 100s TTL:
-  // every lifetime lies in [90, 110], they do NOT all expire in one beat,
-  // and each key's lifetime is a pure function of the key (same verdict on
-  // every probe). All timestamps are injected — no sleeping.
-  const TierCacheOptions options{
-      .capacity_bytes = kMB, .shards = 1, .ttl_seconds = 100.0, .ttl_jitter = 0.1};
-  constexpr std::uint64_t kKeys = 32;
-  TierCache cache(options);
-  for (std::uint64_t k = 0; k < kKeys; ++k) {
-    ASSERT_TRUE(cache.insert(key_of(k), fake_ladder(10), /*now=*/0.0));
-  }
-  // Probing must not expire anything below the jitter floor or keep
-  // anything past the ceiling.
-  TierCache floor_probe(options);  // fresh cache, same keys, same insert time
-  for (std::uint64_t k = 0; k < kKeys; ++k) {
-    ASSERT_TRUE(floor_probe.insert(key_of(k), fake_ladder(10), 0.0));
-    EXPECT_NE(floor_probe.fetch(key_of(k), 89.9), nullptr) << "lifetime floor is 90s";
-  }
-  std::uint64_t alive_at_100 = 0;
-  std::vector<bool> verdicts(kKeys);
-  for (std::uint64_t k = 0; k < kKeys; ++k) {
-    verdicts[k] = cache.fetch(key_of(k), 100.0) != nullptr;
-    alive_at_100 += verdicts[k] ? 1u : 0u;
-  }
-  EXPECT_GT(alive_at_100, 0u) << "not a stampede: some entries outlive the nominal TTL";
-  EXPECT_LT(alive_at_100, kKeys) << "and some expire before it";
-  // Deterministic: the same key gets the same verdict on a second probe.
-  for (std::uint64_t k = 0; k < kKeys; ++k) {
-    EXPECT_EQ(cache.fetch(key_of(k), 100.0) != nullptr, verdicts[k]) << "key " << k;
-  }
-  for (std::uint64_t k = 0; k < kKeys; ++k) {
-    EXPECT_EQ(cache.fetch(key_of(k), 110.1), nullptr) << "lifetime ceiling is 110s";
-  }
 }
 
 TEST(TierCache, MarkStaleServesUntilReplaced) {
   TierCache cache(TierCacheOptions{.capacity_bytes = kMB, .shards = 2});
   const LadderPtr old_ladder = fake_ladder(10);
-  ASSERT_TRUE(cache.insert(key_of(1), old_ladder, 0.0));
-  ASSERT_TRUE(cache.insert(key_of(2, /*fingerprint=*/9), fake_ladder(10), 0.0));
+  ASSERT_TRUE(cache.insert(key_of(1), old_ladder));
+  ASSERT_TRUE(cache.insert(key_of(2, /*fingerprint=*/9), fake_ladder(10)));
   EXPECT_EQ(cache.mark_stale_site(1), 1u) << "only site 1's entries are flagged";
   EXPECT_EQ(cache.mark_stale_site(1), 0u) << "already stale: no re-flagging";
 
   bool stale = false;
-  EXPECT_EQ(cache.fetch(key_of(1), 1.0, obs::RequestContext::none(), &stale).get(),
+  EXPECT_EQ(cache.fetch(key_of(1), obs::RequestContext::none(), &stale).get(),
             old_ladder.get())
       << "a stale entry still serves";
   EXPECT_TRUE(stale);
-  EXPECT_NE(cache.fetch(key_of(2, 9), 1.0, obs::RequestContext::none(), &stale), nullptr);
+  EXPECT_NE(cache.fetch(key_of(2, 9), obs::RequestContext::none(), &stale), nullptr);
   EXPECT_FALSE(stale) << "other sites' entries are untouched";
   const TierCacheStats mid = cache.stats();
   EXPECT_EQ(mid.stale_marks, 1u);
   EXPECT_EQ(mid.stale_hits, 1u);
 
   const LadderPtr fresh = fake_ladder(20);
-  EXPECT_TRUE(cache.replace(key_of(1), fresh, 2.0));
+  EXPECT_TRUE(cache.replace(key_of(1), fresh));
   stale = true;
-  EXPECT_EQ(cache.fetch(key_of(1), 3.0, obs::RequestContext::none(), &stale).get(), fresh.get());
+  EXPECT_EQ(cache.fetch(key_of(1), obs::RequestContext::none(), &stale).get(), fresh.get());
   EXPECT_FALSE(stale) << "replace() renews the entry";
 }
 
 TEST(TierCache, DuplicateInsertKeepsTheResidentLadder) {
   TierCache cache(TierCacheOptions{.capacity_bytes = kMB, .shards = 1});
   const LadderPtr first = fake_ladder(10);
-  ASSERT_TRUE(cache.insert(key_of(1), first, 0.0));
-  EXPECT_FALSE(cache.insert(key_of(1), fake_ladder(10), 0.0));
-  EXPECT_EQ(cache.fetch(key_of(1), 0.0).get(), first.get());
+  ASSERT_TRUE(cache.insert(key_of(1), first));
+  EXPECT_FALSE(cache.insert(key_of(1), fake_ladder(10)));
+  EXPECT_EQ(cache.fetch(key_of(1)).get(), first.get());
   EXPECT_EQ(cache.stats().inserts, 1u);
 }
 
 TEST(TierCache, OversizeLadderIsRejectedNotThrashed) {
   TierCache cache(TierCacheOptions{.capacity_bytes = 1000, .shards = 1});
-  ASSERT_TRUE(cache.insert(key_of(1), fake_ladder(500), 0.0));
+  ASSERT_TRUE(cache.insert(key_of(1), fake_ladder(500)));
   // Larger than the whole shard: admitting it would evict everything and
   // still not fit. insert() reports success-without-residency.
-  EXPECT_TRUE(cache.insert(key_of(2), fake_ladder(5000), 0.0));
-  EXPECT_EQ(cache.fetch(key_of(2), 0.0), nullptr);
-  EXPECT_NE(cache.fetch(key_of(1), 0.0), nullptr) << "resident entries untouched";
+  EXPECT_TRUE(cache.insert(key_of(2), fake_ladder(5000)));
+  EXPECT_EQ(cache.fetch(key_of(2)), nullptr);
+  EXPECT_NE(cache.fetch(key_of(1)), nullptr) << "resident entries untouched";
   EXPECT_EQ(cache.stats().admission_rejects, 1u);
   EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
 TEST(TierCache, AdmissionRequiresABuiltLadder) {
   TierCache cache;
-  EXPECT_THROW(cache.insert(key_of(1), nullptr, 0.0), LogicError);
-  EXPECT_THROW(cache.insert(key_of(1), std::make_shared<TierLadder>(), 0.0), LogicError);
+  EXPECT_THROW(cache.insert(key_of(1), nullptr), LogicError);
+  EXPECT_THROW(cache.insert(key_of(1), std::make_shared<TierLadder>()), LogicError);
 }
 
 TEST(TierCache, ShardCountRoundsUpToPowerOfTwo) {
@@ -193,7 +144,7 @@ TEST(ConfigFingerprint, StableForEqualConfigsSensitiveToEveryKnob) {
   const core::DeveloperConfig base;
   EXPECT_EQ(config_fingerprint(base), config_fingerprint(core::DeveloperConfig{}));
 
-  std::vector<core::DeveloperConfig> variants(9, base);
+  std::vector<core::DeveloperConfig> variants(8, base);
   variants[0].tier_reductions = {1.25, 1.5, 3.0};
   variants[1].tier_reductions = {1.25, 1.5, 3.0, 6.5};
   variants[2].min_image_ssim = 0.8;
@@ -202,7 +153,6 @@ TEST(ConfigFingerprint, StableForEqualConfigsSensitiveToEveryKnob) {
   variants[5].measure_qfs = false;
   variants[6].js_strategy = core::HbsOptions::JsStrategy::kAdjustable;
   variants[7].stage2_deadline_seconds = 30.0;
-  variants[8].tier_build_attempts = 3;
   std::vector<std::uint64_t> prints{config_fingerprint(base)};
   for (const auto& variant : variants) prints.push_back(config_fingerprint(variant));
   for (std::size_t i = 0; i < prints.size(); ++i) {
@@ -214,24 +164,15 @@ TEST(ConfigFingerprint, StableForEqualConfigsSensitiveToEveryKnob) {
 
 TEST(ConfigFingerprint, UltraLowKnobsSeparateOnlyWhenEnabled) {
   const core::DeveloperConfig base;
-  // Image-only configs must fingerprint exactly as before the ultra tiers
-  // existed: moving a disabled knob is a no-op (cached ladders stay valid).
-  core::DeveloperConfig knobs_moved = base;
-  knobs_moved.ultra_low.placeholder_base_similarity = 0.9;
-  knobs_moved.ultra_low.placeholder_alt_bonus = 0.02;
-  EXPECT_EQ(config_fingerprint(base), config_fingerprint(knobs_moved));
-
   core::DeveloperConfig text_only = base;
   text_only.ultra_low.text_only = true;
   core::DeveloperConfig markup = base;
   markup.ultra_low.markup_rewrite = true;
   core::DeveloperConfig both = text_only;
   both.ultra_low.markup_rewrite = true;
-  core::DeveloperConfig both_moved = both;
-  both_moved.ultra_low.placeholder_base_similarity = 0.5;
-  const std::vector<std::uint64_t> prints{
-      config_fingerprint(base), config_fingerprint(text_only), config_fingerprint(markup),
-      config_fingerprint(both), config_fingerprint(both_moved)};
+  const std::vector<std::uint64_t> prints{config_fingerprint(base),
+                                          config_fingerprint(text_only),
+                                          config_fingerprint(markup), config_fingerprint(both)};
   for (std::size_t i = 0; i < prints.size(); ++i) {
     for (std::size_t j = i + 1; j < prints.size(); ++j) {
       EXPECT_NE(prints[i], prints[j]) << "ultra variants " << i << " and " << j << " collide";
@@ -558,23 +499,6 @@ TEST_F(OriginServerTest, InvalidateHostServesStaleWhileRevalidating) {
   const auto fresh_answer = origin.handle(saver);
   EXPECT_EQ(fresh_answer.status, 200);
   EXPECT_EQ(origin.metrics().ladder_stale, 1u) << "entry is fresh again";
-}
-
-TEST_F(OriginServerTest, TtlExpiryRebuildsWithoutSleeping) {
-  double now = 0.0;
-  OriginOptions options;
-  options.cache.ttl_seconds = 100.0;
-  options.clock = [&now] { return now; };
-  const OriginServer origin(sites(), options);
-  const auto saver = get("a.example", {{"Save-Data", "on"}, {"X-Geo-Country", "ET"}});
-  origin.handle(saver);
-  now = 50.0;
-  origin.handle(saver);
-  EXPECT_EQ(origin.metrics().builds_started, 1u) << "within TTL";
-  now = 200.0;
-  origin.handle(saver);
-  EXPECT_EQ(origin.metrics().builds_started, 2u) << "expired entry must rebuild";
-  EXPECT_EQ(origin.cache_stats().expirations, 1u);
 }
 
 TEST_F(OriginServerTest, BuildFailureServesDegradedAndIsNotCached) {

@@ -46,13 +46,11 @@ TEST(Layout, ContainersIndentByPadding) {
   section.tag = Tag::kSection;
   section.children.push_back(p(100));
   body.children.push_back(std::move(section));
-  LayoutOptions options;
-  options.padding = 10;
-  const LayoutResult result = layout_dom(body, options);
+  const LayoutResult result = layout_dom(body);
   ASSERT_EQ(result.blocks.size(), 1u);
   // body pads once, section pads again.
-  EXPECT_EQ(result.blocks[0].rect.x, 20);
-  EXPECT_EQ(result.blocks[0].rect.w, options.viewport_w - 40);
+  EXPECT_EQ(result.blocks[0].rect.x, 2 * kLayoutPadding);
+  EXPECT_EQ(result.blocks[0].rect.w, LayoutOptions{}.viewport_w - 4 * kLayoutPadding);
 }
 
 TEST(Layout, RowSplitsWidthAmongChildren) {

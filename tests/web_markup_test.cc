@@ -189,11 +189,11 @@ TEST(Markup, AltTextRidesIntoPlaceholderSimilarity) {
   ASSERT_NE(with_alt, nullptr) << "corpus should synthesize alt text for most images";
   const auto ph = imaging::placeholder_variant(*with_alt->image, options,
                                                with_alt->alt_text.size());
-  EXPECT_GT(ph.ssim, options.placeholder_base_similarity);
+  EXPECT_GT(ph.ssim, imaging::kPlaceholderBaseSimilarity);
   if (without_alt != nullptr) {
     const auto bare =
         imaging::placeholder_variant(*without_alt->image, options, 0);
-    EXPECT_DOUBLE_EQ(bare.ssim, options.placeholder_base_similarity);
+    EXPECT_DOUBLE_EQ(bare.ssim, imaging::kPlaceholderBaseSimilarity);
     EXPECT_GT(ph.ssim, bare.ssim) << "alt text must buy similarity credit";
   }
 }

@@ -19,7 +19,7 @@ WebPage rich_page(std::uint64_t seed = 3) {
 TEST(Render, CanvasMatchesViewportAndScale) {
   const WebPage page = rich_page();
   const ServedPage served = serve_original(page);
-  const auto shot = render_page(served, {}, {.canvas_scale = 0.5});
+  const auto shot = render_page(served);
   EXPECT_EQ(shot.width(), page.viewport_w / 2);
   EXPECT_EQ(shot.height(), page.page_height / 2);
 }
