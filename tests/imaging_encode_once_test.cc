@@ -11,6 +11,10 @@
 // see a uniform surface.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <vector>
 
 #include "imaging/codec.h"
@@ -119,6 +123,72 @@ class EncodeOnceFaultTest : public ::testing::Test {
   void SetUp() override { fault::reset(); }
   void TearDown() override { fault::reset(); }
 };
+
+TEST_F(EncodeOnceFaultTest, EachEntryPointHitsItsFormatPointOnce) {
+  // A point counts hits only while it is armed: arm all three codec points
+  // so that they count every hit but never fire.
+  const char* const kPoints[] = {"codec.jpeg.encode", "codec.png.encode", "codec.webp.encode"};
+  for (const char* point : kPoints) {
+    fault::configure(point, {.every_nth = 1,
+                             .skip_first = std::numeric_limits<std::uint64_t>::max()});
+  }
+  auto hits = [&] {
+    std::array<std::uint64_t, 3> out{};  // jpeg, png, webp
+    for (const fault::PointStats& p : fault::stats()) {
+      for (std::size_t i = 0; i < std::size(kPoints); ++i) {
+        if (p.name == kPoints[i]) out[i] = p.hits;
+      }
+    }
+    return out;
+  };
+  auto delta = [&](const std::function<void()>& call) {
+    const std::array<std::uint64_t, 3> before = hits();
+    call();
+    const std::array<std::uint64_t, 3> after = hits();
+    return std::array<std::uint64_t, 3>{after[0] - before[0], after[1] - before[1],
+                                        after[2] - before[2]};
+  };
+  using Hits = std::array<std::uint64_t, 3>;
+  const Hits jpeg{1, 0, 0};
+  const Hits png{0, 1, 0};
+  const Hits webp{0, 0, 1};
+  const Hits none{0, 0, 0};
+  const Raster img = alpha_raster();
+  const auto encode = [&](ImageFormat format, int quality, EntropyBackend backend) {
+    return [&img, format, quality, backend] {
+      (void)codec_for(format).encode(img, quality, backend);
+    };
+  };
+  const auto prepare = [&](ImageFormat format) {
+    return [&img, format] { (void)codec_for(format).prepare(img); };
+  };
+
+  for (const EntropyBackend backend : {EntropyBackend::kHuffman, EntropyBackend::kRans}) {
+    for (const int q : {75, 100}) {
+      SCOPED_TRACE(testing::Message() << "q=" << q << " backend=" << static_cast<int>(backend));
+      EXPECT_EQ(delta(encode(ImageFormat::kJpeg, q, backend)), jpeg);
+      EXPECT_EQ(delta(encode(ImageFormat::kPng, q, backend)), png);
+      EXPECT_EQ(delta(encode(ImageFormat::kWebp, q, backend)), webp);
+    }
+  }
+  EXPECT_EQ(delta(prepare(ImageFormat::kJpeg)), jpeg);
+  EXPECT_EQ(delta(prepare(ImageFormat::kPng)), none);
+  EXPECT_EQ(delta(prepare(ImageFormat::kWebp)), webp);
+
+  const std::pair<ImageFormat, Hits> formats[] = {
+      {ImageFormat::kJpeg, jpeg}, {ImageFormat::kPng, png}, {ImageFormat::kWebp, webp}};
+  for (const auto& [format, want] : formats) {
+    const Codec& codec = codec_for(format);
+    const Codec::PreparedPtr prep = codec.prepare(img);
+    for (const EntropyBackend backend : {EntropyBackend::kHuffman, EntropyBackend::kRans}) {
+      for (const int q : {75, 100}) {
+        SCOPED_TRACE(testing::Message() << "prepared format=" << static_cast<int>(format)
+                                        << " q=" << q);
+        EXPECT_EQ(delta([&] { (void)codec.encode_prepared(*prep, q, backend); }), want);
+      }
+    }
+  }
+}
 
 TEST_F(EncodeOnceFaultTest, PrepareFiresTheCodecFaultPoint) {
   fault::configure("codec.jpeg.encode", {.probability = 1.0});

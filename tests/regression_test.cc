@@ -140,6 +140,64 @@ TEST_F(GoldenValues, RansLadderBlobsAndDecodedPixelsAreFrozen) {
   }
 }
 
+// The two ways into a codec: one call, or the quality-independent half once
+// and then one rung.
+imaging::Encoded encode_single(imaging::ImageFormat format, const imaging::Raster& img,
+                               int quality, imaging::EntropyBackend backend) {
+  return imaging::codec_for(format).encode(img, quality, backend);
+}
+
+imaging::Encoded encode_factored(imaging::ImageFormat format, const imaging::Raster& img,
+                                 int quality, imaging::EntropyBackend backend) {
+  const imaging::Codec& codec = imaging::codec_for(format);
+  return codec.encode_prepared(*codec.prepare(img), quality, backend);
+}
+
+TEST_F(GoldenValues, CodecOutputsAreFrozen) {
+  // Every format's wire accounting, rANS payload and decoded pixels at both
+  // ends of the quality range and two mid rungs, under both backends and
+  // through both entry paths, for an opaque photo and a logo with a real
+  // alpha gradient (kept by WebP and PNG, composited by JPEG). Covers what
+  // the ladder pins do not: WebP under rANS, header_bytes, q=1 and q=100.
+  Rng photo_rng(2401);
+  const imaging::Raster photo =
+      imaging::synth_image(photo_rng, imaging::ImageClass::kPhoto, 75, 53);
+  Rng logo_rng(2402);
+  imaging::Raster logo = imaging::synth_image(logo_rng, imaging::ImageClass::kLogo, 42, 34);
+  for (int y = 0; y < logo.height(); ++y) {
+    for (int x = 0; x < logo.width(); ++x) {
+      logo.at(x, y).a = static_cast<std::uint8_t>(40 + (x * 5 + y * 3) % 215);
+    }
+  }
+  const std::pair<const char*, const imaging::Raster*> images[] = {{"photo", &photo},
+                                                                  {"logo", &logo}};
+  const imaging::ImageFormat formats[] = {imaging::ImageFormat::kJpeg,
+                                          imaging::ImageFormat::kWebp,
+                                          imaging::ImageFormat::kPng};
+  // [image][format], formats in the order above.
+  const std::uint64_t kDigest[2][3] = {
+      {15336012462159651916ull, 12314780146133911756ull, 4201138528879571520ull},
+      {13333915993611584224ull, 17619610655303678364ull, 1301317553626170528ull}};
+  for (std::size_t i = 0; i < std::size(images); ++i) {
+    for (std::size_t f = 0; f < std::size(formats); ++f) {
+      std::uint64_t h = 0;
+      for (const auto encode : {encode_single, encode_factored}) {
+        for (const int q : {1, 35, 85, 100}) {
+          for (const imaging::EntropyBackend backend :
+               {imaging::EntropyBackend::kHuffman, imaging::EntropyBackend::kRans}) {
+            const imaging::Encoded enc = encode(formats[f], *images[i].second, q, backend);
+            h = hash_mix(h, static_cast<std::uint64_t>(enc.bytes));
+            h = hash_mix(h, static_cast<std::uint64_t>(enc.header_bytes));
+            h = hash_mix(h, digest(enc.payload));
+            h = hash_mix(h, digest(enc.decoded));
+          }
+        }
+      }
+      EXPECT_EQ(h, kDigest[i][f]) << images[i].first << " format " << f;
+    }
+  }
+}
+
 TEST_F(GoldenValues, TierQualityIsFrozen) {
   // The quality layer's behavioural guard: every tier's QSS/QFS/quality bit
   // patterns, bytes and algorithm, over a seeded rich corpus with QFS on,
