@@ -20,7 +20,7 @@ imaging::Raster photo(int dim) {
 void BM_JpegEncode(benchmark::State& state) {
   const imaging::Raster img = photo(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(imaging::jpeg_encode(img, 80).bytes);
+    benchmark::DoNotOptimize(imaging::encode(imaging::ImageFormat::kJpeg, img, 80).bytes);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -29,7 +29,7 @@ BENCHMARK(BM_JpegEncode)->Arg(64)->Arg(128);
 void BM_WebpEncode(benchmark::State& state) {
   const imaging::Raster img = photo(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(imaging::webp_encode(img, 80).bytes);
+    benchmark::DoNotOptimize(imaging::encode(imaging::ImageFormat::kWebp, img, 80).bytes);
   }
 }
 BENCHMARK(BM_WebpEncode)->Arg(64)->Arg(128);
@@ -37,7 +37,7 @@ BENCHMARK(BM_WebpEncode)->Arg(64)->Arg(128);
 void BM_PngEncode(benchmark::State& state) {
   const imaging::Raster img = photo(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(imaging::png_encode(img).bytes);
+    benchmark::DoNotOptimize(imaging::encode(imaging::ImageFormat::kPng, img, 100).bytes);
   }
 }
 BENCHMARK(BM_PngEncode)->Arg(64)->Arg(128);

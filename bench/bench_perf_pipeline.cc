@@ -222,7 +222,7 @@ int main(int argc, char** argv) {
   Rng img_rng(42);
   const imaging::Raster photo = imaging::synth_image(img_rng, imaging::ImageClass::kPhoto,
                                                      448, 336);
-  const imaging::Encoded degraded = imaging::jpeg_encode(photo, 40);
+  const imaging::Encoded degraded = imaging::encode(imaging::ImageFormat::kJpeg, photo, 40);
   const imaging::PlaneF luma_a = imaging::luma_plane(photo);
   const imaging::PlaneF luma_b = imaging::luma_plane(degraded.decoded);
 
@@ -247,16 +247,16 @@ int main(int argc, char** argv) {
   // bit-identical (bytes and every decoded pixel) — the whole design rests
   // on quality only touching the post-DCT half of the pipeline. ---
   const std::vector<int> ladder_steps = {92, 85, 75, 65, 55, 45, 35};
-  const imaging::Codec& jpeg = imaging::codec_for(imaging::ImageFormat::kJpeg);
+  const imaging::ImageFormat jpeg = imaging::ImageFormat::kJpeg;
   std::vector<imaging::Encoded> single_shot, factored;
   const double ladder_single_ms = time_best_ms(options.repeat, [&] {
     single_shot.clear();
-    for (const int q : ladder_steps) single_shot.push_back(jpeg.encode(photo, q));
+    for (const int q : ladder_steps) single_shot.push_back(imaging::encode(jpeg, photo, q));
   });
   const double ladder_factored_ms = time_best_ms(options.repeat, [&] {
     factored.clear();
-    const imaging::Codec::PreparedPtr prep = jpeg.prepare(photo);
-    for (const int q : ladder_steps) factored.push_back(jpeg.encode_prepared(*prep, q));
+    const imaging::Prepared prep = imaging::prepare(jpeg, photo);
+    for (const int q : ladder_steps) factored.push_back(imaging::encode_prepared(prep, q));
   });
   for (std::size_t i = 0; i < ladder_steps.size(); ++i) {
     if (single_shot[i].bytes != factored[i].bytes ||
@@ -283,10 +283,9 @@ int main(int argc, char** argv) {
   std::vector<imaging::Encoded> rans_ladder;
   const double ladder_rans_ms = time_best_ms(options.repeat, [&] {
     rans_ladder.clear();
-    const imaging::Codec::PreparedPtr prep = jpeg.prepare(photo);
+    const imaging::Prepared prep = imaging::prepare(jpeg, photo);
     for (const int q : ladder_steps) {
-      rans_ladder.push_back(
-          jpeg.encode_prepared(*prep, q, imaging::EntropyBackend::kRans));
+      rans_ladder.push_back(imaging::encode_prepared(prep, q, imaging::EntropyBackend::kRans));
     }
   });
 
@@ -308,7 +307,7 @@ int main(int argc, char** argv) {
   // Decode inputs prepared outside the timers: levels for the Huffman path,
   // payload blobs for the rANS path.
   const imaging::detail::LossyParams jpeg_params =
-      imaging::detail::lossy_params_for(imaging::ImageFormat::kJpeg);
+      imaging::detail::lossy_params_for(jpeg);
   const imaging::detail::PreparedLossy prep_lossy =
       imaging::detail::prepare_lossy(photo, jpeg_params);
   std::vector<imaging::detail::DecodedLossy> ladder_levels;

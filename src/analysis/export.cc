@@ -25,7 +25,6 @@ CsvWriter::CsvWriter(const std::filesystem::path& path, std::vector<std::string>
   AW4A_EXPECTS(!header.empty());
   if (path.has_parent_path()) std::filesystem::create_directories(path.parent_path());
   row(header);
-  rows_ = 0;  // the header does not count
 }
 
 CsvWriter::~CsvWriter() {
@@ -40,7 +39,6 @@ void CsvWriter::row(std::span<const std::string> cells) {
     buffer_ += csv_escape(cells[i]);
   }
   buffer_ += '\n';
-  ++rows_;
 }
 
 void CsvWriter::row_values(std::span<const double> values) {

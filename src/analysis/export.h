@@ -24,11 +24,8 @@ class CsvWriter {
   void row(std::span<const std::string> cells);
   void row_values(std::span<const double> values);
 
-  std::size_t rows_written() const { return rows_; }
-
  private:
   std::size_t columns_;
-  std::size_t rows_ = 0;
   std::string buffer_;
   std::filesystem::path path_;
 };

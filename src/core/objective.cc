@@ -90,7 +90,7 @@ std::optional<imaging::ImageVariant> LadderCache::placeholder_rung(
   if (!options_.placeholder_rung) return std::nullopt;
   AW4A_EXPECTS(object.type == web::ObjectType::kImage);
   AW4A_EXPECTS(object.image != nullptr);
-  return imaging::placeholder_variant(*object.image, options_, object.alt_text.size());
+  return imaging::placeholder_variant(*object.image, object.alt_text.size());
 }
 
 std::vector<const web::WebObject*> rich_images(const web::WebPage& page) {

@@ -82,6 +82,8 @@ double QfsCache::score(const web::ServedPage& served) {
   return qfs;
 }
 
+std::size_t QfsCache::views() const { return memo_.size(); }
+
 double QfsCache::render_and_score(const web::ServedPage& view) {
   // Each event's score depends only on its (original state, view state)
   // pair, so a pair seen earlier in this view reuses its score. Scores are

@@ -49,8 +49,9 @@ class QfsCache {
   double score(const web::ServedPage& served);
 
   const web::WebPage& page() const { return *page_; }
-  /// Distinct views scored so far (each rendered exactly once).
-  std::size_t views() const { return memo_.size(); }
+  /// Distinct views scored so far (each rendered exactly once): the only
+  /// observable of memo hits. Defined out of line so tools/reach.sh sees it.
+  std::size_t views() const;
 
  private:
   struct Entry {

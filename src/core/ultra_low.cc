@@ -67,7 +67,7 @@ TranscodeResult build_text_only(const web::WebPage& page, LadderCache& ladders,
 }
 
 TranscodeResult build_markup_rewrite(const web::WebPage& page,
-                                     const imaging::LadderOptions& options,
+                                     const imaging::LadderOptions& /*options*/,
                                      const QualityWeights& weights, bool measure_qfs,
                                      const obs::RequestContext& ctx) {
   AW4A_SPAN(ctx, "ultra.markup_rewrite");
@@ -75,7 +75,7 @@ TranscodeResult build_markup_rewrite(const web::WebPage& page,
   ctx.check("ultra.markup_rewrite");
 
   web::ServedPage served = web::serve_original(page);
-  web::apply_markup_rewrite(served, options);
+  web::apply_markup_rewrite(served);
 
   // Scored one-shot: with every script dropped, the rewrite's functional
   // view never matches another tier's, so a memo could only add a copy.

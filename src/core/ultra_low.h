@@ -34,6 +34,8 @@ TranscodeResult build_text_only(const web::WebPage& page, LadderCache& ladders,
 
 /// Builds the markup-rewrite tier: one AWML blob plus per-object decisions
 /// consistent with its contents (web::apply_markup_rewrite).
+/// `options` is unused (the placeholder rung is the same under every
+/// LadderOptions); originbench calls this signature.
 TranscodeResult build_markup_rewrite(const web::WebPage& page,
                                      const imaging::LadderOptions& options,
                                      const QualityWeights& weights, bool measure_qfs,

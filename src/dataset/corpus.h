@@ -28,7 +28,6 @@ struct CompositionProfile {
   double share[7] = {0};
 
   double& of(web::ObjectType t) { return share[static_cast<int>(t)]; }
-  double of(web::ObjectType t) const { return share[static_cast<int>(t)]; }
 };
 
 struct CorpusOptions {
@@ -80,12 +79,6 @@ class CorpusGenerator {
   };
   Site make_site(Rng& rng, Bytes landing_target, const CompositionProfile& profile,
                  int inner_count) const;
-
-  /// The shared asset pool (empty unless rich && rate > 0); exposed so
-  /// tests can pin the realized duplication rate against pool membership.
-  const std::vector<std::shared_ptr<const imaging::SourceImage>>& shared_assets() const {
-    return shared_assets_;
-  }
 
   /// The paper's 10 user-study sites (§4.2), as rich pages with fixed seeds:
   /// google/yahoo/microsoft/imdb/wordpress/amazon/stackoverflow/youtube .com,

@@ -1,10 +1,12 @@
-// Image codec interface.
+// Image codec front door: encode(), prepare() and encode_prepared().
 //
-// Three codecs model the formats the paper's pipeline manipulates:
+// Three formats model what the paper's pipeline manipulates:
 //   jpeg-like  lossy, DCT + quantization, no alpha, entropy-cost back end
 //   png-like   lossless, per-row filtering + LZ cost (supports alpha)
 //   webp-like  lossy and lossless modes; better entropy back end than JPEG
 //              and alpha support, mirroring why the paper transcodes PNG->WebP
+// Each entry point switches on the format into one lossy and one lossless
+// path; within a path, formats differ only by parameters (codec.cc).
 //
 // Encoding returns both the output size in bytes and the decoded raster, so
 // SSIM can be computed against the original — exactly the data the optimizer
@@ -12,17 +14,19 @@
 //
 // Quality ladders use the factored entry points: prepare() runs the
 // quality-independent work (color conversion + forward DCT for the lossy
-// codecs) once, and encode_prepared() derives each rung from the shared
+// formats) once, and encode_prepared() derives each rung from the shared
 // coefficient blocks. prepare()+encode_prepared() is bit-identical to
-// encode() — the single-shot path is literally that composition — so ladder
+// encode() — the single-shot path runs the same two halves — so ladder
 // enumeration and one-off encodes can never diverge.
+//
+// Every call hits its format's fault point ("codec.<fmt>.encode") once,
+// except prepare(kPng), which only copies pixels and hits none.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
+#include "imaging/dct.h"
 #include "imaging/raster.h"
 #include "util/bytes.h"
 
@@ -57,62 +61,54 @@ struct Encoded {
   Bytes payload_bytes() const { return bytes > header_bytes ? bytes - header_bytes : 1; }
 };
 
-/// Common interface so the optimizer can treat formats uniformly.
-class Codec {
- public:
-  /// Opaque result of the quality-independent half of an encode (forward
-  /// DCT coefficient planes for the lossy codecs, the raster itself for
-  /// lossless ones). Obtained from prepare(), consumed by encode_prepared()
-  /// of the SAME codec.
-  class Prepared {
-   public:
-    virtual ~Prepared() = default;
-  };
-  using PreparedPtr = std::shared_ptr<const Prepared>;
+namespace detail {
 
-  virtual ~Codec() = default;
-
-  virtual ImageFormat format() const = 0;
-
-  /// True if the codec can represent transparency.
-  virtual bool supports_alpha() const = 0;
-
-  /// Encodes at `quality` in [1, 100] (ignored by lossless codecs).
-  virtual Encoded encode(const Raster& img, int quality,
-                         EntropyBackend backend = EntropyBackend::kHuffman) const = 0;
-
-  /// Runs the quality-independent encode work once. The default
-  /// implementation holds a copy of the raster, making encode_prepared()
-  /// equivalent to encode() for codecs with nothing to factor (PNG).
-  /// Backend-independent: the entropy coder is downstream of the DCT.
-  virtual PreparedPtr prepare(const Raster& img) const;
-
-  /// Encodes one quality rung from a prepare() result. Bit-identical to
-  /// encode(img, quality, backend) on the raster prepare() was given.
-  virtual Encoded encode_prepared(const Prepared& prep, int quality,
-                                  EntropyBackend backend = EntropyBackend::kHuffman) const;
+// Defined here rather than in codec_detail.h because Prepared holds it by
+// value.
+/// The quality-independent half of a lossy encode: YCbCr conversion, 4:2:0
+/// subsampling, and the forward DCT of all three planes — plus the alpha
+/// plane cost, which quality does not touch either. Everything a quality
+/// rung needs beyond this is re-quantization and entropy coding of the
+/// coefficient blocks, so a ladder of N rungs pays the transform once
+/// instead of N times.
+struct PreparedLossy {
+  int width = 0;
+  int height = 0;
+  bool keep_alpha = false;
+  CoeffPlane luma;
+  CoeffPlane cb;  ///< subsampled 2x
+  CoeffPlane cr;  ///< subsampled 2x
+  Bytes alpha_cost = 0;                ///< alpha_plane_cost() when keep_alpha
+  std::vector<std::uint8_t> alpha;     ///< original alpha bytes when keep_alpha
 };
 
-/// Returns the singleton codec for a format.
-const Codec& codec_for(ImageFormat f);
+}  // namespace detail
 
-/// Free-function encoders (the Codec singletons delegate to these).
-Encoded jpeg_encode(const Raster& img, int quality,
-                    EntropyBackend backend = EntropyBackend::kHuffman);
-Encoded png_encode(const Raster& img);                  ///< lossless
-Encoded webp_encode(const Raster& img, int quality,     ///< lossy + alpha plane
-                    EntropyBackend backend = EntropyBackend::kHuffman);
-Encoded webp_lossless_encode(const Raster& img);
+/// The quality-independent half of an encode, made by prepare() and
+/// consumed by encode_prepared(). Backend-independent: the entropy coder is
+/// downstream of the DCT.
+struct Prepared {
+  ImageFormat format = ImageFormat::kJpeg;
+  /// JPEG and WebP: the forward-DCT coefficient planes.
+  detail::PreparedLossy planes;
+  /// PNG, and WebP (whose q >= 100 mode is the lossless encoder): the
+  /// pixels. Empty for JPEG.
+  Raster raster;
+};
 
-/// Factored lossy entry points (the Codec singletons delegate to these).
-/// Each fires the same "codec.<fmt>.encode" fault point as the single-shot
-/// encoder, so retry and fault-injection behavior is uniform per invocation.
-Codec::PreparedPtr jpeg_prepare(const Raster& img);
-Encoded jpeg_encode_prepared(const Codec::Prepared& prep, int quality,
-                             EntropyBackend backend = EntropyBackend::kHuffman);
-Codec::PreparedPtr webp_prepare(const Raster& img);
-Encoded webp_encode_prepared(const Codec::Prepared& prep, int quality,
-                             EntropyBackend backend = EntropyBackend::kHuffman);
+/// Encodes `img` as `format` at `quality` in [1, 100]. PNG ignores quality;
+/// WebP at quality >= 100 is lossless. Lossless encodes ignore `backend`.
+Encoded encode(ImageFormat format, const Raster& img, int quality,
+               EntropyBackend backend = EntropyBackend::kHuffman);
+
+/// Runs the quality-independent half of encode(format, img, ...) once.
+Prepared prepare(ImageFormat format, const Raster& img);
+
+/// Encodes one quality rung from a prepare() result. Bit-identical to
+/// encode(prep.format, img, quality, backend) on the raster prepare() was
+/// given.
+Encoded encode_prepared(const Prepared& prep, int quality,
+                        EntropyBackend backend = EntropyBackend::kHuffman);
 
 /// Decodes an EntropyBackend::kRans payload blob back to the raster. The
 /// result is bit-identical to the `Encoded.decoded` the encoder returned

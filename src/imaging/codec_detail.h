@@ -1,6 +1,6 @@
 // Shared internals of the lossy (DCT) codecs and the lossless filter path.
-// Not part of the public API; included only by the codec .cc files and tests
-// that validate the cost model.
+// Not part of the public API; included only by codec.cc and tests that
+// validate the cost model.
 #pragma once
 
 #include <cstdint>
@@ -30,64 +30,21 @@ struct LossyParams {
   EntropyBackend entropy = EntropyBackend::kHuffman;
 };
 
-/// The lossy-family knobs for a format (entropy left at kHuffman; callers
-/// overlay the requested backend). Only kJpeg and kWebp are lossy.
-LossyParams lossy_params_for(ImageFormat format);
+/// The lossy-family knobs for a format, coded with `entropy`. Only kJpeg and
+/// kWebp are lossy.
+LossyParams lossy_params_for(ImageFormat format,
+                             EntropyBackend entropy = EntropyBackend::kHuffman);
 
-/// Calibration of solver-facing byte estimates across entropy backends.
-/// kRansVsHuffman is the measured mean ratio of real rANS payload bytes to
-/// the Huffman-model payload estimate over the synth corpus x the default
-/// quality ladder; ImagingAnsTest.EntropyCostCalibration pins it with a
-/// tolerance band so drift in either coder shows up in CI.
-struct EntropyCost {
-  static constexpr double kRansVsHuffman = 0.86;
-
-  static double payload_multiplier(EntropyBackend backend) {
-    return backend == EntropyBackend::kRans ? kRansVsHuffman : 1.0;
-  }
-};
-
-/// The quality-independent half of a lossy encode: YCbCr conversion, 4:2:0
-/// subsampling, and the forward DCT of all three planes — plus the alpha
-/// plane cost, which quality does not touch either. Everything a quality
-/// rung needs beyond this is re-quantization and entropy coding of the
-/// coefficient blocks, so a ladder of N rungs pays the transform once
-/// instead of N times.
-struct PreparedLossy {
-  int width = 0;
-  int height = 0;
-  bool keep_alpha = false;
-  CoeffPlane luma;
-  CoeffPlane cb;  ///< subsampled 2x
-  CoeffPlane cr;  ///< subsampled 2x
-  Bytes alpha_cost = 0;                ///< alpha_plane_cost() when keep_alpha
-  std::vector<std::uint8_t> alpha;     ///< original alpha bytes when keep_alpha
-};
-
-/// Runs the quality-independent half of lossy_encode(). Only `params.alpha`
+/// Runs the quality-independent half of a lossy encode. Only `params.alpha`
 /// affects the result (it selects composite-over-white vs. kept alpha);
 /// the quality-dependent knobs are consumed by lossy_encode_prepared().
 PreparedLossy prepare_lossy(const Raster& img, const LossyParams& params);
 
-/// The concrete Codec::Prepared of the lossy codecs (jpeg and webp .cc files
-/// downcast to this).
-struct LossyPreparedImage final : Codec::Prepared {
-  PreparedLossy planes;
-  /// Retained only by WebP, whose quality >= 100 mode is the lossless
-  /// encoder and needs pixels, not coefficients. Empty for JPEG.
-  Raster raster;
-};
-
 /// The per-quality tail: scaled quantization tables, entropy-cost
-/// accumulation, and the dequantize + inverse DCT reconstruction. Encoding
-/// via prepare_lossy() + this function is bit-identical to lossy_encode() —
-/// lossy_encode() IS this composition.
+/// accumulation, and the dequantize + inverse DCT reconstruction. A
+/// single-shot encode() IS prepare_lossy() + this function.
 Encoded lossy_encode_prepared(const PreparedLossy& prep, int quality,
                               const LossyParams& params);
-
-/// Full encode: 4:2:0 YCbCr DCT quantization with an optimal-Huffman entropy
-/// cost estimate. Returns wire bytes and the decoded raster.
-Encoded lossy_encode(const Raster& img, int quality, const LossyParams& params);
 
 /// The quantized coefficient levels of every plane at one quality rung —
 /// exactly what the entropy backends code. Blocks in row-major order, 64

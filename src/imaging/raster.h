@@ -32,9 +32,6 @@ class Raster {
   int width() const { return width_; }
   int height() const { return height_; }
   bool empty() const { return width_ == 0 || height_ == 0; }
-  std::size_t pixel_count() const {
-    return static_cast<std::size_t>(width_) * static_cast<std::size_t>(height_);
-  }
 
   // Accessors are defined inline: the resize/codec/SSIM hot loops make tens
   // of millions of per-pixel calls, and an out-of-line definition would turn

@@ -59,23 +59,22 @@ const char* encode_span_name(ImageFormat format) {
 // Every codec invocation funnels through here: a single transient encoder
 // fault (crashed worker, injected fault) is retried once before the error
 // escapes to the tier-build ladder. The prepare/encode_prepared pair gets
-// the same treatment — each fires the codec's fault point per invocation.
+// the same treatment — each hits the format's fault point per invocation.
 constexpr int kCodecAttempts = 2;
 
 Encoded encode_retrying(ImageFormat format, const Raster& raster, int quality,
                         EntropyBackend backend = EntropyBackend::kHuffman) {
-  return retry_transient([&] { return codec_for(format).encode(raster, quality, backend); },
+  return retry_transient([&] { return encode(format, raster, quality, backend); },
                          kCodecAttempts);
 }
 
-Codec::PreparedPtr prepare_retrying(ImageFormat format, const Raster& raster) {
-  return retry_transient([&] { return codec_for(format).prepare(raster); }, kCodecAttempts);
+Prepared prepare_retrying(ImageFormat format, const Raster& raster) {
+  return retry_transient([&] { return prepare(format, raster); }, kCodecAttempts);
 }
 
-Encoded encode_prepared_retrying(ImageFormat format, const Codec::Prepared& prep, int quality,
-                                 EntropyBackend backend = EntropyBackend::kHuffman) {
-  return retry_transient(
-      [&] { return codec_for(format).encode_prepared(prep, quality, backend); }, kCodecAttempts);
+Encoded encode_prepared_retrying(const Prepared& prep, int quality, EntropyBackend backend) {
+  return retry_transient([&] { return encode_prepared(prep, quality, backend); },
+                         kCodecAttempts);
 }
 
 // Ladder-measurement work counters (build_work_stats). Bumped at the
@@ -89,6 +88,30 @@ std::atomic<std::uint64_t> g_prepares{0};
 void count_encode(const Encoded& enc) {
   g_encodes.fetch_add(1, std::memory_order_relaxed);
   g_encoded_bytes.fetch_add(static_cast<std::uint64_t>(enc.bytes), std::memory_order_relaxed);
+}
+
+// The tail every variant measurement shares: the work counters, page-scale
+// bytes, and SSIM of the original's luma against the decode redisplayed at
+// the original's size. `original_luma` is called inside the "ssim" span, so
+// extracting the luma is charged to SSIM like the comparison it serves.
+template <typename LumaFn>
+ImageVariant finish_measurement(const Encoded& enc, const SourceImage& asset,
+                                ImageFormat format, double scale, int quality,
+                                const obs::RequestContext& ctx, LumaFn&& original_luma) {
+  count_encode(enc);
+  ImageVariant v;
+  v.format = format;
+  v.scale = scale;
+  v.quality = quality;
+  v.bytes = wire_header_bytes() +
+            static_cast<Bytes>(std::llround(static_cast<double>(enc.payload_bytes()) *
+                                            asset.byte_scale));
+  {
+    AW4A_SPAN(ctx, "ssim");
+    v.ssim = ssim(original_luma(), redisplay_luma(enc.decoded, asset.original.width(),
+                                                  asset.original.height()));
+  }
+  return v;
 }
 
 }  // namespace
@@ -159,20 +182,8 @@ ImageVariant measure_variant(const SourceImage& asset, ImageFormat format, doubl
     AW4A_SPAN(ctx, encode_span_name(format));
     return encode_retrying(format, reduced, quality, backend);
   }();
-  count_encode(enc);
-  ImageVariant v;
-  v.format = format;
-  v.scale = scale;
-  v.quality = quality;
-  v.bytes = wire_header_bytes() +
-            static_cast<Bytes>(std::llround(static_cast<double>(enc.payload_bytes()) *
-                                            asset.byte_scale));
-  {
-    AW4A_SPAN(ctx, "ssim");
-    v.ssim = ssim(luma_plane(asset.original),
-                  redisplay_luma(enc.decoded, asset.original.width(), asset.original.height()));
-  }
-  return v;
+  return finish_measurement(enc, asset, format, scale, quality, ctx,
+                            [&] { return luma_plane(asset.original); });
 }
 
 const PlaneF& VariantLadder::original_luma() const {
@@ -188,28 +199,6 @@ const Raster& VariantLadder::reduced_raster(double scale) const {
   return reduced_cache_.back().second;
 }
 
-ImageVariant VariantLadder::finish_measurement(const Encoded& enc, ImageFormat format,
-                                               double scale, int quality,
-                                               const obs::RequestContext& ctx) const {
-  count_encode(enc);
-  ImageVariant v;
-  v.format = format;
-  v.scale = scale;
-  v.quality = quality;
-  v.bytes = wire_header_bytes() +
-            static_cast<Bytes>(std::llround(static_cast<double>(enc.payload_bytes()) *
-                                            asset_->byte_scale));
-  // Cached-luma path: the original's luma is extracted once per ladder; the
-  // variant's redisplayed luma comes straight from the decoded raster in one
-  // fused pass — identical scores to comparing redisplayed rasters.
-  {
-    AW4A_SPAN(ctx, "ssim");
-    v.ssim = ssim(original_luma(), redisplay_luma(enc.decoded, asset_->original.width(),
-                                                  asset_->original.height()));
-  }
-  return v;
-}
-
 ImageVariant VariantLadder::measure(ImageFormat format, double scale, int quality,
                                     const obs::RequestContext& ctx) const {
   ctx.check("imaging.measure");
@@ -218,18 +207,19 @@ ImageVariant VariantLadder::measure(ImageFormat format, double scale, int qualit
     AW4A_SPAN(ctx, encode_span_name(format));
     return encode_retrying(format, reduced, quality, options_.entropy_backend);
   }();
-  return finish_measurement(enc, format, scale, quality, ctx);
+  return finish_measurement(enc, *asset_, format, scale, quality, ctx,
+                            [this]() -> const PlaneF& { return original_luma(); });
 }
 
-ImageVariant VariantLadder::measure_prepared(ImageFormat format, const Codec::Prepared& prep,
-                                             double scale, int quality,
+ImageVariant VariantLadder::measure_prepared(const Prepared& prep, double scale, int quality,
                                              const obs::RequestContext& ctx) const {
   ctx.check("imaging.measure");
   Encoded enc = [&] {
-    AW4A_SPAN(ctx, encode_span_name(format));
-    return encode_prepared_retrying(format, prep, quality, options_.entropy_backend);
+    AW4A_SPAN(ctx, encode_span_name(prep.format));
+    return encode_prepared_retrying(prep, quality, options_.entropy_backend);
   }();
-  return finish_measurement(enc, format, scale, quality, ctx);
+  return finish_measurement(enc, *asset_, prep.format, scale, quality, ctx,
+                            [this]() -> const PlaneF& { return original_luma(); });
 }
 
 const std::vector<ImageVariant>& VariantLadder::resolution_family(
@@ -260,9 +250,8 @@ const std::vector<ImageVariant>& VariantLadder::quality_family(ImageFormat forma
       // Encode-once ladder: every rung shares one full-resolution raster, so
       // the quality-independent work (color conversion + forward DCT) runs
       // once — created lazily at the first rung so an all-skipped ladder
-      // pays nothing. encode_prepared() is bit-identical to encode(), per
-      // the Codec contract.
-      Codec::PreparedPtr prep;
+      // pays nothing. encode_prepared() is bit-identical to encode().
+      std::optional<Prepared> prep;
       for (const int q : kQualitySteps) {
         if (q >= asset_->ship_quality) continue;  // upcoding never helps
         if (!prep) {
@@ -271,7 +260,7 @@ const std::vector<ImageVariant>& VariantLadder::quality_family(ImageFormat forma
           prep = prepare_retrying(format, reduced_raster(1.0));
           g_prepares.fetch_add(1, std::memory_order_relaxed);
         }
-        ImageVariant v = measure_prepared(format, *prep, 1.0, q, ctx);
+        ImageVariant v = measure_prepared(*prep, 1.0, q, ctx);
         const double ssim_v = v.ssim;
         family.push_back(std::move(v));
         if (ssim_v < options_.min_ssim) break;
@@ -351,8 +340,7 @@ void VariantLadder::warm(const obs::RequestContext& ctx) {
   resolution_family(ImageFormat::kWebp, ctx);
 }
 
-ImageVariant placeholder_variant(const SourceImage& asset, const LadderOptions& /*options*/,
-                                 std::size_t alt_text_chars) {
+ImageVariant placeholder_variant(const SourceImage& asset, std::size_t alt_text_chars) {
   // Pure arithmetic: no encode, no RNG, no memoization needed. The wire cost
   // is the placeholder markup (a sized box + border) plus the alt text, which
   // compresses like prose (~2.6x); both are page-scale bytes already, so

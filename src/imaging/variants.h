@@ -114,10 +114,9 @@ Raster render_variant(const SourceImage& asset, const ImageVariant& v);
 /// byte cost is the markup of a placeholder box plus the (compressible) alt
 /// text; the quality point is kPlaceholderBaseSimilarity, raised by
 /// descriptive alt text (kPlaceholderAltBonus). Deterministic in (asset,
-/// alt_text_chars) only — the rung is the same under every `options` — and
-/// safe to compute outside the memoized families.
-ImageVariant placeholder_variant(const SourceImage& asset, const LadderOptions& options,
-                                 std::size_t alt_text_chars);
+/// alt_text_chars) only — the rung is the same under every LadderOptions —
+/// and safe to compute outside the memoized families.
+ImageVariant placeholder_variant(const SourceImage& asset, std::size_t alt_text_chars);
 
 /// Renders what the placeholder rung shows on screen: a flat quiet box with a
 /// thin border and text-like stripes derived from the alt text length —
@@ -142,7 +141,7 @@ struct VariantMemo {
 struct BuildWorkStats {
   std::uint64_t encodes = 0;        ///< variant measurements that ran a codec
   std::uint64_t encoded_bytes = 0;  ///< encoder output bytes (proxy scale)
-  std::uint64_t prepares = 0;       ///< Codec::prepare calls (forward DCT work)
+  std::uint64_t prepares = 0;       ///< prepare() calls (forward DCT work)
 };
 BuildWorkStats build_work_stats();
 void reset_build_work_stats();
@@ -165,7 +164,6 @@ class VariantLadder {
  public:
   VariantLadder(std::shared_ptr<const SourceImage> asset, LadderOptions options = {});
 
-  const SourceImage& asset() const { return *asset_; }
   const LadderOptions& options() const { return options_; }
 
   /// The as-shipped variant (scale 1, SSIM 1, shipped bytes).
@@ -185,7 +183,7 @@ class VariantLadder {
 
   /// Quality family at full resolution in `format` (lossy formats only; for
   /// PNG this returns just the original since PNG is lossless). The rungs
-  /// share one Codec::prepare() of the full-resolution raster, so the
+  /// share one prepare() of the full-resolution raster, so the
   /// forward DCT runs once for the whole family; outputs are bit-identical
   /// to per-rung single-shot encodes.
   const std::vector<ImageVariant>& quality_family(
@@ -232,17 +230,12 @@ class VariantLadder {
   ImageVariant measure(ImageFormat format, double scale, int quality,
                        const obs::RequestContext& ctx) const;
 
-  /// measure() with the encode split at the Codec prepare/encode_prepared
-  /// seam: `prep` must come from codec_for(format).prepare() on the raster
-  /// the variant represents. quality_family() uses this to run the forward
-  /// DCT once per ladder instead of once per rung.
-  ImageVariant measure_prepared(ImageFormat format, const Codec::Prepared& prep, double scale,
-                                int quality, const obs::RequestContext& ctx) const;
-
-  /// Shared tail of measure()/measure_prepared(): redisplay, page-scale
-  /// bytes, SSIM vs the cached original luma.
-  ImageVariant finish_measurement(const Encoded& enc, ImageFormat format, double scale,
-                                  int quality, const obs::RequestContext& ctx) const;
+  /// measure() with the encode split at the prepare/encode_prepared seam:
+  /// `prep` must come from prepare() on the raster the variant represents.
+  /// quality_family() uses this to run the forward DCT once per ladder
+  /// instead of once per rung.
+  ImageVariant measure_prepared(const Prepared& prep, double scale, int quality,
+                                const obs::RequestContext& ctx) const;
 
   /// Luma of the original, extracted on first use: every variant measurement
   /// compares against the same original, so its luma is computed once per

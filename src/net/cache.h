@@ -79,7 +79,6 @@ class LruByteCache {
   /// (0 on a fresh hit, the transfer size on miss/stale/no-store).
   Bytes fetch(const CacheItem& item, std::uint64_t now_seconds);
 
-  Bytes used() const { return lru_.total_cost(); }
   Bytes capacity() const { return capacity_; }
 
   /// Empties the cache (models an OS-initiated clear under memory pressure).

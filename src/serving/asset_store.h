@@ -99,7 +99,6 @@ class AssetStore : public imaging::AssetLadderSource {
 
   AssetStoreStats stats() const;  ///< summed over shards
   SingleFlightStats flight_stats() const { return flight_.stats(); }
-  std::size_t in_flight() const { return flight_.in_flight(); }
   std::size_t shard_count() const { return shards_.size(); }
   Bytes capacity_bytes() const { return shard_capacity_ * shards_.size(); }
 

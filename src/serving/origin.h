@@ -112,7 +112,6 @@ class OriginServer {
   /// and the count of flagged entries is returned. 0 for an unknown host.
   std::size_t invalidate_host(std::string_view host);
 
-  std::size_t site_count() const { return sites_.size(); }
   MetricsSnapshot metrics() const { return metrics_.snapshot(); }
   TierCacheStats cache_stats() const { return cache_.stats(); }
   SingleFlightStats single_flight_stats() const { return flight_.stats(); }

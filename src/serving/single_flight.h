@@ -114,7 +114,11 @@ class SingleFlight {
     return flights_.size();
   }
 
+  /// Read under the registry lock, which a joiner holds from counting its
+  /// join until it waits: a caller that sees a join also sees that joiner's
+  /// deadline already CAS-maxed into its flight's union.
   SingleFlightStats stats() const {
+    const std::lock_guard lock(mutex_);
     return {leads_.load(std::memory_order_relaxed), joins_.load(std::memory_order_relaxed)};
   }
 

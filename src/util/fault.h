@@ -2,9 +2,11 @@
 //
 // Production components register named fault points on their entry paths:
 //
-//   Encoded jpeg_encode(const Raster& img, int quality) {
-//     AW4A_FAULT_POINT("codec.jpeg.encode");
-//     ...
+//   void hit_fault_point(ImageFormat format) {
+//     switch (format) {
+//       case ImageFormat::kJpeg: AW4A_FAULT_POINT("codec.jpeg.encode"); return;
+//       ...
+//     }
 //   }
 //
 // A disarmed fault point costs one relaxed atomic load — faults are a test

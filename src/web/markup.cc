@@ -275,7 +275,7 @@ MarkupRewrite rewrite_markup(const WebPage& page) {
   return rw;
 }
 
-void apply_markup_rewrite(ServedPage& served, const imaging::LadderOptions& options) {
+void apply_markup_rewrite(ServedPage& served) {
   AW4A_EXPECTS(served.page != nullptr);
   const WebPage& page = *served.page;
   served.rewrite = std::make_shared<const MarkupRewrite>(rewrite_markup(page));
@@ -294,7 +294,7 @@ void apply_markup_rewrite(ServedPage& served, const imaging::LadderOptions& opti
           served.images[o.id] = ServedImage{std::nullopt, true};
         } else {
           served.images[o.id] = ServedImage{
-              imaging::placeholder_variant(*o.image, options, o.alt_text.size()), false};
+              imaging::placeholder_variant(*o.image, o.alt_text.size()), false};
         }
         break;
       case ObjectType::kJs:

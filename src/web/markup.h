@@ -85,11 +85,11 @@ MarkupRewrite rewrite_markup(const WebPage& page);
 
 /// Applies the markup-rewrite tier to a served page: attaches the blob and
 /// records per-object decisions consistent with what the blob contains —
-/// every rich image becomes its placeholder rung (under `options`' similarity
-/// floor), rasterless images and ads drop, scripts/media/iframes/fonts drop,
-/// CSS stays (it is inlined in the blob) so layout does not collapse. After
-/// this, transfer_size() is the blob's gzip size and QSS/QFS/the renderer all
-/// score the page the blob actually describes.
-void apply_markup_rewrite(ServedPage& served, const imaging::LadderOptions& options);
+/// every rich image becomes its placeholder rung, rasterless images and ads
+/// drop, scripts/media/iframes/fonts drop, CSS stays (it is inlined in the
+/// blob) so layout does not collapse. After this, transfer_size() is the
+/// blob's gzip size and QSS/QFS/the renderer all score the page the blob
+/// actually describes.
+void apply_markup_rewrite(ServedPage& served);
 
 }  // namespace aw4a::web

@@ -38,9 +38,6 @@ struct MediaAsset {
   double complexity_kbps = 0;
   std::vector<MediaRendition> ladder;
 
-  /// The as-shipped (top) rendition.
-  const MediaRendition& shipped() const { return ladder.front(); }
-
   /// Cheapest rendition with quality >= floor (never below the last rung);
   /// returns the shipped rendition when nothing cheaper qualifies.
   const MediaRendition& cheapest_at_least(double quality_floor) const;

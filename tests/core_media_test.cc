@@ -18,9 +18,9 @@ web::MediaAsset asset(std::uint64_t seed = 1, Bytes wire = 300 * kKB) {
 TEST(MediaAsset, LadderShapeAndAnchoring) {
   const auto a = asset();
   ASSERT_EQ(a.ladder.size(), 5u);
-  EXPECT_EQ(a.shipped().bytes, 300 * kKB);
-  EXPECT_DOUBLE_EQ(a.shipped().quality, 1.0);
-  EXPECT_EQ(a.shipped().height_px, 1080);
+  EXPECT_EQ(a.ladder.front().bytes, 300 * kKB);
+  EXPECT_DOUBLE_EQ(a.ladder.front().quality, 1.0);
+  EXPECT_EQ(a.ladder.front().height_px, 1080);
   for (std::size_t i = 1; i < a.ladder.size(); ++i) {
     EXPECT_LT(a.ladder[i].bytes, a.ladder[i - 1].bytes);
     EXPECT_LT(a.ladder[i].quality, a.ladder[i - 1].quality);
@@ -51,7 +51,7 @@ TEST(MediaAsset, CheapestAtLeastRespectsFloor) {
     }
   }
   // An impossible floor returns the shipped rendition.
-  EXPECT_EQ(a.cheapest_at_least(2.0).bytes, a.shipped().bytes);
+  EXPECT_EQ(a.cheapest_at_least(2.0).bytes, a.ladder.front().bytes);
 }
 
 web::WebPage media_rich_page(std::uint64_t seed) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <vector>
 
 #include "dataset/httparchive.h"
 #include "util/stats.h"
@@ -11,6 +13,22 @@ namespace aw4a::dataset {
 namespace {
 
 using web::ObjectType;
+
+// Images drawn from a generator's shared pool are the ones whose raster
+// object recurs: every other image gets a SourceImage of its own.
+std::set<const imaging::SourceImage*> recurring_images(const std::vector<web::WebPage>& pages) {
+  std::map<const imaging::SourceImage*, int> uses;
+  for (const auto& page : pages) {
+    for (const auto& o : page.objects) {
+      if (o.type == ObjectType::kImage && o.image != nullptr) ++uses[o.image.get()];
+    }
+  }
+  std::set<const imaging::SourceImage*> out;
+  for (const auto& [image, n] : uses) {
+    if (n > 1) out.insert(image);
+  }
+  return out;
+}
 
 TEST(Corpus, CountryMeanPinnedToTable) {
   CorpusGenerator gen;
@@ -61,7 +79,7 @@ TEST(Corpus, ProfilesRespectWhatIfBands) {
   // removal ratios (68-89% of bytes).
   CorpusGenerator gen;
   for (const Country& c : countries()) {
-    const CompositionProfile p = gen.country_profile(c);
+    CompositionProfile p = gen.country_profile(c);
     const double imgjs = p.of(ObjectType::kImage) + p.of(ObjectType::kJs);
     EXPECT_GE(imgjs, 0.60) << c.name;
     EXPECT_LE(imgjs, 0.90) << c.name;
@@ -72,7 +90,7 @@ TEST(Corpus, PageCompositionTracksProfile) {
   CorpusGenerator gen;
   const Country* kenya = find_country("Kenya");
   ASSERT_NE(kenya, nullptr);
-  const CompositionProfile profile = gen.country_profile(*kenya);
+  CompositionProfile profile = gen.country_profile(*kenya);
   const auto pages = gen.country_pages(*kenya, 60);
   double img = 0;
   double js = 0;
@@ -166,12 +184,18 @@ TEST(Corpus, SharedAssetPoolOffByDefaultAndAtRateZero) {
   CorpusGenerator off(CorpusOptions{.seed = 77, .rich = true});
   CorpusGenerator zero(CorpusOptions{
       .seed = 77, .rich = true, .cross_site_duplication_rate = 0.0});
-  EXPECT_TRUE(off.shared_assets().empty());
-  EXPECT_TRUE(zero.shared_assets().empty());
   Rng ra(5);
   Rng rb(5);
-  const auto pa = off.make_page(ra, 400 * kKB, off.global_profile());
-  const auto pb = zero.make_page(rb, 400 * kKB, zero.global_profile());
+  std::vector<web::WebPage> off_pages;
+  std::vector<web::WebPage> zero_pages;
+  for (int i = 0; i < 8; ++i) {
+    off_pages.push_back(off.make_page(ra, 400 * kKB, off.global_profile()));
+    zero_pages.push_back(zero.make_page(rb, 400 * kKB, zero.global_profile()));
+  }
+  EXPECT_TRUE(recurring_images(off_pages).empty());
+  EXPECT_TRUE(recurring_images(zero_pages).empty());
+  const auto& pa = off_pages.front();
+  const auto& pb = zero_pages.front();
   ASSERT_EQ(pa.objects.size(), pb.objects.size());
   for (std::size_t i = 0; i < pa.objects.size(); ++i) {
     EXPECT_EQ(pa.objects[i].transfer_bytes, pb.objects[i].transfer_bytes);
@@ -183,29 +207,28 @@ TEST(Corpus, CrossSiteDuplicationRateIsRealized) {
   const double rate = 0.3;
   CorpusGenerator gen(CorpusOptions{
       .seed = 78, .rich = true, .cross_site_duplication_rate = rate});
-  ASSERT_FALSE(gen.shared_assets().empty());
 
   // Over many pages ("sites"), the fraction of rich images drawn from the
   // shared pool must track the configured rate.
   Rng rng(9);
+  std::vector<web::WebPage> pages;
+  for (int p = 0; p < 40; ++p) {
+    pages.push_back(gen.make_page(rng, 400 * kKB, gen.global_profile()));
+  }
+  const std::set<const imaging::SourceImage*> pooled = recurring_images(pages);
+  ASSERT_FALSE(pooled.empty());
   int images = 0;
   int shared = 0;
-  std::set<const imaging::SourceImage*> distinct_shared;
-  for (int p = 0; p < 40; ++p) {
-    const auto page = gen.make_page(rng, 400 * kKB, gen.global_profile());
+  for (const auto& page : pages) {
     for (const auto& o : page.objects) {
       if (o.type != ObjectType::kImage) continue;
       ASSERT_NE(o.image, nullptr);
       ++images;
-      for (const auto& pooled : gen.shared_assets()) {
-        if (o.image == pooled) {
-          ++shared;
-          distinct_shared.insert(o.image.get());
-          // Shared objects inherit the pooled asset's real wire size, so
-          // page byte accounting matches the raster being served.
-          EXPECT_EQ(o.transfer_bytes, o.image->wire_bytes);
-          break;
-        }
+      if (pooled.count(o.image.get()) != 0) {
+        ++shared;
+        // Shared objects inherit the pooled asset's real wire size, so
+        // page byte accounting matches the raster being served.
+        EXPECT_EQ(o.transfer_bytes, o.image->wire_bytes);
       }
     }
   }
@@ -214,8 +237,8 @@ TEST(Corpus, CrossSiteDuplicationRateIsRealized) {
   EXPECT_NEAR(realized, rate, 0.08) << shared << "/" << images;
   // The pool is small by design: shared assets recur across pages, which is
   // the cross-site duplication the asset store exists to collapse.
-  EXPECT_GT(static_cast<int>(distinct_shared.size()), 1);
-  EXPECT_GT(shared, static_cast<int>(distinct_shared.size()));
+  EXPECT_GT(static_cast<int>(pooled.size()), 1);
+  EXPECT_GT(shared, static_cast<int>(pooled.size()));
 }
 
 TEST(Corpus, SharedAssetsAreTheIdenticalObjectAcrossPages) {

@@ -13,6 +13,12 @@
 namespace aw4a::imaging::detail {
 namespace {
 
+// A single-shot lossy encode under custom params: both halves, composed as
+// encode() composes them.
+Encoded lossy_encode(const Raster& img, int quality, const LossyParams& params) {
+  return lossy_encode_prepared(prepare_lossy(img, params), quality, params);
+}
+
 TEST(PngFilterStream, SizeMatchesRowLayout) {
   Raster img(10, 7, Pixel{50, 60, 70, 255});
   const auto rgb = png_filter_stream(img, /*include_alpha=*/false);

@@ -16,18 +16,18 @@ Raster test_photo(std::uint64_t seed = 1, int w = 64, int h = 64) {
 
 TEST(JpegCodec, QualityControlsBytes) {
   const Raster img = test_photo();
-  const Encoded q90 = jpeg_encode(img, 90);
-  const Encoded q50 = jpeg_encode(img, 50);
-  const Encoded q10 = jpeg_encode(img, 10);
+  const Encoded q90 = encode(ImageFormat::kJpeg, img, 90);
+  const Encoded q50 = encode(ImageFormat::kJpeg, img, 50);
+  const Encoded q10 = encode(ImageFormat::kJpeg, img, 10);
   EXPECT_GT(q90.bytes, q50.bytes);
   EXPECT_GT(q50.bytes, q10.bytes);
 }
 
 TEST(JpegCodec, QualityControlsFidelity) {
   const Raster img = test_photo();
-  const double s90 = ssim(img, jpeg_encode(img, 90).decoded);
-  const double s30 = ssim(img, jpeg_encode(img, 30).decoded);
-  const double s5 = ssim(img, jpeg_encode(img, 5).decoded);
+  const double s90 = ssim(img, encode(ImageFormat::kJpeg, img, 90).decoded);
+  const double s30 = ssim(img, encode(ImageFormat::kJpeg, img, 30).decoded);
+  const double s5 = ssim(img, encode(ImageFormat::kJpeg, img, 5).decoded);
   EXPECT_GT(s90, s30);
   EXPECT_GT(s30, s5);
   EXPECT_GT(s90, 0.9);
@@ -36,7 +36,7 @@ TEST(JpegCodec, QualityControlsFidelity) {
 TEST(JpegCodec, DecodedDimensionsMatch) {
   Rng rng(2);
   const Raster img = synth_image(rng, ImageClass::kScreenshot, 41, 29);  // non-multiple of 8
-  const Encoded enc = jpeg_encode(img, 80);
+  const Encoded enc = encode(ImageFormat::kJpeg, img, 80);
   EXPECT_EQ(enc.decoded.width(), 41);
   EXPECT_EQ(enc.decoded.height(), 29);
 }
@@ -45,14 +45,14 @@ TEST(JpegCodec, DropsAlpha) {
   Rng rng(3);
   Raster img = synth_image(rng, ImageClass::kLogo, 32, 32);
   img.at(0, 0).a = 0;  // ensure transparency
-  const Encoded enc = jpeg_encode(img, 80);
+  const Encoded enc = encode(ImageFormat::kJpeg, img, 80);
   EXPECT_FALSE(enc.decoded.has_alpha());
 }
 
 TEST(PngCodec, LosslessRoundTrip) {
   Rng rng(4);
   const Raster img = synth_image(rng, ImageClass::kLogo, 48, 48);
-  const Encoded enc = png_encode(img);
+  const Encoded enc = encode(ImageFormat::kPng, img, 100);
   EXPECT_TRUE(img.pixels() == enc.decoded.pixels());
   EXPECT_DOUBLE_EQ(ssim(img, enc.decoded), 1.0);
 }
@@ -61,18 +61,18 @@ TEST(PngCodec, FlatArtSmallerThanJpegAtHighQuality) {
   Rng rng(5);
   Raster img(64, 64, Pixel{200, 30, 30, 255});
   img.fill_rect(10, 10, 20, 20, Pixel{30, 30, 200, 255});
-  EXPECT_LT(png_encode(img).bytes, jpeg_encode(img, 95).bytes);
+  EXPECT_LT(encode(ImageFormat::kPng, img, 100).bytes, encode(ImageFormat::kJpeg, img, 95).bytes);
 }
 
 TEST(PngCodec, PhotoLargerThanJpeg) {
   const Raster img = test_photo(6);
-  EXPECT_GT(png_encode(img).bytes, jpeg_encode(img, 85).bytes);
+  EXPECT_GT(encode(ImageFormat::kPng, img, 100).bytes, encode(ImageFormat::kJpeg, img, 85).bytes);
 }
 
 TEST(WebpCodec, BeatsJpegAtSameQuality) {
   const Raster img = test_photo(7, 96, 96);
-  const Encoded jpeg = jpeg_encode(img, 80);
-  const Encoded webp = webp_encode(img, 80);
+  const Encoded jpeg = encode(ImageFormat::kJpeg, img, 80);
+  const Encoded webp = encode(ImageFormat::kWebp, img, 80);
   EXPECT_LT(webp.bytes, jpeg.bytes);
   // And not at a big fidelity cost.
   EXPECT_GT(ssim(img, webp.decoded), ssim(img, jpeg.decoded) - 0.05);
@@ -82,22 +82,15 @@ TEST(WebpCodec, PreservesAlpha) {
   Rng rng(8);
   Raster img = synth_image(rng, ImageClass::kLogo, 40, 40);
   img.at(3, 3).a = 0;
-  const Encoded enc = webp_encode(img, 80);
+  const Encoded enc = encode(ImageFormat::kWebp, img, 80);
   EXPECT_TRUE(enc.decoded.has_alpha());
 }
 
 TEST(WebpCodec, LosslessBeatsPng) {
   Rng rng(9);
   const Raster img = synth_image(rng, ImageClass::kLogo, 48, 48);
-  EXPECT_LT(webp_lossless_encode(img).bytes, png_encode(img).bytes);
-  EXPECT_TRUE(img.pixels() == webp_lossless_encode(img).decoded.pixels());
-}
-
-TEST(CodecRegistry, FormatsAndAlphaSupport) {
-  EXPECT_EQ(codec_for(ImageFormat::kJpeg).format(), ImageFormat::kJpeg);
-  EXPECT_FALSE(codec_for(ImageFormat::kJpeg).supports_alpha());
-  EXPECT_TRUE(codec_for(ImageFormat::kPng).supports_alpha());
-  EXPECT_TRUE(codec_for(ImageFormat::kWebp).supports_alpha());
+  EXPECT_LT(encode(ImageFormat::kWebp, img, 100).bytes, encode(ImageFormat::kPng, img, 100).bytes);
+  EXPECT_TRUE(img.pixels() == encode(ImageFormat::kWebp, img, 100).decoded.pixels());
 }
 
 TEST(NaturalFormat, PhotosAreJpegFlatArtIsPng) {
@@ -120,8 +113,7 @@ TEST_P(LossyCostTest, ComplexityRaisesCost) {
   Rng rng(13);
   const Raster photo = synth_image(rng, ImageClass::kPhoto, 64, 64);
   const Raster gradient = synth_image(rng, ImageClass::kGradient, 64, 64);
-  const auto& codec = codec_for(GetParam());
-  EXPECT_GT(codec.encode(photo, 75).bytes, codec.encode(gradient, 75).bytes);
+  EXPECT_GT(encode(GetParam(), photo, 75).bytes, encode(GetParam(), gradient, 75).bytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Formats, LossyCostTest,

@@ -65,25 +65,23 @@ class EncodeOnceTest : public ::testing::TestWithParam<ImageFormat> {
 
 TEST_P(EncodeOnceTest, PreparedRungsBitIdenticalToSingleShotAcrossLadder) {
   const ImageFormat format = GetParam();
-  const Codec& codec = codec_for(format);
   const Raster img = photo_raster();
-  const Codec::PreparedPtr prep = codec.prepare(img);
-  ASSERT_NE(prep, nullptr);
+  const Prepared prep = prepare(format, img);
+  ASSERT_EQ(prep.format, format);
   for (const int q : kFullLadder) {
-    const Encoded single = codec.encode(img, q);
-    const Encoded factored = codec.encode_prepared(*prep, q);
+    const Encoded single = encode(format, img, q);
+    const Encoded factored = encode_prepared(prep, q);
     expect_identical(single, factored, format, q);
   }
 }
 
 TEST_P(EncodeOnceTest, PreparedRungsBitIdenticalOnAlphaContent) {
   const ImageFormat format = GetParam();
-  const Codec& codec = codec_for(format);
   const Raster img = alpha_raster();
   ASSERT_TRUE(img.has_alpha());
-  const Codec::PreparedPtr prep = codec.prepare(img);
+  const Prepared prep = prepare(format, img);
   for (const int q : kFullLadder) {
-    expect_identical(codec.encode(img, q), codec.encode_prepared(*prep, q), format, q);
+    expect_identical(encode(format, img, q), encode_prepared(prep, q), format, q);
   }
 }
 
@@ -91,14 +89,13 @@ TEST_P(EncodeOnceTest, RungOrderDoesNotMatter) {
   // Re-quantization from shared coefficients must be stateless: encoding the
   // ladder backwards, or the same rung twice, changes nothing.
   const ImageFormat format = GetParam();
-  const Codec& codec = codec_for(format);
   const Raster img = photo_raster();
-  const Codec::PreparedPtr prep = codec.prepare(img);
-  const Encoded first = codec.encode_prepared(*prep, 75);
+  const Prepared prep = prepare(format, img);
+  const Encoded first = encode_prepared(prep, 75);
   for (auto it = kFullLadder.rbegin(); it != kFullLadder.rend(); ++it) {
-    (void)codec.encode_prepared(*prep, *it);
+    (void)encode_prepared(prep, *it);
   }
-  const Encoded again = codec.encode_prepared(*prep, 75);
+  const Encoded again = encode_prepared(prep, 75);
   expect_identical(first, again, format, 75);
 }
 
@@ -132,8 +129,9 @@ TEST_F(EncodeOnceFaultTest, EachEntryPointHitsItsFormatPointOnce) {
     fault::configure(point, {.every_nth = 1,
                              .skip_first = std::numeric_limits<std::uint64_t>::max()});
   }
+  using Hits = std::array<std::uint64_t, 3>;  // jpeg, png, webp
   auto hits = [&] {
-    std::array<std::uint64_t, 3> out{};  // jpeg, png, webp
+    Hits out{};
     for (const fault::PointStats& p : fault::stats()) {
       for (std::size_t i = 0; i < std::size(kPoints); ++i) {
         if (p.name == kPoints[i]) out[i] = p.hits;
@@ -142,49 +140,27 @@ TEST_F(EncodeOnceFaultTest, EachEntryPointHitsItsFormatPointOnce) {
     return out;
   };
   auto delta = [&](const std::function<void()>& call) {
-    const std::array<std::uint64_t, 3> before = hits();
+    const Hits before = hits();
     call();
-    const std::array<std::uint64_t, 3> after = hits();
-    return std::array<std::uint64_t, 3>{after[0] - before[0], after[1] - before[1],
-                                        after[2] - before[2]};
+    const Hits after = hits();
+    return Hits{after[0] - before[0], after[1] - before[1], after[2] - before[2]};
   };
-  using Hits = std::array<std::uint64_t, 3>;
-  const Hits jpeg{1, 0, 0};
-  const Hits png{0, 1, 0};
-  const Hits webp{0, 0, 1};
-  const Hits none{0, 0, 0};
+
   const Raster img = alpha_raster();
-  const auto encode = [&](ImageFormat format, int quality, EntropyBackend backend) {
-    return [&img, format, quality, backend] {
-      (void)codec_for(format).encode(img, quality, backend);
-    };
-  };
-  const auto prepare = [&](ImageFormat format) {
-    return [&img, format] { (void)codec_for(format).prepare(img); };
-  };
-
-  for (const EntropyBackend backend : {EntropyBackend::kHuffman, EntropyBackend::kRans}) {
-    for (const int q : {75, 100}) {
-      SCOPED_TRACE(testing::Message() << "q=" << q << " backend=" << static_cast<int>(backend));
-      EXPECT_EQ(delta(encode(ImageFormat::kJpeg, q, backend)), jpeg);
-      EXPECT_EQ(delta(encode(ImageFormat::kPng, q, backend)), png);
-      EXPECT_EQ(delta(encode(ImageFormat::kWebp, q, backend)), webp);
-    }
-  }
-  EXPECT_EQ(delta(prepare(ImageFormat::kJpeg)), jpeg);
-  EXPECT_EQ(delta(prepare(ImageFormat::kPng)), none);
-  EXPECT_EQ(delta(prepare(ImageFormat::kWebp)), webp);
-
-  const std::pair<ImageFormat, Hits> formats[] = {
-      {ImageFormat::kJpeg, jpeg}, {ImageFormat::kPng, png}, {ImageFormat::kWebp, webp}};
-  for (const auto& [format, want] : formats) {
-    const Codec& codec = codec_for(format);
-    const Codec::PreparedPtr prep = codec.prepare(img);
+  const std::pair<ImageFormat, Hits> formats[] = {{ImageFormat::kJpeg, {1, 0, 0}},
+                                                  {ImageFormat::kPng, {0, 1, 0}},
+                                                  {ImageFormat::kWebp, {0, 0, 1}}};
+  for (const auto& [format, once] : formats) {
+    SCOPED_TRACE(testing::Message() << "format=" << static_cast<int>(format));
+    // prepare(kPng) only copies pixels, so it hits no point.
+    EXPECT_EQ(delta([&] { (void)prepare(format, img); }),
+              format == ImageFormat::kPng ? Hits{} : once);
+    const Prepared prep = prepare(format, img);
     for (const EntropyBackend backend : {EntropyBackend::kHuffman, EntropyBackend::kRans}) {
-      for (const int q : {75, 100}) {
-        SCOPED_TRACE(testing::Message() << "prepared format=" << static_cast<int>(format)
-                                        << " q=" << q);
-        EXPECT_EQ(delta([&] { (void)codec.encode_prepared(*prep, q, backend); }), want);
+      for (const int q : {75, 100}) {  // 100 is WebP's lossless mode
+        SCOPED_TRACE(testing::Message() << "q=" << q << " backend=" << static_cast<int>(backend));
+        EXPECT_EQ(delta([&] { (void)encode(format, img, q, backend); }), once);
+        EXPECT_EQ(delta([&] { (void)encode_prepared(prep, q, backend); }), once);
       }
     }
   }
@@ -193,20 +169,20 @@ TEST_F(EncodeOnceFaultTest, EachEntryPointHitsItsFormatPointOnce) {
 TEST_F(EncodeOnceFaultTest, PrepareFiresTheCodecFaultPoint) {
   fault::configure("codec.jpeg.encode", {.probability = 1.0});
   const Raster img = photo_raster();
-  EXPECT_THROW((void)jpeg_prepare(img), fault::InjectedFault);
+  EXPECT_THROW((void)prepare(ImageFormat::kJpeg, img), fault::InjectedFault);
   fault::configure("codec.webp.encode", {.probability = 1.0});
-  EXPECT_THROW((void)webp_prepare(img), fault::InjectedFault);
+  EXPECT_THROW((void)prepare(ImageFormat::kWebp, img), fault::InjectedFault);
 }
 
 TEST_F(EncodeOnceFaultTest, EncodePreparedFiresTheCodecFaultPoint) {
   const Raster img = photo_raster();
-  const Codec::PreparedPtr jpeg_prep = jpeg_prepare(img);
-  const Codec::PreparedPtr webp_prep = webp_prepare(img);
+  const Prepared jpeg_prep = prepare(ImageFormat::kJpeg, img);
+  const Prepared webp_prep = prepare(ImageFormat::kWebp, img);
   fault::configure("codec.jpeg.encode", {.probability = 1.0});
-  EXPECT_THROW((void)jpeg_encode_prepared(*jpeg_prep, 75), fault::InjectedFault);
+  EXPECT_THROW((void)encode_prepared(jpeg_prep, 75), fault::InjectedFault);
   fault::configure("codec.jpeg.encode", {});
   fault::configure("codec.webp.encode", {.probability = 1.0});
-  EXPECT_THROW((void)webp_encode_prepared(*webp_prep, 75), fault::InjectedFault);
+  EXPECT_THROW((void)encode_prepared(webp_prep, 75), fault::InjectedFault);
 }
 
 TEST_F(EncodeOnceFaultTest, RungsAfterTransientFaultStayBitIdentical) {
@@ -214,13 +190,12 @@ TEST_F(EncodeOnceFaultTest, RungsAfterTransientFaultStayBitIdentical) {
   // contract is exercised at the variants layer, but even at this layer a
   // post-fault rung must be unaffected by the earlier failure.
   const Raster img = photo_raster();
-  const Codec& codec = codec_for(ImageFormat::kJpeg);
-  const Codec::PreparedPtr prep = codec.prepare(img);
-  const Encoded expected = codec.encode(img, 65);
+  const Prepared prep = prepare(ImageFormat::kJpeg, img);
+  const Encoded expected = encode(ImageFormat::kJpeg, img, 65);
 
   fault::configure("codec.jpeg.encode", {.probability = 1.0, .max_fires = 1});
-  EXPECT_THROW((void)codec.encode_prepared(*prep, 65), fault::InjectedFault);
-  const Encoded after = codec.encode_prepared(*prep, 65);
+  EXPECT_THROW((void)encode_prepared(prep, 65), fault::InjectedFault);
+  const Encoded after = encode_prepared(prep, 65);
   expect_identical(expected, after, ImageFormat::kJpeg, 65);
 }
 

@@ -104,7 +104,7 @@ void expect_same_variant(const ImageVariant& a, const ImageVariant& b) {
 /// The families VariantLadder::warm fills: both formats' resolution
 /// families and the WebP transcode.
 void expect_same_warm_families(VariantLadder& warmed, VariantLadder& adopted) {
-  for (ImageFormat format : {warmed.asset().format, ImageFormat::kWebp}) {
+  for (ImageFormat format : {warmed.original().format, ImageFormat::kWebp}) {
     const auto& res_a = warmed.resolution_family(format);
     const auto& res_b = adopted.resolution_family(format);
     ASSERT_EQ(res_a.size(), res_b.size());

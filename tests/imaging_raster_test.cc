@@ -13,7 +13,7 @@ TEST(Raster, ConstructionAndAccess) {
   Raster img(4, 3, Pixel{10, 20, 30, 255});
   EXPECT_EQ(img.width(), 4);
   EXPECT_EQ(img.height(), 3);
-  EXPECT_EQ(img.pixel_count(), 12u);
+  EXPECT_EQ(img.pixels().size(), 12u);
   EXPECT_FALSE(img.empty());
   EXPECT_EQ(img.at(0, 0), (Pixel{10, 20, 30, 255}));
   img.at(3, 2) = Pixel{1, 2, 3, 4};

@@ -36,12 +36,13 @@ TEST(SourceImage, LogosShipAsPngPhotosAsJpeg) {
 }
 
 TEST(VariantLadder, OriginalIsIdentity) {
-  VariantLadder ladder(make_asset(ImageClass::kPhoto));
+  const auto asset = make_asset(ImageClass::kPhoto);
+  VariantLadder ladder(asset);
   const ImageVariant orig = ladder.original();
   EXPECT_TRUE(orig.is_original);
   EXPECT_DOUBLE_EQ(orig.ssim, 1.0);
   EXPECT_DOUBLE_EQ(orig.scale, 1.0);
-  EXPECT_EQ(orig.bytes, ladder.asset().wire_bytes);
+  EXPECT_EQ(orig.bytes, asset->wire_bytes);
 }
 
 TEST(VariantLadder, ResolutionFamilyDescendsInScaleAndSsim) {
@@ -66,12 +67,12 @@ TEST(VariantLadder, ResolutionFamilyIsMemoized) {
 
 TEST(VariantLadder, QualityFamilyEmptyForPng) {
   VariantLadder ladder(make_asset(ImageClass::kLogo, 40 * kKB, 3));
-  if (ladder.asset().format == ImageFormat::kPng) {
+  if (ladder.original().format == ImageFormat::kPng) {
     EXPECT_TRUE(ladder.quality_family(ImageFormat::kPng).empty());
   }
   // The WebP quality family is available regardless.
   EXPECT_FALSE(ladder.quality_family(ImageFormat::kWebp).empty() &&
-               ladder.asset().ship_quality <= 35);
+               ladder.original().quality <= 35);
 }
 
 TEST(VariantLadder, WebpFullLosslessForPngSources) {
@@ -93,7 +94,7 @@ TEST(VariantLadder, CheapestWithSsimRespectsFloorAndImproves) {
   EXPECT_GE(strict->ssim, 0.995);
   EXPECT_GE(loose->ssim, 0.9);
   EXPECT_LE(loose->bytes, strict->bytes);
-  EXPECT_LE(loose->bytes, ladder.asset().wire_bytes);
+  EXPECT_LE(loose->bytes, ladder.original().bytes);
 }
 
 TEST(VariantLadder, BytesEfficiencyPositiveForReduciblePhotos) {
@@ -125,7 +126,7 @@ class LadderClassTest : public ::testing::TestWithParam<ImageClass> {};
 TEST_P(LadderClassTest, EveryClassYieldsAWorkingLadder) {
   VariantLadder ladder(make_asset(GetParam(), 80 * kKB, 21));
   ladder.warm();
-  EXPECT_FALSE(ladder.resolution_family(ladder.asset().format).empty());
+  EXPECT_FALSE(ladder.resolution_family(ladder.original().format).empty());
   const auto v = ladder.cheapest_fullres_with_ssim_at_least(0.9);
   ASSERT_TRUE(v.has_value());
   EXPECT_GE(v->ssim, 0.9);

@@ -78,7 +78,11 @@ TEST(LruByteCache, HitMissAndStale) {
   EXPECT_EQ(cache.fetch(item, 0), 4000u);            // cold miss
   EXPECT_EQ(cache.fetch(item, 3600), 0u);            // fresh hit
   EXPECT_EQ(cache.fetch(item, 2 * 86400), 4000u);    // stale refetch
-  EXPECT_EQ(cache.used(), 4000u);
+  // The refetch replaced the entry rather than adding a copy: 6000 more
+  // bytes still fit beside it without evicting it.
+  const CacheItem other{.id = 2, .transfer_bytes = 6000, .policy = item.policy};
+  EXPECT_EQ(cache.fetch(other, 2 * 86400), 6000u);
+  EXPECT_EQ(cache.fetch(item, 2 * 86400 + 1), 0u);
 }
 
 TEST(LruByteCache, EvictsLeastRecentlyUsed) {
@@ -102,8 +106,7 @@ TEST(LruByteCache, OversizedObjectNeverAdmitted) {
                       .transfer_bytes = 5000,
                       .policy = {.max_age_seconds = CachePolicy::kDay, .no_store = false}};
   EXPECT_EQ(cache.fetch(big, 0), 5000u);
-  EXPECT_EQ(cache.fetch(big, 1), 5000u);  // still a miss
-  EXPECT_EQ(cache.used(), 0u);
+  EXPECT_EQ(cache.fetch(big, 1), 5000u);  // still a miss: never admitted
 }
 
 TEST(LruByteCache, SharedCoreKeepsSimulationByteIdentical) {
@@ -124,7 +127,18 @@ TEST(LruByteCache, SharedCoreKeepsSimulationByteIdentical) {
     if (i % 977 == 0) cache.clear();
   }
   EXPECT_EQ(checksum, 15391330069952582146ULL);
-  EXPECT_EQ(cache.used(), 8500u);
+  // Resident bytes at the end, read back through fetch(): a probe larger
+  // than the cache is never admitted, so probing changes no residency, and
+  // a long-lived probe hits (costs 0) exactly when its id is resident.
+  Bytes resident = 0;
+  for (std::uint64_t id = 1; id <= 12; ++id) {
+    const CacheItem probe{.id = id,
+                          .transfer_bytes = 10001,
+                          .policy = {.max_age_seconds = 52 * CachePolicy::kWeek,
+                                     .no_store = false}};
+    if (cache.fetch(probe, 5000 * 700) == 0) resident += static_cast<Bytes>(500 + 250 * id);
+  }
+  EXPECT_EQ(resident, 8500u);
 }
 
 TEST(DeviceCache, BiggerDeviceSavesMore) {

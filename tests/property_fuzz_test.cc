@@ -246,7 +246,8 @@ TEST_P(PropertyTest, RansPayloadDecodeNeverReadsOutOfBounds) {
       imaging::synth_image(img_rng, imaging::ImageClass::kPhoto, 48, 48);
   const int quality = static_cast<int>(rng.uniform_int(30, 95));
   const std::vector<std::uint8_t> blob =
-      imaging::jpeg_encode(img, quality, imaging::EntropyBackend::kRans).payload;
+      imaging::encode(imaging::ImageFormat::kJpeg, img, quality, imaging::EntropyBackend::kRans)
+          .payload;
   ASSERT_FALSE(blob.empty());
   // Exact round trip on the pristine blob.
   (void)imaging::lossy_decode(blob);

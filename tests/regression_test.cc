@@ -132,7 +132,8 @@ TEST_F(GoldenValues, RansLadderBlobsAndDecodedPixelsAreFrozen) {
       16462232513090733857ull};
   for (std::size_t i = 0; i < std::size(qualities); ++i) {
     const imaging::Encoded enc =
-        imaging::jpeg_encode(img, qualities[i], imaging::EntropyBackend::kRans);
+        imaging::encode(imaging::ImageFormat::kJpeg, img, qualities[i],
+                        imaging::EntropyBackend::kRans);
     const imaging::Raster decoded = imaging::lossy_decode(enc.payload);
     EXPECT_EQ(digest(enc.payload), kBlob[i]) << "q" << qualities[i];
     EXPECT_EQ(digest(decoded), kPixels[i]) << "q" << qualities[i];
@@ -144,13 +145,12 @@ TEST_F(GoldenValues, RansLadderBlobsAndDecodedPixelsAreFrozen) {
 // and then one rung.
 imaging::Encoded encode_single(imaging::ImageFormat format, const imaging::Raster& img,
                                int quality, imaging::EntropyBackend backend) {
-  return imaging::codec_for(format).encode(img, quality, backend);
+  return imaging::encode(format, img, quality, backend);
 }
 
 imaging::Encoded encode_factored(imaging::ImageFormat format, const imaging::Raster& img,
                                  int quality, imaging::EntropyBackend backend) {
-  const imaging::Codec& codec = imaging::codec_for(format);
-  return codec.encode_prepared(*codec.prepare(img), quality, backend);
+  return imaging::encode_prepared(imaging::prepare(format, img), quality, backend);
 }
 
 TEST_F(GoldenValues, CodecOutputsAreFrozen) {
@@ -275,7 +275,7 @@ TEST_F(GoldenValues, DefaultLadderFamiliesAreFrozen) {
     }
     h = digest(h, ladder.webp_full());
     for (const std::size_t alt : {0, 40, 200}) {
-      h = digest(h, imaging::placeholder_variant(*asset, ladder.options(), alt));
+      h = digest(h, imaging::placeholder_variant(*asset, alt));
     }
     EXPECT_EQ(h, kDigest[c]) << imaging::to_string(classes[c]);
   }

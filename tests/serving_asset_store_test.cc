@@ -324,7 +324,7 @@ TEST(AssetStore, ConcurrentAcquiresOfOneContentKeyCollapse) {
   EXPECT_EQ(s.inserts, 1u);
   EXPECT_EQ(s.build_failures, 0u);
   expect_partition(s);
-  EXPECT_EQ(store.in_flight(), 0u);
+  EXPECT_EQ(store.flight_stats().leads + store.flight_stats().joins, s.misses);
 }
 
 TEST(AssetStore, FlightDeadlineUnionSpansPageIdentities) {
@@ -333,9 +333,9 @@ TEST(AssetStore, FlightDeadlineUnionSpansPageIdentities) {
   //      inside its first in-build clock read;
   //   2. a second page's request for the SAME content joins the flight with
   //      a 100 s budget (its CAS-max lands before it waits: the joiner
-  //      CAS-maxes and begins waiting under one registry lock hold, so
-  //      observing joins==1 and then taking that lock via in_flight()
-  //      proves the union moved);
+  //      counts its join, CAS-maxes and begins waiting under one registry
+  //      lock hold, and flight_stats() reads under that lock, so observing
+  //      joins==1 proves the union moved);
   //   3. time jumps PAST the leader's own deadline, the leader resumes —
   //      it survives only because the build runs under the union.
   AssetStore store;
@@ -374,7 +374,6 @@ TEST(AssetStore, FlightDeadlineUnionSpansPageIdentities) {
     joiner_memo = store.acquire(same_content_other_page(asset), options, ctx);
   });
   while (store.flight_stats().joins < 1) std::this_thread::yield();
-  (void)store.in_flight();  // barrier: the joiner's CAS-max has landed
 
   release.store(true);
   leader.join();
@@ -464,7 +463,7 @@ TEST(AssetStore, StressPartitionHoldsUnderConcurrentChurn) {
   EXPECT_LE(s.misses, 2u * kThreads);
   EXPECT_GE(s.exact_hits, 1u);
   expect_partition(s);
-  EXPECT_EQ(store.in_flight(), 0u);
+  EXPECT_EQ(store.flight_stats().leads + store.flight_stats().joins, s.misses);
 }
 
 }  // namespace

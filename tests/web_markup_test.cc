@@ -140,9 +140,7 @@ TEST(Markup, ApplyRewriteCollapsesTransferToTheBlob) {
   ServedPage served = serve_original(page);
   const Bytes original = served.transfer_size();
 
-  imaging::LadderOptions options;
-  options.placeholder_rung = true;
-  apply_markup_rewrite(served, options);
+  apply_markup_rewrite(served);
 
   ASSERT_NE(served.rewrite, nullptr);
   EXPECT_EQ(served.transfer_size(), served.rewrite->transfer_bytes);
@@ -177,8 +175,6 @@ TEST(Markup, ApplyRewriteCollapsesTransferToTheBlob) {
 
 TEST(Markup, AltTextRidesIntoPlaceholderSimilarity) {
   const WebPage page = rich_page();
-  imaging::LadderOptions options;
-  options.placeholder_rung = true;
   const WebObject* with_alt = nullptr;
   const WebObject* without_alt = nullptr;
   for (const WebObject& o : page.objects) {
@@ -187,12 +183,10 @@ TEST(Markup, AltTextRidesIntoPlaceholderSimilarity) {
     if (o.alt_text.empty() && without_alt == nullptr) without_alt = &o;
   }
   ASSERT_NE(with_alt, nullptr) << "corpus should synthesize alt text for most images";
-  const auto ph = imaging::placeholder_variant(*with_alt->image, options,
-                                               with_alt->alt_text.size());
+  const auto ph = imaging::placeholder_variant(*with_alt->image, with_alt->alt_text.size());
   EXPECT_GT(ph.ssim, imaging::kPlaceholderBaseSimilarity);
   if (without_alt != nullptr) {
-    const auto bare =
-        imaging::placeholder_variant(*without_alt->image, options, 0);
+    const auto bare = imaging::placeholder_variant(*without_alt->image, 0);
     EXPECT_DOUBLE_EQ(bare.ssim, imaging::kPlaceholderBaseSimilarity);
     EXPECT_GT(ph.ssim, bare.ssim) << "alt text must buy similarity credit";
   }
