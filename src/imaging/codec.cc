@@ -144,10 +144,6 @@ struct EntropyAccumulator {
   }
 };
 
-/// Quantizes, entropy-accumulates, and reconstructs one plane from its
-/// precomputed DCT coefficient blocks. Writes the reconstructed (+128
-/// domain) plane into `rec`, which must already have the coefficients'
-/// width/height.
 // Exact inline equivalent of std::lround(float) for |v| < 2^23: trunc(v) is
 // representable, so frac = v - trunc(v) is computed exactly (no rounding),
 // and comparing it against 0.5 reproduces round-half-away-from-zero
@@ -159,6 +155,11 @@ int lround_exact(float v) {
   return t + (frac >= 0.5f ? 1 : 0) - (frac <= -0.5f ? 1 : 0);
 }
 
+/// Quantizes, entropy-accumulates, and reconstructs one plane from its
+/// precomputed DCT coefficient blocks — the codec's one quantizer. Writes the
+/// reconstructed (+128 domain) plane into `rec`, which must already have the
+/// coefficients' width/height, and, when `levels_out` is given, the quantized
+/// levels in natural block order.
 void code_plane_prepared(const CoeffPlane& coeffs, const std::array<int, 64>& quant,
                          EntropyAccumulator& acc, PlaneF& rec,
                          std::int16_t* levels_out = nullptr) {
@@ -472,7 +473,21 @@ struct RansPayload {
   std::size_t stream_bytes = 0;
 };
 
-RansPayload build_rans_payload(const DecodedLossy& lv) {
+/// The quantized coefficient levels of every plane at one quality rung, as
+/// lossy_encode_prepared captures them for build_rans_payload. Blocks in
+/// row-major order, 64 levels each in natural (row-major pixel) order;
+/// chroma dims are the subsampled plane's.
+struct QuantizedLevels {
+  ImageFormat format = ImageFormat::kJpeg;
+  int quality = 0;
+  int width = 0;  ///< luma pixel dims
+  int height = 0;
+  std::vector<std::int16_t> luma;
+  std::vector<std::int16_t> cb;
+  std::vector<std::int16_t> cr;
+};
+
+RansPayload build_rans_payload(const QuantizedLevels& lv) {
   const int cw = (lv.width + 1) / 2;
   const int ch = (lv.height + 1) / 2;
   const auto blocks = [](int px) { return (px + 7) / 8; };
@@ -614,7 +629,7 @@ Encoded lossy_encode_prepared(const PreparedLossy& prep, int quality,
   // The rANS backend captures the quantized levels during the same pass so
   // the payload codes exactly what the reconstruction decoded; the Huffman
   // path skips the capture entirely.
-  DecodedLossy levels;
+  QuantizedLevels levels;
   const bool rans = params.entropy == EntropyBackend::kRans;
   if (rans) {
     levels.format = params.format;
@@ -692,155 +707,24 @@ LossyParams lossy_params_for(ImageFormat format, EntropyBackend entropy) {
   throw Error("lossy_params_for: not a lossy format");
 }
 
-DecodedLossy quantize_levels(const PreparedLossy& prep, int quality,
-                             const LossyParams& params) {
-  AW4A_EXPECTS(prep.width > 0 && prep.height > 0);
-  quality = std::clamp(quality, 1, 100);
-  DecodedLossy out;
-  out.format = params.format;
-  out.quality = quality;
-  out.width = prep.width;
-  out.height = prep.height;
-  const auto lq = scaled_table(kLumaQuant, quality, params.hf_quant_scale);
-  const auto cq = scaled_table(kChromaQuant, quality, params.hf_quant_scale);
-  auto quantize = [](const CoeffPlane& coeffs, const std::array<int, 64>& quant,
-                     std::vector<std::int16_t>& levels) {
-    // Same natural-order reorder + division + rounding as
-    // code_plane_prepared, so the captured levels there and these are
-    // bit-equal by construction.
-    float quant_nat_f[64];
-    for (int i = 0; i < 64; ++i) quant_nat_f[kZigzag[i]] = static_cast<float>(quant[i]);
-    levels.resize(static_cast<std::size_t>(coeffs.blocks_w) * coeffs.blocks_h * 64);
-    for (int by = 0; by < coeffs.blocks_h; ++by) {
-      for (int bx = 0; bx < coeffs.blocks_w; ++bx) {
-        const float* freq = coeffs.block(bx, by);
-        std::int16_t* lv =
-            levels.data() + (static_cast<std::size_t>(by) * coeffs.blocks_w + bx) * 64;
-        for (int src = 0; src < 64; ++src) {
-          lv[src] = static_cast<std::int16_t>(lround_exact(freq[src] / quant_nat_f[src]));
-        }
-      }
-    }
-  };
-  quantize(prep.luma, lq, out.luma);
-  quantize(prep.cb, cq, out.cb);
-  quantize(prep.cr, cq, out.cr);
-  return out;
-}
-
 namespace {
 
-/// The validated container fields of a kRans payload blob: everything
-/// between the magic and the entropy-coded spans, shared by the levels
-/// parser (rans_parse_payload) and the fused pixel decoder
-/// (rans_decode_fused) so the two paths cannot drift in what they accept.
-struct RansContainer {
-  ImageFormat format = ImageFormat::kJpeg;
-  int quality = 0;
-  int width = 0;
-  int height = 0;
-  ans::PackedSet tables;
-  std::array<std::uint32_t, ans::kNumStreams> states{};
-  const std::uint8_t* stream = nullptr;
-  std::uint32_t stream_len = 0;
-  const std::uint8_t* side = nullptr;
-  std::uint32_t side_len = 0;
-};
-
-RansContainer parse_rans_container(const std::uint8_t* data, std::size_t size) {
-  ans::ByteReader in(data, size);
-  if (in.read_u16() != kRansMagic) throw Error("ans: bad payload magic");
-  if (in.read_u8() != kRansVersion) throw Error("ans: unsupported payload version");
-  const int format = in.read_u8();
-  if (format != static_cast<int>(ImageFormat::kJpeg) &&
-      format != static_cast<int>(ImageFormat::kWebp)) {
-    throw Error("ans: payload format is not a lossy codec");
-  }
-  RansContainer out;
-  out.format = static_cast<ImageFormat>(format);
-  out.quality = in.read_u8();
-  if (out.quality < 1 || out.quality > 100) throw Error("ans: payload quality out of range");
-  out.width = in.read_u16();
-  out.height = in.read_u16();
-  // Bound allocations driven by attacker-controlled dims well above any
-  // proxy raster (the pipeline tops out around 0.2 MP).
-  if (out.width < 1 || out.height < 1 ||
-      static_cast<std::int64_t>(out.width) * out.height > (1 << 22)) {
-    throw Error("ans: payload dimensions out of range");
-  }
-  out.tables = ans::deserialize_packed_set(in, 2 * kCtxPerGroup);
-  for (std::uint32_t& s : out.states) s = in.read_u32();
-  out.stream_len = in.read_u32();
-  out.stream = in.read_span(out.stream_len);
-  out.side_len = in.read_u32();
-  out.side = in.read_span(out.side_len);
-  if (in.remaining() != 0) throw Error("ans: trailing bytes in payload");
-  return out;
-}
-
-/// Decodes one plane's blocks from the interleaved streams, mirroring
-/// RansCollector::add_plane symbol for symbol, through the packed-table
-/// decoder. `table_base` is the index of the plane's group of kCtxPerGroup
-/// tables in the PackedSet (3 DC-context, then 3 AC-context); the
-/// prediction and context state is plane-local, so cb and cr each get a
-/// fresh call even though they share the chroma tables.
-void decode_plane_levels(ans::PackedDecoder& dec, ans::BitReader& side, int table_base,
-                         std::int16_t* levels, int blocks_w, int blocks_h) {
-  auto resolve = [&side, &dec, table_base](int t) {
-    const int sym = dec.get(static_cast<std::uint32_t>(table_base + t));
-    return sym == ans::kEscapeSymbol ? static_cast<int>(side.get(8)) : sym;
-  };
-  std::array<int, 64> zz{};
-  std::vector<int> above(static_cast<std::size_t>(blocks_w), 0);
-  int dc_ctx = 0;
-  for (int by = 0; by < blocks_h; ++by) {
-    int left = 0;
-    for (int bx = 0; bx < blocks_w; ++bx) {
-      zz.fill(0);
-      const int dcat = resolve(dc_ctx);
-      if (dcat > 15) throw Error("ans: bad dc category");
-      const int diff = magnitude_extend(dcat > 0 ? side.get(dcat) : 0, dcat);
-      const int pred = dc_predict(left, above[bx], bx > 0, by > 0);
-      zz[0] = pred + diff;
-      dc_ctx = dc_ctx_of(dcat);
-      left = zz[0];
-      above[bx] = zz[0];
-      int pos = 1;
-      int ac_ctx = 0;
-      while (pos < 64) {
-        const int sym = resolve(3 + ac_ctx);
-        if (sym == 0x00) break;  // EOB: rest of the block is zero
-        if (sym == 0xF0) {       // ZRL: 16 zeros
-          pos += 16;
-          continue;
-        }
-        const int run = sym >> 4;
-        const int cat = sym & 15;
-        pos += run;
-        if (pos > 63) throw Error("ans: coefficient run past block end");
-        zz[pos] = magnitude_extend(cat > 0 ? side.get(cat) : 0, cat);
-        ac_ctx = ac_ctx_of(cat);
-        ++pos;
-      }
-      std::int16_t* nat = levels + (static_cast<std::size_t>(by) * blocks_w + bx) * 64;
-      for (int i = 0; i < 64; ++i) nat[kZigzag[i]] = static_cast<std::int16_t>(zz[i]);
-    }
-  }
-}
-
-/// The fused decode of one plane: entropy decode, sparse dequantization, and
-/// masked inverse DCT in a single pass, writing reconstructed (+128 domain)
-/// samples straight into `rec` — no levels buffer is ever materialized. The
-/// symbol walk is decode_plane_levels' exactly; the per-block dequant/mask/
-/// IDCT/store tail is reconstruct_lossy's exactly, with one structural
-/// change: instead of re-scanning 64 levels per block, the nonzeros are
-/// scattered into a zero-maintained `deq` block as they decode (the same +0.0f
-/// everywhere else, the same mask bits — only bits of genuinely nonzero
-/// levels, so DC-only and masked kernels see bit-identical inputs) and wiped
-/// after the IDCT. This is what lets a full rANS decode undercut the
-/// Huffman path's reconstruction despite also parsing a bitstream.
-void decode_plane_fused(ans::PackedDecoder& dec, ans::BitReader& side, int table_base,
-                        const std::array<int, 64>& quant, PlaneF& rec) {
+/// Decodes one plane of a kRans payload: entropy decode, sparse
+/// dequantization, and masked inverse DCT in a single pass, writing
+/// reconstructed (+128 domain) samples straight into `rec` — no levels
+/// buffer is ever materialized. The symbol walk mirrors
+/// RansCollector::add_plane symbol for symbol; the per-block dequant/mask/
+/// IDCT/store tail is code_plane_prepared's, with one structural change:
+/// instead of scanning 64 levels per block, the nonzeros are scattered into a
+/// zero-maintained `deq` block as they decode (the same +0.0f everywhere
+/// else, the same mask bits — only bits of genuinely nonzero levels, so
+/// DC-only and masked kernels see bit-identical inputs) and wiped after the
+/// IDCT. `table_base` is the index of the plane's group of kCtxPerGroup
+/// tables (3 DC-context, then 3 AC-context); the prediction and context state
+/// is plane-local, so cb and cr each get a fresh call even though they share
+/// the chroma tables.
+void decode_plane(ans::PackedDecoder& dec, ans::BitReader& side, int table_base,
+                  const std::array<int, 64>& quant, PlaneF& rec) {
   int quant_nat[64];
   for (int i = 0; i < 64; ++i) quant_nat[kZigzag[i]] = quant[i];
   const int blocks_w = (rec.width + 7) / 8;
@@ -914,7 +798,7 @@ void decode_plane_fused(ans::PackedDecoder& dec, ans::BitReader& side, int table
         }
       } else if (n_nz <= 4 && ymax == 8 && xmax == 8) {
         // The walk just told us this block carries at most 4 coefficients —
-        // information the 64-scan reconstruct path never has for free. The
+        // information the encoder's 64-level scan never has for free. The
         // sparse kernel folds exactly those cells (bit-identical to the
         // masked kernel + biased copy, see dct.h) with direct row stores.
         idct8x8_sparse_biased(deq, row_mask, col_mask, block_tl, rec.width);
@@ -932,133 +816,6 @@ void decode_plane_fused(ans::PackedDecoder& dec, ans::BitReader& side, int table
     }
   }
 }
-
-}  // namespace
-
-DecodedLossy rans_parse_payload(const std::uint8_t* data, std::size_t size) {
-  const RansContainer c = parse_rans_container(data, size);
-  const int w = c.width;
-  const int h = c.height;
-
-  DecodedLossy out;
-  out.format = c.format;
-  out.quality = c.quality;
-  out.width = w;
-  out.height = h;
-  const int cw = (w + 1) / 2;
-  const int ch = (h + 1) / 2;
-  const auto blocks = [](int px) { return (px + 7) / 8; };
-  out.luma.resize(static_cast<std::size_t>(blocks(w)) * blocks(h) * 64);
-  out.cb.resize(static_cast<std::size_t>(blocks(cw)) * blocks(ch) * 64);
-  out.cr.resize(static_cast<std::size_t>(blocks(cw)) * blocks(ch) * 64);
-
-  ans::PackedDecoder dec(c.states, c.stream, c.stream_len, c.tables);
-  ans::BitReader side(c.side, c.side_len);
-  decode_plane_levels(dec, side, 0, out.luma.data(), blocks(w), blocks(h));
-  decode_plane_levels(dec, side, kCtxPerGroup, out.cb.data(), blocks(cw), blocks(ch));
-  decode_plane_levels(dec, side, kCtxPerGroup, out.cr.data(), blocks(cw), blocks(ch));
-  dec.expect_exhausted();
-  if (side.consumed_bytes() != c.side_len) throw Error("ans: side stream length mismatch");
-  return out;
-}
-
-Raster rans_decode_fused(const std::uint8_t* data, std::size_t size) {
-  const RansContainer c = parse_rans_container(data, size);
-  const LossyParams params = lossy_params_for(c.format);
-  const auto lq = scaled_table(kLumaQuant, c.quality, params.hf_quant_scale);
-  const auto cq = scaled_table(kChromaQuant, c.quality, params.hf_quant_scale);
-  const int w = c.width;
-  const int h = c.height;
-  const int cw = (w + 1) / 2;
-  const int ch = (h + 1) / 2;
-  static thread_local PlaneF ly, cb2, cr2;
-  auto reuse = [](PlaneF& p, int pw, int ph) {
-    p.width = pw;
-    p.height = ph;
-    p.v.resize(static_cast<std::size_t>(pw) * static_cast<std::size_t>(ph));
-  };
-  reuse(ly, w, h);
-  reuse(cb2, cw, ch);
-  reuse(cr2, cw, ch);
-  ans::PackedDecoder dec(c.states, c.stream, c.stream_len, c.tables);
-  ans::BitReader side(c.side, c.side_len);
-  decode_plane_fused(dec, side, 0, lq, ly);
-  decode_plane_fused(dec, side, kCtxPerGroup, cq, cb2);
-  decode_plane_fused(dec, side, kCtxPerGroup, cq, cr2);
-  dec.expect_exhausted();
-  if (side.consumed_bytes() != c.side_len) throw Error("ans: side stream length mismatch");
-  Raster out(w, h);
-  planes_to_raster(ly, cb2, cr2, w, h, nullptr, out);
-  return out;
-}
-
-Raster reconstruct_lossy(const DecodedLossy& lv) {
-  AW4A_EXPECTS(lv.width > 0 && lv.height > 0);
-  const LossyParams params = lossy_params_for(lv.format);
-  const auto lq = scaled_table(kLumaQuant, lv.quality, params.hf_quant_scale);
-  const auto cq = scaled_table(kChromaQuant, lv.quality, params.hf_quant_scale);
-  const int w = lv.width;
-  const int h = lv.height;
-  const int cw = (w + 1) / 2;
-  const int ch = (h + 1) / 2;
-  static thread_local PlaneF ly, cb2, cr2;
-  auto reuse = [](PlaneF& p, int pw, int ph) {
-    p.width = pw;
-    p.height = ph;
-    p.v.resize(static_cast<std::size_t>(pw) * static_cast<std::size_t>(ph));
-  };
-  reuse(ly, w, h);
-  reuse(cb2, cw, ch);
-  reuse(cr2, cw, ch);
-  auto reconstruct_plane = [](const std::vector<std::int16_t>& levels,
-                              const std::array<int, 64>& quant, PlaneF& rec) {
-    // Mirrors code_plane_prepared's dequantize + masked IDCT exactly: the
-    // dequantized values are the same integer products, the sparsity masks
-    // are recomputed from the same levels, and the kernels are the same —
-    // so the reconstruction is bit-identical to the encoder's.
-    int quant_nat[64];
-    for (int i = 0; i < 64; ++i) quant_nat[kZigzag[i]] = quant[i];
-    const int blocks_w = (rec.width + 7) / 8;
-    const int blocks_h = (rec.height + 7) / 8;
-    float deq[64];
-    float out[64];
-    for (int by = 0; by < blocks_h; ++by) {
-      for (int bx = 0; bx < blocks_w; ++bx) {
-        const std::int16_t* lv_block =
-            levels.data() + (static_cast<std::size_t>(by) * blocks_w + bx) * 64;
-        unsigned row_mask = 0;
-        unsigned col_mask = 0;
-        for (int src = 0; src < 64; ++src) {
-          const int level = lv_block[src];
-          deq[src] = static_cast<float>(level * quant_nat[src]);
-          const unsigned nz = level != 0;
-          row_mask |= nz << (src >> 3);
-          col_mask |= nz << (src & 7);
-        }
-        if (row_mask <= 1u && col_mask <= 1u) {
-          idct8x8_dconly_fast(deq[0], out);
-        } else {
-          idct8x8_fast_masked(deq, out, row_mask, col_mask);
-        }
-        const int ymax = std::min(8, rec.height - by * 8);
-        const int xmax = std::min(8, rec.width - bx * 8);
-        for (int y = 0; y < ymax; ++y) {
-          float* row = &rec.v[static_cast<std::size_t>(by * 8 + y) * rec.width +
-                              static_cast<std::size_t>(bx) * 8];
-          for (int x = 0; x < xmax; ++x) row[x] = out[y * 8 + x] + 128.0f;
-        }
-      }
-    }
-  };
-  reconstruct_plane(lv.luma, lq, ly);
-  reconstruct_plane(lv.cb, cq, cb2);
-  reconstruct_plane(lv.cr, cq, cr2);
-  Raster out(w, h);
-  planes_to_raster(ly, cb2, cr2, w, h, nullptr, out);
-  return out;
-}
-
-namespace {
 
 /// Writes one PNG filter's residual row (cur - predict(i), mod 256) over
 /// bytes [0, n) and returns its score, the sum of |signed residual| — the
@@ -1247,7 +1004,56 @@ Encoded encode_prepared(const Prepared& prep, int quality, EntropyBackend backen
 }
 
 Raster lossy_decode(const std::vector<std::uint8_t>& payload) {
-  return detail::rans_decode_fused(payload.data(), payload.size());
+  ans::ByteReader in(payload.data(), payload.size());
+  if (in.read_u16() != detail::kRansMagic) throw Error("ans: bad payload magic");
+  if (in.read_u8() != detail::kRansVersion) throw Error("ans: unsupported payload version");
+  const int format = in.read_u8();
+  if (format != static_cast<int>(ImageFormat::kJpeg) &&
+      format != static_cast<int>(ImageFormat::kWebp)) {
+    throw Error("ans: payload format is not a lossy codec");
+  }
+  const int quality = in.read_u8();
+  if (quality < 1 || quality > 100) throw Error("ans: payload quality out of range");
+  const int w = in.read_u16();
+  const int h = in.read_u16();
+  // Bound allocations driven by attacker-controlled dims well above any
+  // proxy raster (the pipeline tops out around 0.2 MP).
+  if (w < 1 || h < 1 || static_cast<std::int64_t>(w) * h > (1 << 22)) {
+    throw Error("ans: payload dimensions out of range");
+  }
+  const ans::PackedSet tables = ans::deserialize_packed_set(in, 2 * detail::kCtxPerGroup);
+  std::array<std::uint32_t, ans::kNumStreams> states{};
+  for (std::uint32_t& s : states) s = in.read_u32();
+  const std::uint32_t stream_len = in.read_u32();
+  const std::uint8_t* stream = in.read_span(stream_len);
+  const std::uint32_t side_len = in.read_u32();
+  const std::uint8_t* side_bytes = in.read_span(side_len);
+  if (in.remaining() != 0) throw Error("ans: trailing bytes in payload");
+
+  const detail::LossyParams params = detail::lossy_params_for(static_cast<ImageFormat>(format));
+  const auto lq = detail::scaled_table(detail::kLumaQuant, quality, params.hf_quant_scale);
+  const auto cq = detail::scaled_table(detail::kChromaQuant, quality, params.hf_quant_scale);
+  const int cw = (w + 1) / 2;
+  const int ch = (h + 1) / 2;
+  static thread_local PlaneF ly, cb2, cr2;
+  auto reuse = [](PlaneF& p, int pw, int ph) {
+    p.width = pw;
+    p.height = ph;
+    p.v.resize(static_cast<std::size_t>(pw) * static_cast<std::size_t>(ph));
+  };
+  reuse(ly, w, h);
+  reuse(cb2, cw, ch);
+  reuse(cr2, cw, ch);
+  ans::PackedDecoder dec(states, stream, stream_len, tables);
+  ans::BitReader side(side_bytes, side_len);
+  detail::decode_plane(dec, side, 0, lq, ly);
+  detail::decode_plane(dec, side, detail::kCtxPerGroup, cq, cb2);
+  detail::decode_plane(dec, side, detail::kCtxPerGroup, cq, cr2);
+  dec.expect_exhausted();
+  if (side.consumed_bytes() != side_len) throw Error("ans: side stream length mismatch");
+  Raster out(w, h);
+  detail::planes_to_raster(ly, cb2, cr2, w, h, nullptr, out);
+  return out;
 }
 
 ImageFormat natural_format(const Raster& img) {

@@ -46,47 +46,6 @@ PreparedLossy prepare_lossy(const Raster& img, const LossyParams& params);
 Encoded lossy_encode_prepared(const PreparedLossy& prep, int quality,
                               const LossyParams& params);
 
-/// The quantized coefficient levels of every plane at one quality rung —
-/// exactly what the entropy backends code. Blocks in row-major order, 64
-/// levels each in natural (row-major pixel) order; chroma dims are the
-/// subsampled plane's. This is both the encoder's capture (quantize_levels)
-/// and the decoder's output (rans_parse_payload), so round-trip tests can
-/// compare coefficient blocks bit-exactly without touching pixels.
-struct DecodedLossy {
-  ImageFormat format = ImageFormat::kJpeg;
-  int quality = 0;
-  int width = 0;   ///< luma pixel dims
-  int height = 0;
-  std::vector<std::int16_t> luma;
-  std::vector<std::int16_t> cb;
-  std::vector<std::int16_t> cr;
-};
-
-/// Quantizes `prep` at `quality` and returns the levels (no entropy work).
-DecodedLossy quantize_levels(const PreparedLossy& prep, int quality,
-                             const LossyParams& params);
-
-/// Entropy-decodes a kRans payload blob to levels. Throws aw4a::Error on
-/// truncated or corrupt input; never reads out of bounds.
-DecodedLossy rans_parse_payload(const std::uint8_t* data, std::size_t size);
-
-/// The production decode of a kRans payload blob: entropy decode, sparse
-/// dequantization, and masked inverse DCT fused into one pass per plane —
-/// no levels buffer is materialized, DC-only blocks go straight to the
-/// DC-only IDCT, and the entropy kernel is ans::PackedDecoder.
-/// Bit-identical to reconstruct_lossy(rans_parse_payload(...)) by
-/// construction — pinned by ImagingAnsTest — with the same accept/reject
-/// behavior on corrupt blobs.
-/// lossy_decode() is this function.
-Raster rans_decode_fused(const std::uint8_t* data, std::size_t size);
-
-/// Dequantize + masked inverse DCT + chroma upsample + color conversion —
-/// the decode-side reconstruction both backends share (the Huffman backend
-/// has no bitstream to parse, so this alone is its decode path; see
-/// bench_perf_pipeline's decode_ladder_huffman). Bit-identical to the
-/// `Encoded.decoded` the encoder produced for the same levels.
-Raster reconstruct_lossy(const DecodedLossy& levels);
-
 /// PNG-style per-row filtering (best-of None/Sub/Up/Average/Paeth by the
 /// minimum-sum-of-absolute-differences heuristic); returns the filtered byte
 /// stream that the LZ back end compresses.

@@ -108,12 +108,6 @@ class SingleFlight {
     return flight->value;
   }
 
-  /// Flights currently in progress (0 when idle); diagnostics and tests.
-  std::size_t in_flight() const {
-    const std::lock_guard lock(mutex_);
-    return flights_.size();
-  }
-
   /// Read under the registry lock, which a joiner holds from counting its
   /// join until it waits: a caller that sees a join also sees that joiner's
   /// deadline already CAS-maxed into its flight's union.

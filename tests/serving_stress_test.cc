@@ -126,7 +126,11 @@ TEST(ServingStress, FailingLeaderNeverStrandsWaiters) {
   EXPECT_GT(failures.load(), 0u);
   EXPECT_EQ(flight.stats().leads, attempts.load())
       << "every attempt had exactly one leader";
-  EXPECT_EQ(flight.in_flight(), 0u);
+  // Every flight left the registry: a fresh call of the key leads, not joins.
+  const std::uint64_t joins = flight.stats().joins;
+  (void)flight.run(7, [] { return std::make_shared<const int>(0); });
+  EXPECT_EQ(flight.stats().leads, attempts.load() + 1);
+  EXPECT_EQ(flight.stats().joins, joins);
 }
 
 TEST(ServingStress, EvictionChurnStaysCoherent) {

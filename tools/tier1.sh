@@ -12,8 +12,9 @@
 # where lifetime and UB bugs hide; the SSIM, raster, PNG-filter and variant
 # suites drive the vector kernels' row-end loads and scalar tails; the codec,
 # encode-once and golden suites drive every format's encode, prepare and
-# encode_prepared, including the lossless path), plus the
-# full suite under UBSan alone (cheap enough to run everything), plus the
+# encode_prepared, including the lossless path; the DCT suite pins the sparse
+# and DC-only IDCT kernels the rANS decoder writes straight into its planes),
+# plus the full suite under UBSan alone (cheap enough to run everything), plus the
 # serving suite, the rANS coder, the thread pool, the pipeline and the
 # request context under TSan (the tier cache, single-flight, and the
 # content-addressed asset store are the concurrent core; the coder's
@@ -41,8 +42,8 @@ python3 -m unittest discover -s originbench -p 'test_*.py'
 tools/reach.sh
 
 cmake -B build-asan -S . -DAW4A_SANITIZE=ON >/dev/null
-cmake --build build-asan -j --target robustness_test serving_test serving_overload_test serving_asset_store_test imaging_ans_test web_markup_test core_quality_test net_http_test property_fuzz_test imaging_resize_test web_render_test imaging_fingerprint_test imaging_ssim_test imaging_raster_test imaging_codec_detail_test imaging_variants_test util_thread_pool_test imaging_codec_test imaging_encode_once_test regression_test >/dev/null
-(cd build-asan && ctest --output-on-failure --timeout 300 -R '^(robustness_test|serving_test|serving_overload_test|serving_asset_store_test|imaging_ans_test|web_markup_test|core_quality_test|net_http_test|property_fuzz_test|imaging_resize_test|web_render_test|imaging_fingerprint_test|imaging_ssim_test|imaging_raster_test|imaging_codec_detail_test|imaging_variants_test|util_thread_pool_test|imaging_codec_test|imaging_encode_once_test|regression_test)$')
+cmake --build build-asan -j --target robustness_test serving_test serving_overload_test serving_asset_store_test imaging_ans_test web_markup_test core_quality_test net_http_test property_fuzz_test imaging_resize_test web_render_test imaging_fingerprint_test imaging_ssim_test imaging_raster_test imaging_codec_detail_test imaging_variants_test util_thread_pool_test imaging_codec_test imaging_encode_once_test regression_test imaging_dct_test >/dev/null
+(cd build-asan && ctest --output-on-failure --timeout 300 -R '^(robustness_test|serving_test|serving_overload_test|serving_asset_store_test|imaging_ans_test|web_markup_test|core_quality_test|net_http_test|property_fuzz_test|imaging_resize_test|web_render_test|imaging_fingerprint_test|imaging_ssim_test|imaging_raster_test|imaging_codec_detail_test|imaging_variants_test|util_thread_pool_test|imaging_codec_test|imaging_encode_once_test|regression_test|imaging_dct_test)$')
 
 cmake -B build-ubsan -S . -DAW4A_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j >/dev/null
@@ -84,7 +85,7 @@ python3 tools/bench_guard.py \
   --committed BENCH_pipeline.json --fresh "$fresh_dir/BENCH_pipeline.json" \
   --metric cold_build_tiers_shared_cache --metric cold_build_tiers_qfs \
   --metric ssim_strided_integral \
-  --metric encode_ladder_rans --metric decode_ladder_huffman \
+  --metric encode_ladder_rans \
   --metric decode_ladder_rans --metric rans_payload_reduction \
   --metric 'rans_decode_mb_per_s:higher'
 python3 tools/bench_guard.py \
