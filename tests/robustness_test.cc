@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <thread>
 
@@ -563,6 +564,76 @@ TEST_F(DegradationTest, SweepEveryFaultPointOriginServerNeverThrows) {
         EXPECT_NE(response->header("AW4A-Degraded"), nullptr) << wire;
       }
       EXPECT_GT(response->content_length, 0u) << wire;
+    }
+  }
+}
+
+TEST_F(DegradationTest, EachFaultPointsScenarioOutcomesArePinned) {
+  // The observable outcome of every production fault point armed at p=1,
+  // per transcoding_server.cpp scenario: "status | AW4A-Tier | AW4A-Degraded"
+  // ("-" when a header is absent). Failure handling may be simplified only
+  // while these answers stay put.
+  struct Pinned {
+    const char* point;
+    std::array<const char*, 4> outcomes;
+  };
+  static const Pinned kPinned[] = {
+      {"codec.jpeg.encode",
+       {"200 | original | -",
+        "200 | 0 | stage-2 failed: gave up after 2 attempts: injected fault at codec.jpeg.encode "
+        "(hit 8)",
+        "200 | original | -",
+        "200 | 0 | stage-2 failed: gave up after 2 attempts: injected fault at codec.jpeg.encode "
+        "(hit 8)"}},
+      {"codec.png.encode",
+       {"200 | original | -",
+        "200 | 0 | stage-2 failed: gave up after 2 attempts: injected fault at codec.png.encode "
+        "(hit 4)",
+        "200 | original | -",
+        "200 | 0 | stage-2 failed: gave up after 2 attempts: injected fault at codec.png.encode "
+        "(hit 4)"}},
+      {"codec.webp.encode",
+       {"200 | original | -", "200 | none | all 2 tiers failed to build:",
+        "200 | none | all 2 tiers failed to build:", "200 | none | all 2 tiers failed to build:"}},
+      {"js.muzeel.eliminate",
+       {"200 | original | -",
+        "200 | 0 | stage-2 failed: injected fault at js.muzeel.eliminate (hit 1)",
+        "200 | original | -",
+        "200 | 0 | stage-2 failed: injected fault at js.muzeel.eliminate (hit 1)"}},
+      {"dataset.corpus.make_page",
+       {"200 | original | -", "200 | 1 | -", "200 | original | -", "200 | 1 | -"}},
+      {"net.compress.gzip",
+       {"200 | original | -", "200 | none | all 2 tiers failed to build:",
+        "200 | none | all 2 tiers failed to build:", "200 | none | all 2 tiers failed to build:"}},
+      {"solver.grid_search",
+       {"200 | original | -", "200 | 1 | -", "200 | original | -", "200 | 1 | -"}},
+      {"solver.hbs",
+       {"200 | original | -", "200 | 0 | stage-2 failed: injected fault at solver.hbs (hit 1)",
+        "200 | original | -", "200 | 0 | stage-2 failed: injected fault at solver.hbs (hit 1)"}},
+      {"solver.knapsack",
+       {"200 | original | -", "200 | 1 | -", "200 | original | -", "200 | 1 | -"}},
+      {"serving.build.leader",
+       {"200 | original | -", "200 | none | injected fault at serving.build.leader (hit 1)",
+        "200 | none | injected fault at serving.build.leader (hit 2)",
+        "200 | none | injected fault at serving.build.leader (hit 3)"}},
+  };
+  for (const Pinned& pinned : kPinned) {
+    SCOPED_TRACE(std::string("fault point: ") + pinned.point);
+    fault::reset();
+    fault::set_seed(11);
+    fault::configure(pinned.point, {.probability = 1.0});
+    const serving::OriginServer origin = one_site_origin(*page_, config());
+    const std::vector<net::HttpRequest> requests = scenarios();
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      net::HttpRequest request = requests[i];
+      request.headers.push_back({"Host", kHost});
+      const auto response = origin.handle(request);
+      const std::string* tier = response.header("AW4A-Tier");
+      const std::string* degraded = response.header("AW4A-Degraded");
+      EXPECT_EQ(std::to_string(response.status) + " | " + (tier ? *tier : "-") + " | " +
+                    (degraded ? *degraded : "-"),
+                pinned.outcomes[i])
+          << "scenario " << i;
     }
   }
 }
