@@ -145,7 +145,7 @@ ColdPassResult run_cold_pass(const std::vector<serving::OriginSite>& sites, bool
   std::optional<serving::OriginServer> origin;
   if (dedup) origin.emplace(sites);
 
-  imaging::reset_build_work_stats();
+  const imaging::BuildWorkStats before = imaging::build_work_stats();
   result.content_lengths.reserve(sites.size());
   for (const serving::OriginSite& site : sites) {
     const net::HttpRequest request = make_request(site.host);
@@ -156,9 +156,9 @@ ColdPassResult run_cold_pass(const std::vector<serving::OriginSite>& sites, bool
     if (response.status != 200) ++result.errors;
     result.content_lengths.push_back(response.content_length);
   }
-  const imaging::BuildWorkStats work = imaging::build_work_stats();
-  result.bytes_built = work.encoded_bytes;
-  result.encodes = work.encodes;
+  const imaging::BuildWorkStats after = imaging::build_work_stats();
+  result.bytes_built = after.encoded_bytes - before.encoded_bytes;
+  result.encodes = after.encodes - before.encodes;
   if (origin) result.store = origin->asset_store_stats();
   return result;
 }

@@ -12,6 +12,7 @@
 //   aw4a_cli tiers --faults codec.jpeg.encode:0.2,seed=7
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "analysis/experiments.h"
@@ -108,10 +109,8 @@ web::WebPage demo_page(double mb) {
   return gen.make_page(rng, from_mb(mb), gen.global_profile());
 }
 
-int cmd_transcode(int argc, char** argv) {
-  const double mb = arg_value(argc, argv, "--mb", 2.2);
+int cmd_transcode(const web::WebPage& page, int argc, char** argv) {
   const double keep = arg_value(argc, argv, "--keep", 0.6);
-  const web::WebPage page = demo_page(mb);
   const core::Aw4aPipeline pipeline(config_from_args(argc, argv));
   const auto result = pipeline.transcode_to_target(
       page, static_cast<Bytes>(static_cast<double>(page.transfer_size()) * keep));
@@ -124,9 +123,7 @@ int cmd_transcode(int argc, char** argv) {
   return result.met_target ? 0 : 2;
 }
 
-int cmd_tiers(int argc, char** argv) {
-  const double mb = arg_value(argc, argv, "--mb", 2.2);
-  const web::WebPage page = demo_page(mb);
+int cmd_tiers(const web::WebPage& page, int argc, char** argv) {
   core::DeveloperConfig config = config_from_args(argc, argv);
   config.measure_qfs = false;
   const core::Aw4aPipeline pipeline(config);
@@ -142,9 +139,7 @@ int cmd_tiers(int argc, char** argv) {
   return 0;
 }
 
-int cmd_coverage(int argc, char** argv) {
-  const double mb = arg_value(argc, argv, "--mb", 2.2);
-  const web::WebPage page = demo_page(mb);
+int cmd_coverage(const web::WebPage& page) {
   TextTable table({"script", "bytes", "functions", "dead", "dead bytes", "risky bytes"});
   Bytes total = 0;
   Bytes dead = 0;
@@ -202,6 +197,14 @@ int main(int argc, char** argv) {
     std::cerr << "usage: aw4a_cli <countries|paw|transcode|tiers|whatif|coverage> [args]\n";
     return 1;
   }
+  const std::string cmd = argv[1];
+  // The demo page stands in for a site's own content, which exists before
+  // any request, so it is built before faults are armed: an armed codec
+  // point fails the pipeline's encodes, not the page's synthesis.
+  std::optional<web::WebPage> page;
+  if (cmd == "transcode" || cmd == "tiers" || cmd == "coverage") {
+    page = demo_page(arg_value(argc - 2, argv + 2, "--mb", 2.2));
+  }
   fault::configure_from_env();
   for (int i = 2; i < argc - 1; ++i) {
     if (std::strcmp(argv[i], "--faults") == 0) {
@@ -212,13 +215,12 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const std::string cmd = argv[1];
   if (cmd == "countries") return cmd_countries(argc - 2, argv + 2);
   if (cmd == "paw") return cmd_paw(argc - 2, argv + 2);
-  if (cmd == "transcode") return cmd_transcode(argc - 2, argv + 2);
-  if (cmd == "tiers") return cmd_tiers(argc - 2, argv + 2);
+  if (cmd == "transcode") return cmd_transcode(*page, argc - 2, argv + 2);
+  if (cmd == "tiers") return cmd_tiers(*page, argc - 2, argv + 2);
   if (cmd == "whatif") return cmd_whatif(argc - 2, argv + 2);
-  if (cmd == "coverage") return cmd_coverage(argc - 2, argv + 2);
+  if (cmd == "coverage") return cmd_coverage(*page);
   std::cerr << "unknown command: " << cmd << '\n';
   return 1;
 }

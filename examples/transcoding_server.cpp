@@ -20,11 +20,12 @@
 
 int main() {
   using namespace aw4a;
-  fault::configure_from_env();
-
   dataset::CorpusGenerator gen(dataset::CorpusOptions{.seed = 99, .rich = true});
   Rng rng(99);
   const web::WebPage page = gen.make_page(rng, from_mb(2.3), gen.global_profile());
+  // Armed once the page exists: faults model the origin's failures, and the
+  // page is the site's own content, built before any request.
+  fault::configure_from_env();
 
   core::DeveloperConfig config;
   config.tier_reductions = {1.5, 3.0, 6.0};

@@ -63,9 +63,9 @@ void LadderCache::prewarm(const web::WebPage& page, unsigned workers,
             ladder.warm(ctx);
           } catch (const Error&) {
             // Best-effort: a failed family (codec fault, expired deadline)
-            // memoizes nothing, and the serial solver path re-attempts it
-            // under tier retry/degradation, so a prewarm-time fault cannot
-            // change outcomes.
+            // memoizes nothing, and the serial solver path enumerates it
+            // again under the tier's degradation ladder, so a prewarm-time
+            // fault cannot change outcomes.
           }
         },
         workers,

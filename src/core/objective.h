@@ -63,8 +63,8 @@ class LadderCache {
   /// independent: ladders are *created* serially up front, then each worker
   /// fills exactly one ladder. Enumeration failures (injected codec faults,
   /// an expired ctx deadline) are swallowed — nothing is memoized for the
-  /// failed family, and the serial path re-attempts it under the pipeline's
-  /// normal retry/degradation machinery, so results and error handling are
+  /// failed family, and the serial path enumerates it again under the
+  /// pipeline's normal degradation ladder, so results and error handling are
   /// identical to a cold serial run.
   /// Emits a "prewarm" span, plus the workers' encode/ssim spans (the trace
   /// buffer and sink are thread-safe). The context's deadline is polled

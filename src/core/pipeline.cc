@@ -4,16 +4,9 @@
 
 #include "core/ultra_low.h"
 #include "util/error.h"
-#include "util/retry.h"
 #include "util/table.h"
 
 namespace aw4a::core {
-namespace {
-
-/// Tries per tier in build_tiers: one transient fault is retried at once.
-constexpr int kTierBuildAttempts = 2;
-
-}  // namespace
 
 const char* to_string(TierKind kind) {
   switch (kind) {
@@ -189,12 +182,8 @@ std::vector<Tier> Aw4aPipeline::build_tiers(const web::WebPage& page,
     try {
       // The ONE context is shared across tiers: a deadline bounds the whole
       // build, so tiers after exhaustion degrade to their Stage-1 result.
-      tier.result = retry_transient(
-          [&] {
-            return with_context(
-                label, [&] { return transcode_to_target(page, target, ladders, ctx); });
-          },
-          kTierBuildAttempts);
+      tier.result = with_context(
+          label, [&] { return transcode_to_target(page, target, ladders, ctx); });
       if (tier.result.degraded) tier.note = tier.result.degradation_reason;
       ++built_count;
     } catch (const Error& e) {
@@ -245,9 +234,7 @@ std::vector<Tier> Aw4aPipeline::build_tiers(const web::WebPage& page,
     Tier tier;
     tier.kind = kind;
     try {
-      tier.result = retry_transient(
-          [&] { return with_context(to_string(kind), [&] { return build(); }); },
-          kTierBuildAttempts);
+      tier.result = with_context(to_string(kind), [&] { return build(); });
       tier.requested_reduction = std::max(1.0, tier.result.reduction_factor());
       if (tier.result.degraded) tier.note = tier.result.degradation_reason;
     } catch (const Error& e) {

@@ -7,7 +7,6 @@
 #include "imaging/resize.h"
 #include "imaging/ssim.h"
 #include "util/error.h"
-#include "util/retry.h"
 
 namespace aw4a::imaging {
 namespace {
@@ -56,31 +55,10 @@ const char* encode_span_name(ImageFormat format) {
   return "encode";
 }
 
-// Every codec invocation funnels through here: a single transient encoder
-// fault (crashed worker, injected fault) is retried once before the error
-// escapes to the tier-build ladder. The prepare/encode_prepared pair gets
-// the same treatment — each hits the format's fault point per invocation.
-constexpr int kCodecAttempts = 2;
-
-Encoded encode_retrying(ImageFormat format, const Raster& raster, int quality,
-                        EntropyBackend backend = EntropyBackend::kHuffman) {
-  return retry_transient([&] { return encode(format, raster, quality, backend); },
-                         kCodecAttempts);
-}
-
-Prepared prepare_retrying(ImageFormat format, const Raster& raster) {
-  return retry_transient([&] { return prepare(format, raster); }, kCodecAttempts);
-}
-
-Encoded encode_prepared_retrying(const Prepared& prep, int quality, EntropyBackend backend) {
-  return retry_transient([&] { return encode_prepared(prep, quality, backend); },
-                         kCodecAttempts);
-}
-
 // Ladder-measurement work counters (build_work_stats). Bumped at the
-// measurement sites, not inside the codec funnels above, so synthesis
-// (make_source_image) and page rendering (render_variant) — which reuse the
-// funnels but are not "build" work — stay out of the tally.
+// measurement sites, not around every codec call, so synthesis
+// (make_source_image) and page rendering (render_variant) — which also
+// encode but are not "build" work — stay out of the tally.
 std::atomic<std::uint64_t> g_encodes{0};
 std::atomic<std::uint64_t> g_encoded_bytes{0};
 std::atomic<std::uint64_t> g_prepares{0};
@@ -122,12 +100,6 @@ BuildWorkStats build_work_stats() {
                         g_prepares.load(std::memory_order_relaxed)};
 }
 
-void reset_build_work_stats() {
-  g_encodes.store(0, std::memory_order_relaxed);
-  g_encoded_bytes.store(0, std::memory_order_relaxed);
-  g_prepares.store(0, std::memory_order_relaxed);
-}
-
 SourceImage make_source_image(Rng& rng, ImageClass cls, Bytes target_wire_bytes) {
   AW4A_EXPECTS(target_wire_bytes > 0);
   SourceImage asset;
@@ -141,7 +113,7 @@ SourceImage make_source_image(Rng& rng, ImageClass cls, Bytes target_wire_bytes)
   asset.display_w = display_dim_for(cls, rng);
   asset.display_h = std::max(24, static_cast<int>(asset.display_w * rng.uniform(0.5, 1.0)));
 
-  const Encoded shipped = encode_retrying(asset.format, asset.original, asset.ship_quality);
+  const Encoded shipped = encode(asset.format, asset.original, asset.ship_quality);
   AW4A_EXPECTS(shipped.bytes > 0);
   // Calibrate on the payload: headers are a fixed real-world constant, not
   // something that scales with the proxy raster.
@@ -180,7 +152,7 @@ ImageVariant measure_variant(const SourceImage& asset, ImageFormat format, doubl
   const Raster reduced = reduce_resolution(asset.original, scale);
   Encoded enc = [&] {
     AW4A_SPAN(ctx, encode_span_name(format));
-    return encode_retrying(format, reduced, quality, backend);
+    return encode(format, reduced, quality, backend);
   }();
   return finish_measurement(enc, asset, format, scale, quality, ctx,
                             [&] { return luma_plane(asset.original); });
@@ -205,7 +177,7 @@ ImageVariant VariantLadder::measure(ImageFormat format, double scale, int qualit
   const Raster& reduced = reduced_raster(scale);
   Encoded enc = [&] {
     AW4A_SPAN(ctx, encode_span_name(format));
-    return encode_retrying(format, reduced, quality, options_.entropy_backend);
+    return encode(format, reduced, quality, options_.entropy_backend);
   }();
   return finish_measurement(enc, *asset_, format, scale, quality, ctx,
                             [this]() -> const PlaneF& { return original_luma(); });
@@ -216,7 +188,7 @@ ImageVariant VariantLadder::measure_prepared(const Prepared& prep, double scale,
   ctx.check("imaging.measure");
   Encoded enc = [&] {
     AW4A_SPAN(ctx, encode_span_name(prep.format));
-    return encode_prepared_retrying(prep, quality, options_.entropy_backend);
+    return encode_prepared(prep, quality, options_.entropy_backend);
   }();
   return finish_measurement(enc, *asset_, prep.format, scale, quality, ctx,
                             [this]() -> const PlaneF& { return original_luma(); });
@@ -257,7 +229,7 @@ const std::vector<ImageVariant>& VariantLadder::quality_family(ImageFormat forma
         if (!prep) {
           ctx.check("imaging.quality_family");
           AW4A_SPAN(ctx, "encode.prepare");
-          prep = prepare_retrying(format, reduced_raster(1.0));
+          prep = prepare(format, reduced_raster(1.0));
           g_prepares.fetch_add(1, std::memory_order_relaxed);
         }
         ImageVariant v = measure_prepared(*prep, 1.0, q, ctx);
@@ -403,7 +375,7 @@ Raster render_variant(const SourceImage& asset, const ImageVariant& v) {
   // Entropy coding is lossless, so the decoded raster is identical under
   // either backend; rendering always takes the cheap Huffman path even for
   // ladders measured with rANS.
-  const Encoded enc = encode_retrying(v.format, reduced, v.quality);
+  const Encoded enc = encode(v.format, reduced, v.quality);
   return redisplay(enc.decoded, asset.original.width(), asset.original.height());
 }
 

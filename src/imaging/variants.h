@@ -136,15 +136,14 @@ struct VariantMemo {
 
 /// Process-wide counters of ladder-measurement encode work (relaxed atomics;
 /// safe from any thread). `encoded_bytes` sums encoder output at proxy scale
-/// — the "bytes built" a dedup layer avoids. Benches snapshot/reset around a
-/// workload to measure build work without instrumenting the codecs.
+/// — the "bytes built" a dedup layer avoids. Benches difference two reads
+/// around a workload to measure build work without instrumenting the codecs.
 struct BuildWorkStats {
   std::uint64_t encodes = 0;        ///< variant measurements that ran a codec
   std::uint64_t encoded_bytes = 0;  ///< encoder output bytes (proxy scale)
   std::uint64_t prepares = 0;       ///< prepare() calls (forward DCT work)
 };
 BuildWorkStats build_work_stats();
-void reset_build_work_stats();
 
 /// Fixed wire-size header constant applied to every page-scale variant.
 Bytes wire_header_bytes();

@@ -114,9 +114,9 @@ AssetStore::MemoPtr AssetStore::acquire(
         },
         ctx.deadline_at());
   } catch (const Error&) {
-    // Containment: a store failure (fault point, codec fault surviving its
-    // retry, exhausted deadline) must never fail the request — the caller
-    // enumerates locally under the pipeline's normal retry/degradation.
+    // Containment: a store failure (codec fault, exhausted deadline) must
+    // never fail the request — the caller enumerates locally under the
+    // pipeline's normal degradation ladder.
     build_failures_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }

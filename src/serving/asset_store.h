@@ -25,8 +25,8 @@
 // Failure containment: acquire() never throws. Any error during fingerprint
 // or the warming build (injected codec fault, exhausted deadline) returns
 // nullptr and the caller falls back to plain lazy enumeration under the
-// pipeline's existing retry/degradation machinery — the store can only
-// ever *save* work, never change outcomes.
+// pipeline's existing degradation ladder — the store can only ever *save*
+// work, never change outcomes.
 //
 // Counter partition (pinned in tests): lookups == exact_hits + misses,
 // summed over shards.

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <utility>
 
-#include "util/fault.h"
 #include "util/thread_pool.h"
 
 namespace aw4a::serving {
@@ -42,14 +41,6 @@ BuildQueue::~BuildQueue() {
 BuildQueue::JobPtr BuildQueue::admit(std::uint64_t popularity, const obs::RequestContext& ctx,
                                      BuildFn build, std::function<void(LadderPtr)> on_done,
                                      bool detached) {
-  // Enqueue failure is a sheddable event, never a crash: the fault point
-  // models it, and a real allocation failure would surface the same way.
-  try {
-    AW4A_FAULT_POINT("serving.build.queue");
-  } catch (const TransientError&) {
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
   std::unique_lock<std::mutex> lock(mutex_);
   if (shutdown_ || queue_.size() >= options_.capacity) {
     shed_.fetch_add(1, std::memory_order_relaxed);

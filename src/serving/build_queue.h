@@ -16,9 +16,7 @@
 // caller is told to shed — by value, not exception: a nullptr ladder from
 // run(), false from submit_detached() — and serves the degraded original
 // immediately: queueing everything would just convert overload into
-// unbounded latency for everyone. The "serving.build.queue" fault point
-// models enqueue failure (allocation, a poisoned queue): it too sheds,
-// never crashes.
+// unbounded latency for everyone.
 //
 // Expiry: a job whose flight deadline lapses while it waits is dropped —
 // by the runner when popped (it never wastes a worker) or by its own waiter

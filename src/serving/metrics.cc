@@ -103,7 +103,6 @@ MetricsSnapshot ServingMetrics::snapshot() const {
   out.internal_errors = load(internal_errors);
   out.builds_started = load(builds_started);
   out.builds_failed = load(builds_failed);
-  out.cache_bypasses = load(cache_bypasses);
   out.stale_refreshes_queued = load(stale_refreshes_queued);
   out.stale_refresh_sheds = load(stale_refresh_sheds);
   out.build_seconds = build_seconds.snapshot();

@@ -90,7 +90,7 @@ struct MetricsSnapshot {
   // ladder_cached + ladder_stale + ladder_built.
   std::uint64_t ladder_cached = 0;  ///< fresh cache hit
   std::uint64_t ladder_stale = 0;   ///< stale hit (refresh queued behind it)
-  std::uint64_t ladder_built = 0;   ///< built this flight (or cache bypassed)
+  std::uint64_t ladder_built = 0;   ///< built this flight
   // Rung kind of the tier behind each tier answer (core::TierKind).
   // Partition: served_paw_tier + served_preference_tier ==
   // served_kind_image + served_kind_text_only + served_kind_markup_rewrite.
@@ -107,8 +107,6 @@ struct MetricsSnapshot {
   // Tier-ladder builds.
   std::uint64_t builds_started = 0;
   std::uint64_t builds_failed = 0;
-  /// Requests that served around the cache after a shard fault.
-  std::uint64_t cache_bypasses = 0;
   // Stale-while-revalidate refresh plane.
   std::uint64_t stale_refreshes_queued = 0;  ///< detached rebuilds admitted
   std::uint64_t stale_refresh_sheds = 0;     ///< refreshes refused (rate bound)
@@ -144,7 +142,6 @@ struct ServingMetrics {
   std::atomic<std::uint64_t> internal_errors{0};
   std::atomic<std::uint64_t> builds_started{0};
   std::atomic<std::uint64_t> builds_failed{0};
-  std::atomic<std::uint64_t> cache_bypasses{0};
   std::atomic<std::uint64_t> stale_refreshes_queued{0};
   std::atomic<std::uint64_t> stale_refresh_sheds{0};
   Histogram build_seconds;

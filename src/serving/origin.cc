@@ -285,42 +285,26 @@ LadderPtr OriginServer::ladder_for(const Site& site, const obs::RequestContext& 
                                    LadderSource* source) const {
   const TierKey key{site.id, site.fingerprint, site.origin.plan};
   *source = LadderSource::kBuilt;
-  try {
-    bool stale = false;
-    if (LadderPtr resident = cache_.fetch(key, ctx, &stale)) {
-      if (stale) {
-        // Stale-while-revalidate: answer at cache speed from the old
-        // ladder; the rebuild rides the queue behind this response.
-        maybe_queue_refresh(site, key);
-        *source = LadderSource::kStale;
-      } else {
-        *source = LadderSource::kCached;
-      }
-      return resident;
+  bool stale = false;
+  if (LadderPtr resident = cache_.fetch(key, ctx, &stale)) {
+    if (stale) {
+      // Stale-while-revalidate: answer at cache speed from the old
+      // ladder; the rebuild rides the queue behind this response.
+      maybe_queue_refresh(site, key);
+      *source = LadderSource::kStale;
+    } else {
+      *source = LadderSource::kCached;
     }
-  } catch (const TransientError&) {
-    // Shard poisoned: serve around the cache rather than failing the
-    // request. The build is not shared, but the user still gets a tier.
-    bump(metrics_.cache_bypasses);
-    return run_build(site, ctx);
+    return resident;
   }
   const auto build_and_admit = [&](const obs::RequestContext& build_ctx) -> LadderPtr {
     // Double-check on entry: between our miss and winning the flight,
     // another build may have landed. This is what makes "one build per key"
     // exact instead of merely likely.
-    try {
-      if (LadderPtr resident = cache_.fetch(key, build_ctx)) return resident;
-    } catch (const TransientError&) {
-      bump(metrics_.cache_bypasses);
-      return run_build(site, build_ctx);
-    }
+    if (LadderPtr resident = cache_.fetch(key, build_ctx)) return resident;
     LadderPtr built = run_build(site, build_ctx);
     if (built == nullptr) return built;  // shed: nothing to cache
-    try {
-      cache_.insert(key, built, build_ctx);
-    } catch (const TransientError&) {
-      bump(metrics_.cache_bypasses);
-    }
+    cache_.insert(key, built, build_ctx);
     return built;
   };
   // The leader builds under the flight's live deadline union (joiners
@@ -366,13 +350,7 @@ void OriginServer::maybe_queue_refresh(const Site& site, const TierKey& key) con
       popularity_[site.id].load(std::memory_order_relaxed), refresh_ctx,
       [this, &site, refresh_ctx] { return build_ladder(site, refresh_ctx); },
       [this, key](LadderPtr built) {
-        if (built != nullptr) {
-          try {
-            cache_.replace(key, built);
-          } catch (const TransientError&) {
-            bump(metrics_.cache_bypasses);
-          }
-        }
+        if (built != nullptr) cache_.replace(key, built);
         const std::lock_guard lock(refresh_mutex_);
         refresh_pending_.erase(key);
       });
@@ -474,7 +452,6 @@ std::string OriginServer::stats_json() const {
   json.field("stale_hits", c.stale_hits);
   json.field("resident_entries", c.resident_entries);
   json.field("resident_bytes", c.resident_bytes);
-  json.field("bypasses", m.cache_bypasses);
   json.end();
   json.begin("ladder_sources");
   json.field("cached", m.ladder_cached);

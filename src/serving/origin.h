@@ -25,11 +25,10 @@
 // through the flight's shared deadline, so one slow joiner never times out
 // a build that someone else still has budget for.
 //
-// Failure containment mirrors PR 1's contract: a failed ladder build serves
-// the degraded original for that request and is NOT cached (the next
-// request retries); a faulted cache shard ("serving.cache.shard") is
-// bypassed, trading duplicate build work for availability; a failed build
-// leader ("serving.build.leader") fails its whole flight once, degraded.
+// Failure containment: a failed ladder build serves the degraded original
+// for that request and is NOT cached (the next request builds afresh); a
+// failed build leader ("serving.build.leader") fails its whole flight once,
+// degraded. The cache itself never throws.
 //
 // Overload safety (the build plane, DESIGN.md §11): ladder builds run
 // through a bounded serving::BuildQueue, never inline in the request

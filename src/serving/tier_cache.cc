@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/error.h"
-#include "util/fault.h"
 #include "util/hash.h"
 
 namespace aw4a::serving {
@@ -81,8 +80,6 @@ LadderPtr TierCache::fetch(const TierKey& key, const obs::RequestContext& ctx,
                            bool* stale_out) {
   AW4A_SPAN(ctx, "serving.cache.fetch");
   if (stale_out != nullptr) *stale_out = false;
-  // Outside the lock: a poisoned shard fails the lookup, never deadlocks it.
-  AW4A_FAULT_POINT("serving.cache.shard");
   Shard& shard = shard_of(key);
   const std::lock_guard lock(shard.mutex);
   Resident* resident = shard.lru.touch(key);
@@ -117,7 +114,6 @@ void TierCache::admit_locked(Shard& shard, const TierKey& key, LadderPtr ladder)
 bool TierCache::insert(const TierKey& key, LadderPtr ladder, const obs::RequestContext& ctx) {
   AW4A_SPAN(ctx, "serving.cache.insert");
   AW4A_EXPECTS(ladder != nullptr && !ladder->tiers.empty());
-  AW4A_FAULT_POINT("serving.cache.shard");
   Shard& shard = shard_of(key);
   const std::lock_guard lock(shard.mutex);
   if (shard.lru.peek(key) != nullptr) return false;  // lost the build race
@@ -128,7 +124,6 @@ bool TierCache::insert(const TierKey& key, LadderPtr ladder, const obs::RequestC
 bool TierCache::replace(const TierKey& key, LadderPtr ladder, const obs::RequestContext& ctx) {
   AW4A_SPAN(ctx, "serving.cache.insert");
   AW4A_EXPECTS(ladder != nullptr && !ladder->tiers.empty());
-  AW4A_FAULT_POINT("serving.cache.shard");
   Shard& shard = shard_of(key);
   const std::lock_guard lock(shard.mutex);
   // Drop the (typically stale) resident silently: a refresh landing is not

@@ -93,9 +93,7 @@ class TierCache {
  public:
   explicit TierCache(TierCacheOptions options = {});
 
-  /// The resident ladder (recency refreshed) or nullptr. The
-  /// "serving.cache.shard" fault point can throw TransientError here;
-  /// callers treat that as a miss-and-bypass, never a failed request.
+  /// The resident ladder (recency refreshed) or nullptr. Never throws.
   /// `ctx` only feeds tracing (a "serving.cache.fetch" span) — a cache probe
   /// is never deadline-checked. When `stale_out` is non-null it is set to
   /// whether the returned ladder was flagged by mark_stale_site — the

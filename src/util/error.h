@@ -5,10 +5,9 @@
 // aw4a::LogicError so tests can distinguish the two.
 //
 // The taxonomy below drives the serving path's degradation ladder (see
-// DESIGN.md "Failure model"): TransientError is worth retrying,
-// DeadlineExceeded means "serve the best anytime result found so far", and
-// everything else fails the current work unit, whose caller falls back to a
-// coarser result. Every Error carries a context chain (`with_context`) so an
+// DESIGN.md "Failure model"): DeadlineExceeded means "serve the best anytime
+// result found so far", and everything else fails the current work unit,
+// whose caller falls back to a coarser result. Nothing is retried. Every Error carries a context chain (`with_context`) so an
 // aggregated report names the tier/object/stage a failure came from.
 #pragma once
 
@@ -61,17 +60,8 @@ class Infeasible : public Error {
   [[noreturn]] void raise() const override { throw Infeasible(*this); }
 };
 
-/// A failure that may succeed on retry (injected faults, exhausted scratch
-/// resources). retry_transient() in util/retry.h retries exactly this type.
-class TransientError : public Error {
- public:
-  explicit TransientError(const std::string& what) : Error(what) {}
-  std::shared_ptr<const Error> clone() const override { return std::make_shared<TransientError>(*this); }
-  [[noreturn]] void raise() const override { throw TransientError(*this); }
-};
-
-/// A work unit ran out of wall-clock budget. Never retried (the budget will
-/// not come back); the pipeline converts it into the best anytime result.
+/// A work unit ran out of wall-clock budget; the pipeline converts it into
+/// the best anytime result.
 class DeadlineExceeded : public Error {
  public:
   explicit DeadlineExceeded(const std::string& what) : Error(what) {}

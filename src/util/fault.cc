@@ -37,7 +37,6 @@ struct Registry {
         "js.muzeel.eliminate", "dataset.corpus.make_page",
         "net.compress.gzip",  "solver.grid_search", "solver.hbs",
         "solver.knapsack",    "serving.build.leader",
-        "serving.cache.shard", "serving.build.queue",
     };
     for (const char* name : kBuiltin) points.emplace_back().name = name;
   }

@@ -12,9 +12,9 @@
 // A disarmed fault point costs one relaxed atomic load — faults are a test
 // and staging facility, not a production tax. When a point is armed (from a
 // test, the CLI's --faults flag, or the AW4A_FAULTS environment variable) a
-// hit may throw fault::InjectedFault, a TransientError the serving path must
-// absorb: retried by retry_transient(), degraded by the pipeline's fallback
-// ladder, and never surfaced as a crashed OriginServer.
+// hit may throw fault::InjectedFault, a plain Error: the work unit it hits
+// fails, exactly as a real failure there would, and the pipeline's fallback
+// ladder degrades the answer — never a crashed OriginServer.
 //
 // Triggering is deterministic: the decision for hit #n of a point is a pure
 // hash of (global seed, point name, n), so a sweep that forces each point in
@@ -31,11 +31,11 @@
 
 namespace aw4a::fault {
 
-/// Thrown by an armed fault point. Transient by definition — the whole point
-/// of injection is exercising the retry/degradation machinery above it.
-class InjectedFault : public TransientError {
+/// Thrown by an armed fault point. A failed step like any other Error, so
+/// injection exercises the same degradation path a real failure takes.
+class InjectedFault : public Error {
  public:
-  explicit InjectedFault(const std::string& what) : TransientError(what) {}
+  explicit InjectedFault(const std::string& what) : Error(what) {}
   std::shared_ptr<const Error> clone() const override { return std::make_shared<InjectedFault>(*this); }
   [[noreturn]] void raise() const override { throw InjectedFault(*this); }
 };

@@ -2,7 +2,7 @@
 // perf PR uses to prove crash-freedom under failure.
 //
 //   - the fault framework itself (deterministic triggers, spec parsing),
-//   - retry_transient and the error-context chain,
+//   - injected faults as plain errors, and the error-context chain,
 //   - parallel_for failure aggregation,
 //   - the pipeline's deadline/fallback ladder,
 //   - a sweep forcing every registered fault point to fire 100% of the time
@@ -23,7 +23,6 @@
 #include "serving/origin.h"
 #include "util/fault.h"
 #include "util/parallel.h"
-#include "util/retry.h"
 #include "util/rng.h"
 
 namespace aw4a {
@@ -60,9 +59,9 @@ TEST_F(FaultTest, ProbabilityOneAlwaysFires) {
   EXPECT_EQ(fires("test.unit.always"), 5u);
 }
 
-TEST_F(FaultTest, InjectedFaultIsTransient) {
+TEST_F(FaultTest, InjectedFaultIsAPlainError) {
   fault::configure("test.unit.transient", {.probability = 1.0});
-  EXPECT_THROW(AW4A_FAULT_POINT("test.unit.transient"), TransientError);
+  EXPECT_THROW(AW4A_FAULT_POINT("test.unit.transient"), Error);
 }
 
 TEST_F(FaultTest, EveryNthFiresOnSchedule) {
@@ -153,58 +152,20 @@ TEST_F(FaultTest, ConfigureFromString) {
 
 TEST_F(FaultTest, KnownPointsIncludeProductionRegistrations) {
   const auto points = fault::stats();
+  const auto registered = [&](const char* name) {
+    return std::find_if(points.begin(), points.end(), [&](const fault::PointStats& p) {
+             return p.name == name;
+           }) != points.end();
+  };
   for (const char* expected :
        {"codec.jpeg.encode", "codec.png.encode", "codec.webp.encode",
         "js.muzeel.eliminate", "dataset.corpus.make_page", "net.compress.gzip",
-        "solver.grid_search", "solver.hbs", "solver.knapsack",
-        "serving.build.leader", "serving.cache.shard", "serving.build.queue"}) {
-    EXPECT_NE(std::find_if(points.begin(), points.end(),
-                           [&](const fault::PointStats& p) { return p.name == expected; }),
-              points.end())
-        << "missing " << expected;
+        "solver.grid_search", "solver.hbs", "solver.knapsack", "serving.build.leader"}) {
+    EXPECT_TRUE(registered(expected)) << "missing " << expected;
   }
-}
-
-TEST(Retry, SucceedsAfterTransientFailures) {
-  int calls = 0;
-  const int result = retry_transient(
-      [&] {
-        if (++calls < 3) throw TransientError("flaky");
-        return 7;
-      },
-      3);
-  EXPECT_EQ(result, 7);
-  EXPECT_EQ(calls, 3);
-}
-
-TEST(Retry, NonTransientErrorsPropagateImmediately) {
-  int calls = 0;
-  EXPECT_THROW(retry_transient(
-                   [&]() -> int {
-                     ++calls;
-                     throw Infeasible("cannot be retried away");
-                   },
-                   3),
-               Infeasible);
-  EXPECT_EQ(calls, 1);
-  calls = 0;
-  EXPECT_THROW(retry_transient(
-                   [&]() -> int {
-                     ++calls;
-                     throw DeadlineExceeded("the clock will not come back");
-                   },
-                   3),
-               DeadlineExceeded);
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(Retry, ExhaustionRethrowsWithAttemptContext) {
-  try {
-    retry_transient([]() -> int { throw TransientError("still down"); }, 4);
-    FAIL() << "should have thrown";
-  } catch (const TransientError& e) {
-    EXPECT_NE(std::string(e.what()).find("after 4 attempts"), std::string::npos) << e.what();
-    EXPECT_NE(std::string(e.what()).find("still down"), std::string::npos);
+  // Failures the origin cannot have get no fault point.
+  for (const char* deleted : {"serving.cache.shard", "serving.build.queue"}) {
+    EXPECT_FALSE(registered(deleted)) << "still registered: " << deleted;
   }
 }
 
@@ -431,26 +392,13 @@ TEST_F(DegradationTest, Stage2FaultFallsBackToStage1PerTier) {
   }
 }
 
-TEST_F(DegradationTest, RetryAbsorbsASingleTransientCodecFault) {
-  // One codec fire, then clean: the codec-site retry absorbs it invisibly —
-  // no tier degrades, no tier fails.
-  fault::configure("codec.webp.encode", {.probability = 1.0, .max_fires = 1});
-  const auto tiers = core::Aw4aPipeline(config()).build_tiers(*page_);
-  EXPECT_EQ(fires("codec.webp.encode"), 1u);
-  for (const auto& tier : tiers) {
-    EXPECT_TRUE(tier.built);
-    EXPECT_FALSE(tier.result.degraded) << tier.note;
-  }
-}
-
 TEST_F(DegradationTest, FailedTierBorrowsNearestBuiltTier) {
   // With the shared cross-tier ladder cache, a tier after the first performs
   // no fresh encodes, so a fault cannot fail a *later* tier. Instead: measure
-  // how many webp-encode fires it takes to fail one tier outright (through
-  // the codec-site retry and the tier-level retry — a failed enumeration
-  // memoizes nothing, so every attempt re-encodes), then arm exactly that
-  // many. Tier 1 fails, the fault exhausts, tier 2 builds clean, and tier 1
-  // must borrow the nearest built (deeper) tier's result.
+  // how many webp-encode fires it takes to fail one tier outright (a failed
+  // enumeration memoizes nothing, so a later ask encodes again), then arm
+  // exactly that many. Tier 1 fails, the fault exhausts, tier 2 builds
+  // clean, and tier 1 must borrow the nearest built (deeper) tier's result.
   core::DeveloperConfig one_tier = config();
   one_tier.tier_reductions = {2.0};
   fault::configure("codec.webp.encode", {.probability = 1.0});
@@ -580,18 +528,14 @@ TEST_F(DegradationTest, EachFaultPointsScenarioOutcomesArePinned) {
   static const Pinned kPinned[] = {
       {"codec.jpeg.encode",
        {"200 | original | -",
-        "200 | 0 | stage-2 failed: gave up after 2 attempts: injected fault at codec.jpeg.encode "
-        "(hit 8)",
+        "200 | 0 | stage-2 failed: injected fault at codec.jpeg.encode (hit 4)",
         "200 | original | -",
-        "200 | 0 | stage-2 failed: gave up after 2 attempts: injected fault at codec.jpeg.encode "
-        "(hit 8)"}},
+        "200 | 0 | stage-2 failed: injected fault at codec.jpeg.encode (hit 4)"}},
       {"codec.png.encode",
        {"200 | original | -",
-        "200 | 0 | stage-2 failed: gave up after 2 attempts: injected fault at codec.png.encode "
-        "(hit 4)",
+        "200 | 0 | stage-2 failed: injected fault at codec.png.encode (hit 2)",
         "200 | original | -",
-        "200 | 0 | stage-2 failed: gave up after 2 attempts: injected fault at codec.png.encode "
-        "(hit 4)"}},
+        "200 | 0 | stage-2 failed: injected fault at codec.png.encode (hit 2)"}},
       {"codec.webp.encode",
        {"200 | original | -", "200 | none | all 2 tiers failed to build:",
         "200 | none | all 2 tiers failed to build:", "200 | none | all 2 tiers failed to build:"}},

@@ -26,7 +26,6 @@
 #include "serving/build_queue.h"
 #include "serving/origin.h"
 #include "util/error.h"
-#include "util/fault.h"
 #include "util/rng.h"
 
 namespace aw4a::serving {
@@ -44,13 +43,7 @@ double steady_seconds() {
       .count();
 }
 
-class BuildQueueOverloadTest : public ::testing::Test {
- protected:
-  void SetUp() override { fault::reset(); }
-  void TearDown() override { fault::reset(); }
-};
-
-TEST_F(BuildQueueOverloadTest, BoundNeverExceededAndCountersPartition) {
+TEST(BuildQueueOverloadTest, BoundNeverExceededAndCountersPartition) {
   constexpr std::size_t kCapacity = 4;
   constexpr int kCallers = 32;
   BuildQueue queue(BuildQueueOptions{.capacity = kCapacity, .workers = 2}, steady_seconds);
@@ -106,7 +99,7 @@ TEST_F(BuildQueueOverloadTest, BoundNeverExceededAndCountersPartition) {
       << "one queue-wait sample per build that ran";
 }
 
-TEST_F(BuildQueueOverloadTest, ExpiredQueuedJobIsDroppedNotBuilt) {
+TEST(BuildQueueOverloadTest, ExpiredQueuedJobIsDroppedNotBuilt) {
   std::atomic<double> now{0.0};
   const auto clock = [&now] { return now.load(); };
   BuildQueue queue(BuildQueueOptions{.capacity = 4, .workers = 1}, clock);
@@ -168,7 +161,7 @@ TEST_F(BuildQueueOverloadTest, ExpiredQueuedJobIsDroppedNotBuilt) {
   EXPECT_EQ(queue.stats().expired, 1u) << "born-expired jobs are built, not dropped";
 }
 
-TEST_F(BuildQueueOverloadTest, DetachedSubmitCompletesOrShedsCleanly) {
+TEST(BuildQueueOverloadTest, DetachedSubmitCompletesOrShedsCleanly) {
   BuildQueue queue(BuildQueueOptions{.capacity = 2, .workers = 1}, steady_seconds);
   std::atomic<int> done_calls{0};
   std::atomic<bool> got_result{false};
@@ -185,15 +178,14 @@ TEST_F(BuildQueueOverloadTest, DetachedSubmitCompletesOrShedsCleanly) {
   EXPECT_EQ(done_calls.load(), 1);
   EXPECT_TRUE(got_result.load());
 
-  // The enqueue fault sheds a detached submit the same way: false, no
-  // crash, no callback.
-  fault::configure("serving.build.queue", {.probability = 1.0});
-  EXPECT_FALSE(queue.submit_detached(
+  // A queue that admits nothing sheds a detached submit: false, no crash,
+  // no callback.
+  BuildQueue full(BuildQueueOptions{.capacity = 0, .workers = 1}, steady_seconds);
+  EXPECT_FALSE(full.submit_detached(
       1, obs::RequestContext::none(), [] { return fake_ladder(); },
       [&](LadderPtr) { done_calls.fetch_add(1); }));
-  fault::reset();
   EXPECT_EQ(done_calls.load(), 1) << "a shed submit must not invoke its callback";
-  EXPECT_EQ(queue.stats().shed, 1u);
+  EXPECT_EQ(full.stats().shed, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -214,9 +206,6 @@ class OriginOverloadTest : public ::testing::Test {
     delete pages_;
     pages_ = nullptr;
   }
-  void SetUp() override { fault::reset(); }
-  void TearDown() override { fault::reset(); }
-
   static std::vector<OriginSite> sites() {
     core::DeveloperConfig config;
     config.tier_reductions = {2.0};

@@ -100,7 +100,7 @@ TEST(ServingStress, FailingLeaderNeverStrandsWaiters) {
   // between dissolving in error and succeeding, under full contention.
   const auto build = [&]() -> std::shared_ptr<const int> {
     const auto n = attempts.fetch_add(1) + 1;
-    if (n % 2 == 1) throw TransientError("flaky leader " + std::to_string(n));
+    if (n % 2 == 1) throw Error("flaky leader " + std::to_string(n));
     return std::make_shared<const int>(static_cast<int>(n));
   };
 
@@ -112,7 +112,7 @@ TEST(ServingStress, FailingLeaderNeverStrandsWaiters) {
           const auto value = flight.run(7, build);
           ASSERT_NE(value, nullptr);
           successes.fetch_add(1);
-        } catch (const TransientError&) {
+        } catch (const Error&) {
           failures.fetch_add(1);
         }
       }

@@ -297,14 +297,14 @@ TEST(SingleFlight, LeaderFailurePropagatesOnceToEveryWaiter) {
   const auto build = [&]() -> std::shared_ptr<const int> {
     builds.fetch_add(1);
     while (flight.stats().joins < kWaiters) std::this_thread::yield();
-    throw TransientError("leader lost its build");
+    throw Error("leader lost its build");
   };
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < kWaiters + 1; ++i) {
     threads.emplace_back([&] {
       try {
         flight.run(5, build);
-      } catch (const TransientError&) {
+      } catch (const Error&) {
         failures.fetch_add(1);
       }
     });
@@ -564,21 +564,6 @@ TEST_F(OriginServerTest, ShedIsAValueSharedByTheWholeFlight) {
   EXPECT_EQ(origin.cache_stats().inserts, 0u);
 }
 
-TEST_F(OriginServerTest, PoisonedCacheShardIsBypassedNotFatal) {
-  const OriginServer origin(sites());
-  fault::configure("serving.cache.shard", {.probability = 1.0});
-  const auto saver = get("a.example", {{"Save-Data", "on"}, {"X-Geo-Country", "ET"}});
-  const auto first = origin.handle(saver);
-  const auto second = origin.handle(saver);
-  EXPECT_EQ(first.status, 200);
-  EXPECT_LT(first.content_length, (*pages_)[0].transfer_size());
-  EXPECT_EQ(second.content_length, first.content_length);
-  const MetricsSnapshot m = origin.metrics();
-  EXPECT_EQ(m.internal_errors, 0u);
-  EXPECT_EQ(m.cache_bypasses, 2u);
-  EXPECT_EQ(m.builds_started, 2u) << "bypass trades duplicate work for availability";
-}
-
 TEST_F(OriginServerTest, StatsEndpointSpeaksJsonOverTheWire) {
   const OriginServer origin(sites());
   origin.handle(get("a.example", {{"Save-Data", "on"}, {"X-Geo-Country", "ET"}}));
@@ -597,7 +582,7 @@ TEST_F(OriginServerTest, StatsEndpointSpeaksJsonOverTheWire) {
     EXPECT_NE(stats.body.find(needle), std::string::npos) << needle << " missing in\n"
                                                           << stats.body;
   }
-  for (const char* gone : {"\"semantic_hits\"", "\"probes\""}) {
+  for (const char* gone : {"\"semantic_hits\"", "\"probes\"", "\"bypasses\""}) {
     EXPECT_EQ(stats.body.find(gone), std::string::npos) << gone << " in\n" << stats.body;
   }
   // Round-trips the wire: the body survives serialize/parse.
@@ -622,29 +607,39 @@ TEST_F(OriginServerTest, RequestCountersPartitionEveryOutcome) {
   net::HttpRequest trace_request = get("a.example", {{"Save-Data", "on"}});
   trace_request.path = "/aw4a/trace";
   origin.handle(trace_request);  // trace
-  // A queue-admission shed (the enqueue fault fires once, on b.example's
-  // cold build): degraded answer, counted apart from failure degradation.
-  fault::configure("serving.build.queue", {.probability = 1.0, .max_fires = 1});
+
+  // A queue-admission shed, from an origin whose queue admits nothing:
+  // degraded answer, counted apart from failure degradation.
+  OriginOptions no_queue;
+  no_queue.build_queue.capacity = 0;
+  const OriginServer shedding(sites(), no_queue);
   const auto shed =
-      origin.handle(get("b.example", {{"Save-Data", "on"}, {"X-Geo-Country", "ET"}}));
+      shedding.handle(get("b.example", {{"Save-Data", "on"}, {"X-Geo-Country", "ET"}}));
   EXPECT_EQ(shed.status, 200);
   EXPECT_NE(shed.header("Retry-After"), nullptr);
 
+  const auto expect_partitions = [](const MetricsSnapshot& m) {
+    EXPECT_EQ(m.served_original + m.served_paw_tier + m.served_preference_tier +
+                  m.served_degraded + m.served_shed_degraded + m.stats_requests +
+                  m.trace_requests + m.not_found + m.bad_method + m.bad_request +
+                  m.internal_errors,
+              m.requests_total)
+        << "every request lands in exactly one counter";
+    EXPECT_EQ(m.served_paw_tier + m.served_preference_tier,
+              m.ladder_cached + m.ladder_stale + m.ladder_built)
+        << "every tier answer names its ladder source";
+  };
   const MetricsSnapshot m = origin.metrics();
-  EXPECT_EQ(m.requests_total, 9u);
-  EXPECT_EQ(m.served_original + m.served_paw_tier + m.served_preference_tier +
-                m.served_degraded + m.served_shed_degraded + m.stats_requests +
-                m.trace_requests + m.not_found + m.bad_method + m.bad_request +
-                m.internal_errors,
-            m.requests_total)
-      << "every request lands in exactly one counter";
-  EXPECT_EQ(m.served_shed_degraded, 1u);
+  expect_partitions(m);
+  EXPECT_EQ(m.requests_total, 8u);
+  EXPECT_EQ(m.served_shed_degraded, 0u);
   EXPECT_EQ(m.served_degraded, 0u);
-  EXPECT_EQ(m.served_paw_tier + m.served_preference_tier,
-            m.ladder_cached + m.ladder_stale + m.ladder_built)
-      << "every tier answer names its ladder source";
   EXPECT_EQ(m.stats_requests, 1u);
   EXPECT_EQ(m.trace_requests, 1u);
+  const MetricsSnapshot s = shedding.metrics();
+  expect_partitions(s);
+  EXPECT_EQ(s.requests_total, 1u);
+  EXPECT_EQ(s.served_shed_degraded, 1u);
 
   // The content-addressed store under the cache keeps its own partition:
   // every per-image consult lands in exactly one outcome counter.
