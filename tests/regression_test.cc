@@ -198,20 +198,19 @@ TEST_F(GoldenValues, CodecOutputsAreFrozen) {
   }
 }
 
-TEST_F(GoldenValues, TierQualityIsFrozen) {
-  // The quality layer's behavioural guard: every tier's QSS/QFS/quality bit
-  // patterns, bytes and algorithm, over a seeded rich corpus with QFS on,
-  // under each solver path that scores quality — HBS with Muzeel and with
-  // adjustable JS (both approaches scored and compared), Grid Search, and
-  // the two ultra-low tiers. Any change to how or how often QFS is computed
-  // that moves a single bit of any tier fails here.
+// The seeded rich corpus and solver configs behind the tier pins: HBS with
+// Muzeel and with adjustable JS, Grid Search, and the two ultra-low tiers.
+std::vector<web::WebPage> tier_corpus() {
   dataset::CorpusGenerator gen(dataset::CorpusOptions{.seed = 1313, .rich = true});
   Rng rng(1313);
   std::vector<web::WebPage> pages;
   for (int i = 0; i < 12; ++i) {
     pages.push_back(gen.make_page(rng, from_kb(200.0 + 10.0 * i), gen.global_profile()));
   }
+  return pages;
+}
 
+std::vector<std::pair<const char*, core::DeveloperConfig>> tier_configs() {
   core::DeveloperConfig muzeel;
   core::DeveloperConfig adjustable;
   adjustable.js_strategy = core::HbsOptions::JsStrategy::kAdjustable;
@@ -221,12 +220,22 @@ TEST_F(GoldenValues, TierQualityIsFrozen) {
   ultra.tier_reductions = {1.5, 3.0};
   ultra.ultra_low.text_only = true;
   ultra.ultra_low.markup_rewrite = true;
-  const std::pair<const char*, core::DeveloperConfig> configs[] = {
-      {"hbs/muzeel", muzeel}, {"hbs/adjustable", adjustable}, {"grid", grid}, {"ultra", ultra}};
+  return {{"hbs/muzeel", muzeel}, {"hbs/adjustable", adjustable}, {"grid", grid}, {"ultra", ultra}};
+}
+
+TEST_F(GoldenValues, TierQualityIsFrozen) {
+  // The quality layer's behavioural guard: every tier's QSS/QFS/quality bit
+  // patterns, bytes and algorithm, over a seeded rich corpus with QFS on,
+  // under each solver path that scores quality — HBS with Muzeel and with
+  // adjustable JS (both approaches scored and compared), Grid Search, and
+  // the two ultra-low tiers. Any change to how or how often QFS is computed
+  // that moves a single bit of any tier fails here.
+  const std::vector<web::WebPage> pages = tier_corpus();
+  const auto configs = tier_configs();
   const std::uint64_t kDigest[] = {7256769464104921039ull, 12708745178222667714ull,
                                    10430937087715406325ull, 4448383752278084357ull};
 
-  for (std::size_t c = 0; c < std::size(configs); ++c) {
+  for (std::size_t c = 0; c < configs.size(); ++c) {
     const core::Aw4aPipeline pipeline(configs[c].second);
     std::uint64_t h = 0;
     for (const web::WebPage& p : pages) {
@@ -278,6 +287,46 @@ TEST_F(GoldenValues, DefaultLadderFamiliesAreFrozen) {
       h = digest(h, imaging::placeholder_variant(*asset, alt));
     }
     EXPECT_EQ(h, kDigest[c]) << imaging::to_string(classes[c]);
+  }
+}
+
+TEST_F(GoldenValues, TierDecisionsAreFrozen) {
+  // The solvers' decisions, not just their scores: every served image's
+  // variant (format, scale, quality, bytes, SSIM, rung kind), each tier's
+  // bytes and algorithm, over the TierQualityIsFrozen corpus and configs
+  // under both entropy backends. How much of each ladder family is
+  // enumerated may change only while every decision stays put.
+  const std::vector<web::WebPage> pages = tier_corpus();
+  const auto configs = tier_configs();
+  const imaging::EntropyBackend backends[] = {imaging::EntropyBackend::kHuffman,
+                                              imaging::EntropyBackend::kRans};
+  const std::uint64_t kDigest[][2] = {{16354269813657348008ull, 16482871066706391428ull},
+                                      {2567603119837062819ull, 16598238413715653219ull},
+                                      {936434693738311852ull, 12216997785558147712ull},
+                                      {3548062698215115436ull, 3551601539039321460ull}};
+
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    for (std::size_t b = 0; b < std::size(backends); ++b) {
+      core::DeveloperConfig config = configs[c].second;
+      config.entropy_backend = backends[b];
+      const core::Aw4aPipeline pipeline(config);
+      std::uint64_t h = 0;
+      for (const web::WebPage& p : pages) {
+        for (const core::Tier& tier : pipeline.build_tiers(p)) {
+          const core::TranscodeResult& r = tier.result;
+          ASSERT_EQ(r.algorithm.find("timeout"), std::string::npos) << r.algorithm;
+          for (const auto& [id, image] : r.served.images) {
+            h = hash_mix(h, id);
+            h = hash_mix(h, static_cast<std::uint64_t>(image.dropped));
+            h = hash_mix(h, static_cast<std::uint64_t>(image.variant.has_value()));
+            if (image.variant) h = digest(h, *image.variant);
+          }
+          h = hash_mix(h, static_cast<std::uint64_t>(r.result_bytes));
+          for (const char ch : r.algorithm) h = hash_mix(h, static_cast<std::uint64_t>(ch));
+        }
+      }
+      EXPECT_EQ(h, kDigest[c][b]) << configs[c].first << " backend " << b;
+    }
   }
 }
 
