@@ -36,7 +36,7 @@ struct Registry {
         "codec.jpeg.encode",  "codec.png.encode",   "codec.webp.encode",
         "js.muzeel.eliminate", "dataset.corpus.make_page",
         "net.compress.gzip",  "solver.grid_search", "solver.hbs",
-        "solver.knapsack",    "serving.build.leader",
+        "solver.knapsack",    "serving.build.leader", "serving.asset.store",
     };
     for (const char* name : kBuiltin) points.emplace_back().name = name;
   }

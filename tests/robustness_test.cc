@@ -160,7 +160,8 @@ TEST_F(FaultTest, KnownPointsIncludeProductionRegistrations) {
   for (const char* expected :
        {"codec.jpeg.encode", "codec.png.encode", "codec.webp.encode",
         "js.muzeel.eliminate", "dataset.corpus.make_page", "net.compress.gzip",
-        "solver.grid_search", "solver.hbs", "solver.knapsack", "serving.build.leader"}) {
+        "solver.grid_search", "solver.hbs", "solver.knapsack", "serving.build.leader",
+        "serving.asset.store"}) {
     EXPECT_TRUE(registered(expected)) << "missing " << expected;
   }
   // Failures the origin cannot have get no fault point.
@@ -560,6 +561,8 @@ TEST_F(DegradationTest, EachFaultPointsScenarioOutcomesArePinned) {
        {"200 | original | -", "200 | none | injected fault at serving.build.leader (hit 1)",
         "200 | none | injected fault at serving.build.leader (hit 2)",
         "200 | none | injected fault at serving.build.leader (hit 3)"}},
+      {"serving.asset.store",
+       {"200 | original | -", "200 | 1 | -", "200 | original | -", "200 | 1 | -"}},
   };
   for (const Pinned& pinned : kPinned) {
     SCOPED_TRACE(std::string("fault point: ") + pinned.point);
