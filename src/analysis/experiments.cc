@@ -181,8 +181,9 @@ namespace {
 
 /// RBR-only reduction of one page to `target`; returns (met, qss).
 std::pair<bool, double> rbr_reduce_page(const WebPage& page, Bytes target, double qt) {
+  // RBR stops at the first rung below Qt: enumerate no deeper.
   imaging::LadderOptions ladder_options;
-  ladder_options.min_ssim = qt - 0.15;
+  ladder_options.min_ssim = qt;
   core::LadderCache ladders(ladder_options);
   core::RbrOptions rbr_options;
   rbr_options.quality_threshold = qt;
@@ -245,8 +246,9 @@ BlanketReductionResult blanket_reduction(const CountryReductionOptions& options)
     const auto pages = gen.country_pages(*country, options.pages_per_country);
     int met = 0;
     for (const WebPage& page : pages) {
+      constexpr double kBlanketSsim = 0.9;
       imaging::LadderOptions ladder_options;
-      ladder_options.min_ssim = 0.75;
+      ladder_options.min_ssim = kBlanketSsim;
       core::LadderCache ladders(ladder_options);
       web::ServedPage served = web::serve_original(page);
       // Reduce every image to its deepest rung with SSIM >= 0.9 — no
@@ -255,7 +257,7 @@ BlanketReductionResult blanket_reduction(const CountryReductionOptions& options)
         auto& ladder = ladders.ladder_for(*object);
         const imaging::ImageVariant* deepest = nullptr;
         for (const auto& v : ladder.resolution_family(object->image->format)) {
-          if (v.ssim + 1e-12 < 0.9) break;
+          if (v.ssim + 1e-12 < kBlanketSsim) break;
           deepest = &v;
         }
         if (deepest != nullptr && deepest->bytes < object->transfer_bytes) {

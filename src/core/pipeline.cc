@@ -23,9 +23,10 @@ Aw4aPipeline::Aw4aPipeline(DeveloperConfig config) : config_(std::move(config)) 
 
 imaging::LadderOptions Aw4aPipeline::ladder_options() const {
   imaging::LadderOptions options;
-  // A little slack below Qt so the Bytes Efficiency probe can reach the
-  // threshold from below.
-  options.min_ssim = std::max(0.0, config_.min_image_ssim - 0.15);
+  // Every consumer (RBR, Bytes Efficiency, Grid Search and knapsack at
+  // targets >= Qt) stops at the first rung below Qt, so nothing deeper is
+  // measured.
+  options.min_ssim = config_.min_image_ssim;
   options.entropy_backend = config_.entropy_backend;
   // Ultra-low tiers extend the rung space with the placeholder rung; with
   // both tiers off it stays off, so image-only configs enumerate (and

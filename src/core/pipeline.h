@@ -134,16 +134,15 @@ class Aw4aPipeline {
                                       LadderCache& ladders,
                                       const obs::RequestContext& ctx) const;
 
-  /// Ladder enumeration options implied by this config (the Qt threshold with
-  /// slack for the Bytes Efficiency probe). A LadderCache shared across calls
-  /// must be built with exactly these options.
+  /// Ladder enumeration options implied by this config: families stop at the
+  /// first rung below Qt, the rung every solver breaks on. A LadderCache
+  /// shared across calls must be built with exactly these options.
   imaging::LadderOptions ladder_options() const;
 
-  /// Pre-generates the configured tiers of a page. Each tier is built with
-  /// bounded retries; a tier that still fails borrows the result of the
-  /// nearest coarser built tier (marked !built). Throws aw4a::Error only
-  /// when *no* tier could be built at all, with every per-tier failure
-  /// aggregated into the message.
+  /// Pre-generates the configured tiers of a page. A tier that fails borrows
+  /// the result of the nearest coarser built tier (marked !built). Throws
+  /// aw4a::Error only when *no* tier could be built at all, with every
+  /// per-tier failure aggregated into the message.
   std::vector<Tier> build_tiers(const web::WebPage& page) const;
 
   /// Explicit-context build: ONE context bounds the whole build, so a

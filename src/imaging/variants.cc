@@ -206,7 +206,8 @@ const std::vector<ImageVariant>& VariantLadder::resolution_family(
       ImageVariant v = measure(format, s, asset_->ship_quality, ctx);
       const double ssim_v = v.ssim;
       family.push_back(std::move(v));
-      if (ssim_v < options_.min_ssim) break;  // keep one below-floor point as a sentinel
+      // Keep the first below-floor rung as the sentinel every consumer breaks on.
+      if (ssim_v + 1e-12 < options_.min_ssim) break;
     }
     slot = std::move(family);
   }
@@ -235,7 +236,7 @@ const std::vector<ImageVariant>& VariantLadder::quality_family(ImageFormat forma
         ImageVariant v = measure_prepared(*prep, 1.0, q, ctx);
         const double ssim_v = v.ssim;
         family.push_back(std::move(v));
-        if (ssim_v < options_.min_ssim) break;
+        if (ssim_v + 1e-12 < options_.min_ssim) break;
       }
     }
     slot = std::move(family);

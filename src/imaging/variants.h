@@ -83,8 +83,9 @@ struct ImageVariant {
 };
 
 struct LadderOptions {
-  /// Floor below which variants are not enumerated (a little slack below any
-  /// practical Qt so the Bytes Efficiency probe can reach the threshold).
+  /// Floor below which variants are not enumerated: a family stops after its
+  /// first rung with ssim + 1e-12 < min_ssim, the rung a solver run at
+  /// Qt = min_ssim breaks on.
   double min_ssim = 0.60;
   /// Entropy coder of the lossy codecs for every measured variant. Part of
   /// ladder identity: mixed into ladder_options_fingerprint(), so TierCache
@@ -176,7 +177,8 @@ class VariantLadder {
   // independent of when a deadline fired.
 
   /// Resolution family in `format`: scale 0.9, 0.8, ... (SSIM-measured).
-  /// Stops at scale 0.1 or when SSIM drops below min_ssim.
+  /// Stops at scale 0.1 or after the first rung below min_ssim (kept as the
+  /// family's last rung).
   const std::vector<ImageVariant>& resolution_family(
       ImageFormat format, const obs::RequestContext& ctx = obs::RequestContext::none());
 

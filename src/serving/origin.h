@@ -19,7 +19,7 @@
 //                                  the Fig. 6 decision (core::answer_page_request)
 //
 // Observability: every request runs under an obs::RequestContext carrying
-// the site's deadline/worker budget and a span sink wired to this origin's
+// the site's deadline and a span sink wired to this origin's
 // per-stage histograms (the /aw4a/stats "stage_breakdown" block). A
 // single-flight build leader inherits the *union* of the waiters' deadlines
 // through the flight's shared deadline, so one slow joiner never times out

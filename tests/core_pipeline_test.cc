@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "dataset/corpus.h"
+#include "serving/asset_store.h"
 #include "util/rng.h"
 
 namespace aw4a::core {
@@ -165,6 +166,74 @@ TEST(Pipeline, SharedCacheRejectsMismatchedOptions) {
   LadderCache mismatched(Aw4aPipeline(lax).ladder_options());
   EXPECT_THROW((void)pipeline.transcode_to_target(page, page.transfer_size() / 2, mismatched),
                LogicError);
+}
+
+// An asset store that keeps every memo it hands out, so a test can inspect
+// what a served build enumerated.
+class RecordingAssetStore : public imaging::AssetLadderSource {
+ public:
+  std::shared_ptr<const imaging::VariantMemo> acquire(
+      const std::shared_ptr<const imaging::SourceImage>& asset,
+      const imaging::LadderOptions& options, const obs::RequestContext& ctx) override {
+    auto memo = store_.acquire(asset, options, ctx);
+    if (memo) memos.push_back(memo);
+    return memo;
+  }
+
+  std::vector<std::shared_ptr<const imaging::VariantMemo>> memos;
+
+ private:
+  serving::AssetStore store_;
+};
+
+// Checks every set family of `memo`: a rung with ssim + 1e-12 < qt may only
+// be the last. Returns how many such sentinel rungs it saw.
+std::size_t expect_families_stop_at(const imaging::VariantMemo& memo, double qt) {
+  std::size_t sentinels = 0;
+  for (std::size_t f = 0; f < 3; ++f) {
+    for (const auto* family : {&memo.res_family[f], &memo.qual_family[f]}) {
+      if (!family->has_value()) continue;
+      const auto& rungs = **family;
+      for (std::size_t i = 0; i < rungs.size(); ++i) {
+        if (rungs[i].ssim + 1e-12 >= qt) continue;
+        ++sentinels;
+        EXPECT_EQ(i + 1, rungs.size()) << "format " << f << ": rung " << i << " (ssim "
+                                       << rungs[i].ssim << ") is below Qt " << qt;
+      }
+    }
+  }
+  return sentinels;
+}
+
+TEST(Pipeline, LadderStopsAtTheFirstRungBelowQt) {
+  // Every solver breaks on the first rung below Qt, so a family enumerates
+  // down to that rung and no further: at most one rung below Qt, and last.
+  const web::WebPage page = rich_page(49, 0.9);
+  for (const double qt : {0.9, 0.8}) {
+    SCOPED_TRACE("Qt " + std::to_string(qt));
+    DeveloperConfig config;
+    config.min_image_ssim = qt;
+    config.measure_qfs = false;
+    const Aw4aPipeline hbs(config);
+    EXPECT_EQ(hbs.ladder_options().min_ssim, qt);
+
+    // A served build: the asset store memoizes the families HBS reads.
+    RecordingAssetStore store;
+    (void)hbs.build_tiers(page, obs::RequestContext::none(), &store);
+    ASSERT_FALSE(store.memos.empty());
+    std::size_t sentinels = 0;
+    for (const auto& memo : store.memos) sentinels += expect_families_stop_at(*memo, qt);
+    EXPECT_GT(sentinels, 0u) << "no family reached below Qt";
+
+    // Grid Search fills the quality families too.
+    config.stage2 = DeveloperConfig::Stage2::kGridSearch;
+    const Aw4aPipeline grid(config);
+    LadderCache ladders(grid.ladder_options());
+    (void)grid.transcode_to_target(page, page.transfer_size() / 3, ladders);
+    for (const web::WebObject* object : rich_images(page)) {
+      (void)expect_families_stop_at(ladders.ladder_for(*object).snapshot(), qt);
+    }
+  }
 }
 
 }  // namespace
