@@ -228,6 +228,7 @@ std::vector<CountryReduction> country_wise_reduction(const CountryReductionOptio
 }
 
 BlanketReductionResult blanket_reduction(const CountryReductionOptions& options) {
+  constexpr double kBlanketSsim = 0.9;
   CorpusGenerator gen(CorpusOptions{.seed = options.seed, .rich = true});
   BlanketReductionResult result;
   const auto fig10 = dataset::fig10_countries();
@@ -246,7 +247,6 @@ BlanketReductionResult blanket_reduction(const CountryReductionOptions& options)
     const auto pages = gen.country_pages(*country, options.pages_per_country);
     int met = 0;
     for (const WebPage& page : pages) {
-      constexpr double kBlanketSsim = 0.9;
       imaging::LadderOptions ladder_options;
       ladder_options.min_ssim = kBlanketSsim;
       core::LadderCache ladders(ladder_options);

@@ -2,8 +2,8 @@
 # Tier-1 gate: the full test suite in the standard configuration, plus
 # originbench's smoke and oracle tests, plus the src/ reachability gate
 # (tools/reach.sh), plus the robustness, serving, serving-overload,
-# asset-store, rANS-coder, markup, quality, HTTP, property and thread-pool
-# suites under ASan+UBSan (fault injection, eviction churn, the origin's
+# asset-store, rANS-coder, markup, quality, HTTP, property, thread-pool and
+# pipeline suites under ASan+UBSan (fault injection, eviction churn, the origin's
 # uncached-reference oracle through the asset store, attacker-controlled
 # entropy-coded payloads and request heads, the length-prefixed AWML parser
 # on truncated or tampered blobs, the per-build QFS memo's stored views, the
